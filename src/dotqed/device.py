@@ -161,6 +161,13 @@ def dispersive_shift(g, delta_rq):
     return g * g / delta_rq
 
 
+def dispersive_shift_of(params):
+    """chi of a DeviceParams at its operating point, Hz."""
+    nu_q = qubit_frequency(params.dqd)
+    g = coupling_at_detuning(params.coupling, params.dqd)
+    return dispersive_shift(g, nu_q - params.resonator.bare_frequency_nu_r)
+
+
 def ac_stark_frequency(nu_q, n_r, g, delta_rq):
     """Dressed qubit frequency nu_q + (1 + 2 n_r) g^2/Delta."""
     return nu_q + (1.0 + 2.0 * n_r) * dispersive_shift(g, delta_rq)

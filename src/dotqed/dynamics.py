@@ -424,12 +424,6 @@ class OuNoiseModel:
             raise ValueError("n_realizations must be >= 1")
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def sample_ou_detuning(model, grid, rng=None, n_realizations=None):
     """Exact-discretization OU paths at the grid times, shape (n, n_times).
 
@@ -438,7 +432,7 @@ def sample_ou_detuning(model, grid, rng=None, n_realizations=None):
     exact transition density, so non-uniform spacing costs nothing.
     """
     times = grid.times if hasattr(grid, "times") else np.asarray(grid, dtype=float)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     n = model.n_realizations if n_realizations is None else int(n_realizations)
     out = np.empty((n, len(times)))
     out[:, 0] = model.sigma_delta * rng.standard_normal(n)
@@ -628,7 +622,7 @@ def monte_carlo_dephasing(sequence, noise, dec, n_realizations=None, *,
         pe, _, trace_dev = _evolve_two_level(compiled, dec, n_batch=1)
         sem = np.zeros_like(pe)
     else:
-        deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=_as_rng(rng),
+        deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=rng,
                                     n_realizations=n)
         pe, sem, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas,
                                                n_batch=n)

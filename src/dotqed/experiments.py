@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,6 +38,7 @@ EXPERIMENT_KINDS = (
 )
 
 DEFAULT_RINGUP_DT = 0.5e-9
+DEFAULT_DRIVE_DETUNING = 100e6
 DEFAULT_SATURATION_TARGETS = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 
@@ -116,29 +117,57 @@ class ExperimentConfig:
     drag_beta: float
     truncation_k: float
     averages: int
-    workers: int
     params: dict
     effective: dict = field(repr=False)
 
 
 _TOP_KEYS = ("experiment", "device", "sweep", "seed", "output_dir", "noise",
-             "pulse", "readout", "params", "averages", "workers")
+             "pulse", "readout", "params", "averages")
 
 _READOUT_KEYS = ("probe_frequency", "probe_amplitude", "sample_rate",
                  "intermediate_frequency", "lowpass_cutoff",
                  "integration_window", "n_filter_taps")
 
-# per-kind keys accepted under "params"
-_PARAM_KEYS = {
-    "spectroscopy": ("rabi_amplitudes", "extrapolation_mode"),
-    "stark": ("probe_frequency", "fock_cutoff", "settle_time",
-              "precession_time", "dt"),
-    "rabi": (),
-    "ramsey": ("drive_detuning", "fit_envelope"),
-    "t1": (),
-    "echo": ("fit_envelope", "echo_phase"),
-    "readout-trace": ("population",),
-    "s11-sweep": ("qubit_state",),
+
+def _number(**limits):
+    return lambda value, path: _as_number(value, path, **limits)
+
+
+def _choice(*choices):
+    return lambda value, path: _as_choice(value, path, choices)
+
+
+def _drive_amplitudes(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ConfigError(f"{path}: expected a list of >= 2 drive amplitudes in Hz")
+    return [_as_number(a, f"{path}[{i}]", positive=True)
+            for i, a in enumerate(value)]
+
+
+def _population(value, path):
+    p = _as_number(value, path, minimum=0.0)
+    if p > 1.0:
+        raise ConfigError(f"{path}: must be <= 1")
+    return p
+
+
+# per-kind keys accepted under "params", each with the validator that checks
+# and converts its value; a key left out keeps the default of its consumer
+_PARAMS = {
+    "spectroscopy": {"rabi_amplitudes": _drive_amplitudes,
+                     "extrapolation_mode": _choice("squared", "linear")},
+    "stark": {"probe_frequency": _number(positive=True),
+              "fock_cutoff": lambda value, path: _as_int(value, path, minimum=4),
+              "settle_time": _number(positive=True),
+              "precession_time": _number(positive=True),
+              "dt": _number(positive=True)},
+    "rabi": {},
+    "ramsey": {"drive_detuning": _number(),
+               "fit_envelope": _choice("exp", "gauss", "none")},
+    "t1": {},
+    "echo": {"echo_phase": _number()},
+    "readout-trace": {"population": _population},
+    "s11-sweep": {"qubit_state": _choice("bare", "g", "e")},
 }
 
 
@@ -184,56 +213,14 @@ def _parse_noise(raw):
 
 def _parse_params(kind, raw):
     m = _as_mapping(raw, "params")
-    allowed = _PARAM_KEYS[kind]
-    unknown = sorted(set(m) - set(allowed))
+    schema = _PARAMS[kind]
+    unknown = sorted(set(m) - set(schema))
     if unknown:
         raise ConfigError(
             f"params.{unknown[0]}: unknown key for experiment '{kind}'"
-            + (f"; allowed: {', '.join(allowed)}" if allowed else ""))
-    out = dict(m)
-    if kind == "spectroscopy":
-        if "rabi_amplitudes" in m:
-            amps = m["rabi_amplitudes"]
-            if not isinstance(amps, (list, tuple)) or len(amps) < 2:
-                raise ConfigError("params.rabi_amplitudes: expected a list of "
-                                  ">= 2 drive amplitudes in Hz")
-            out["rabi_amplitudes"] = [
-                _as_number(a, f"params.rabi_amplitudes[{i}]", positive=True)
-                for i, a in enumerate(amps)]
-        if "extrapolation_mode" in m:
-            _as_choice(m["extrapolation_mode"], "params.extrapolation_mode",
-                       ("squared", "linear"))
-    elif kind == "stark":
-        if "probe_frequency" in m:
-            _as_number(m["probe_frequency"], "params.probe_frequency",
-                       positive=True)
-        if "fock_cutoff" in m:
-            _as_int(m["fock_cutoff"], "params.fock_cutoff", minimum=4)
-        for key in ("settle_time", "precession_time", "dt"):
-            if key in m:
-                _as_number(m[key], f"params.{key}", positive=True)
-    elif kind == "ramsey":
-        if "drive_detuning" in m:
-            _as_number(m["drive_detuning"], "params.drive_detuning")
-        if "fit_envelope" in m:
-            _as_choice(m["fit_envelope"], "params.fit_envelope",
-                       ("exp", "gauss", "none"))
-    elif kind == "echo":
-        if "fit_envelope" in m:
-            _as_choice(m["fit_envelope"], "params.fit_envelope",
-                       ("exp", "gauss", "none"))
-        if "echo_phase" in m:
-            _as_number(m["echo_phase"], "params.echo_phase")
-    elif kind == "readout-trace":
-        if "population" in m:
-            p = _as_number(m["population"], "params.population", minimum=0.0)
-            if p > 1.0:
-                raise ConfigError("params.population: must be <= 1")
-    elif kind == "s11-sweep":
-        if "qubit_state" in m:
-            _as_choice(m["qubit_state"], "params.qubit_state",
-                       ("bare", "g", "e"))
-    return out
+            + (f"; allowed: {', '.join(schema)}" if schema else ""))
+    return {key: check(m[key], f"params.{key}")
+            for key, check in schema.items() if key in m}
 
 
 def validate_config(raw, experiment=None, seed=None, output_dir=None):
@@ -332,14 +319,13 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     params = _parse_params(kind, effective.get("params", {}))
 
     averages = _as_int(effective.get("averages", 1), "averages", minimum=1)
-    workers = _as_int(effective.get("workers", 1), "workers", minimum=1)
 
     return ExperimentConfig(
         experiment=kind, device=dev, sweep=sweep, seed=seed_val,
         output_dir=out_dir, heterodyne=het, readout_noise=readout_noise,
         dephasing=dephasing, probe_frequency=probe_frequency,
         probe_amplitude=probe_amplitude, pulse_sigma=sigma, drag_beta=beta,
-        truncation_k=trunc, averages=averages, workers=workers, params=params,
+        truncation_k=trunc, averages=averages, params=params,
         effective=effective)
 
 
@@ -387,9 +373,7 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
     """
     het = heterodyne or readout.HeterodyneConfig()
     res = dev.resonator
-    nu_q = device.qubit_frequency(dev.dqd)
-    g_eff = device.coupling_at_detuning(dev.coupling, dev.dqd)
-    chi = device.dispersive_shift(g_eff, nu_q - res.bare_frequency_nu_r)
+    chi = device.dispersive_shift_of(dev)
     if probe_frequency is None:
         probe_frequency = res.bare_frequency_nu_r + \
             readout.dressed_resonance_shift("g", chi)
@@ -465,9 +449,7 @@ def measure_dispersive_pull(dev, n_probe=61, span=None, probe_amplitude=None,
     """
     res = dev.resonator
     space = qops.HilbertSpace(fock_cutoff)
-    nu_q = device.qubit_frequency(dev.dqd)
-    g_eff = device.coupling_at_detuning(dev.coupling, dev.dqd)
-    chi = device.dispersive_shift(g_eff, nu_q - res.bare_frequency_nu_r)
+    chi = device.dispersive_shift_of(dev)
     if span is None:
         span = 2.0 * (res.kappa_tot + 2.0 * abs(chi))
     if probe_amplitude is None:
@@ -586,13 +568,6 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
 
 # ------------------------------------------------------------ runners
 
-def _sweep_map(fn, n_items, workers):
-    if workers <= 1:
-        return [fn(i) for i in range(n_items)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_items)))  # order = submission order
-
-
 def _point_rngs(seed, n_points):
     """Two independent streams per sweep point, stable under any scheduling."""
     kids = np.random.SeedSequence(seed).spawn(n_points)
@@ -618,128 +593,125 @@ def _pipeline_from_config(cfg):
                                   probe_amplitude=cfg.probe_amplitude)
 
 
-def _run_sequence_sweep(cfg, make_sequence):
-    """Shared core of the pulsed experiments: simulate, read out, tabulate."""
-    values = cfg.sweep.values
-    pipe = _pipeline_from_config(cfg)
-    rngs = _point_rngs(cfg.seed, len(values))
-    dec = cfg.device.decoherence
-    use_mc = cfg.dephasing is not None and cfg.dephasing.sigma_delta > 0
-
-    def one(i):
-        seq = make_sequence(values[i])
-        if use_mc:
-            traj = dynamics.monte_carlo_dephasing(seq, cfg.dephasing, dec,
-                                                  rng=rngs[i][0])
-            true_err = float(traj.pe_stderr[-1])
-        else:
-            traj = dynamics.simulate_sequence(seq, dec)
-            true_err = 0.0
-        traj.validate_populations()
-        pe_true = float(traj.qubit_pe[-1])
-        p_est, est_err = measure_population(pipe, pe_true, rng=rngs[i][1],
-                                            averages=cfg.averages)
-        return (pe_true, true_err, p_est, est_err,
-                traj.diagnostics.max_trace_deviation)
-
-    rows = _sweep_map(one, len(values), cfg.workers)
-    pe_true, true_err, p_est, est_err, trace_dev = map(np.array, zip(*rows))
-    return values, pe_true, true_err, p_est, est_err, float(trace_dev.max())
-
-
-def _run_rabi(cfg, out):
-    amps = cfg.sweep.values
-    _, pe_true, true_err, p_est, est_err, trace_dev = _run_sequence_sweep(
-        cfg, lambda a: pulses.build_rabi_sequence(
-            a, cfg.pulse_sigma, truncation_k=cfg.truncation_k,
-            drag_beta=cfg.drag_beta,
-            readout_duration=cfg.heterodyne.integration_window))
-    _write_csv(out / "rabi.csv",
-               "drive_amplitude_hz,pe_simulated,pe_estimated,pe_stderr",
-               [amps, pe_true, p_est, est_err])
+def _analyse_rabi(amps, p_est, cfg, pi_amp):
     fit = fitting.fit_rabi_sweep(amps, p_est)
     rate = abs(fit.params["frequency"])  # oscillation cycles per Hz of drive
-    results = {
-        "pi_amplitude_hz": 0.5 / rate if rate > 0 else float("nan"),
-        "predicted_pi_amplitude_hz": pulses.calibrate_pi_amplitude(
-            cfg.pulse_sigma, truncation_k=cfg.truncation_k),
-        "fit_residual_rms": fit.residual_rms,
-        "max_trace_deviation": trace_dev,
-    }
-    return ["rabi.csv"], {"rabi_oscillation": fit.to_dict()}, results
+    return fit, {"pi_amplitude_hz": 0.5 / rate if rate > 0 else float("nan"),
+                 "predicted_pi_amplitude_hz": pi_amp}
 
 
-def _run_ramsey(cfg, out):
-    detuning = float(cfg.params.get("drive_detuning", 100e6))
-    pi_amp = pulses.calibrate_pi_amplitude(cfg.pulse_sigma,
-                                           truncation_k=cfg.truncation_k)
-    delays, pe_true, true_err, p_est, est_err, trace_dev = _run_sequence_sweep(
-        cfg, lambda tau: pulses.build_ramsey_sequence(
-            tau, detuning, sigma=cfg.pulse_sigma, pi_amplitude=pi_amp,
-            truncation_k=cfg.truncation_k, drag_beta=cfg.drag_beta,
-            readout_duration=cfg.heterodyne.integration_window))
-    _write_csv(out / "ramsey.csv",
-               "delay_s,pe_simulated,pe_sim_stderr,pe_estimated,pe_est_stderr",
-               [delays, pe_true, true_err, p_est, est_err])
-    envelope = cfg.params.get("fit_envelope", "exp")
+def _analyse_ramsey(delays, p_est, cfg, pi_amp):
+    detuning = cfg.params.get("drive_detuning", DEFAULT_DRIVE_DETUNING)
     if detuning != 0.0:
-        fit = fitting.fit_damped_cosine(delays, p_est, envelope=envelope)
+        fit = fitting.fit_damped_cosine(
+            delays, p_est, envelope=cfg.params.get("fit_envelope", "exp"))
         t2 = fit.params.get("decay_time", float("inf"))
         fringe = abs(fit.params["frequency"])
     else:
         fit = fitting.fit_exponential_decay(delays, p_est)
         t2 = fit.params["time_constant"]
         fringe = 0.0
-    results = {
-        "t2_ramsey_s": float(t2),
-        "fringe_frequency_hz": float(fringe),
-        "drive_detuning_hz": detuning,
-        "fit_residual_rms": fit.residual_rms,
-        "max_trace_deviation": trace_dev,
-    }
-    return ["ramsey.csv"], {"fringe_decay": fit.to_dict()}, results
+    return fit, {"t2_ramsey_s": float(t2),
+                 "fringe_frequency_hz": float(fringe),
+                 "drive_detuning_hz": detuning}
 
 
-def _run_t1(cfg, out):
+def _analyse_decay(result_key):
+    def analyse(delays, p_est, cfg, pi_amp):
+        fit = fitting.fit_exponential_decay(delays, p_est)
+        return fit, {result_key: float(fit.params["time_constant"])}
+    return analyse
+
+
+@dataclass(frozen=True)
+class _PulsedKind:
+    """What sets one pulsed kind apart from the others.
+
+    sequence(x, cfg, pi_amplitude, shape) builds the sequence for sweep value
+    x, where shape holds the pulse and readout keywords every builder takes.
+    columns pairs each CSV header with a sweep-table key, in file order.
+    fit_key names the fits.json entry.  analyse(x, pe_estimated, cfg,
+    pi_amplitude) returns the fit and the results particular to the kind.
+    """
+    sequence: Callable
+    columns: tuple
+    fit_key: str
+    analyse: Callable
+
+
+_DELAY_COLUMNS = (("delay_s", "x"), ("pe_simulated", "pe_true"),
+                  ("pe_sim_stderr", "pe_true_err"), ("pe_estimated", "pe_est"),
+                  ("pe_est_stderr", "pe_est_err"))
+
+# builders are looked up in `pulses` at call time, not bound here, so that
+# a replaced module function (a profiler's wrapper, a test double) is used
+_PULSED = {
+    "rabi": _PulsedKind(
+        sequence=lambda amp, cfg, pi_amp, shape:
+            pulses.build_rabi_sequence(amp, **shape),
+        columns=(("drive_amplitude_hz", "x"), ("pe_simulated", "pe_true"),
+                 ("pe_estimated", "pe_est"), ("pe_stderr", "pe_est_err")),
+        fit_key="rabi_oscillation", analyse=_analyse_rabi),
+    "ramsey": _PulsedKind(
+        sequence=lambda tau, cfg, pi_amp, shape: pulses.build_ramsey_sequence(
+            tau, cfg.params.get("drive_detuning", DEFAULT_DRIVE_DETUNING),
+            pi_amplitude=pi_amp, **shape),
+        columns=_DELAY_COLUMNS, fit_key="fringe_decay",
+        analyse=_analyse_ramsey),
+    "t1": _PulsedKind(
+        sequence=lambda tau, cfg, pi_amp, shape:
+            pulses.build_t1_sequence(tau, pi_amplitude=pi_amp, **shape),
+        columns=_DELAY_COLUMNS, fit_key="population_decay",
+        analyse=_analyse_decay("t1_s")),
+    "echo": _PulsedKind(
+        sequence=lambda tau, cfg, pi_amp, shape: pulses.build_echo_sequence(
+            tau, pi_amplitude=pi_amp, **shape, **cfg.params),
+        columns=_DELAY_COLUMNS, fit_key="echo_decay",
+        analyse=_analyse_decay("t2_echo_s")),
+}
+
+
+def _run_pulsed(cfg, out):
+    """Pulsed kinds: simulate each sweep point, read it out, fit the sweep."""
+    kind = _PULSED[cfg.experiment]
     pi_amp = pulses.calibrate_pi_amplitude(cfg.pulse_sigma,
                                            truncation_k=cfg.truncation_k)
-    delays, pe_true, true_err, p_est, est_err, trace_dev = _run_sequence_sweep(
-        cfg, lambda tau: pulses.build_t1_sequence(
-            tau, sigma=cfg.pulse_sigma, pi_amplitude=pi_amp,
-            truncation_k=cfg.truncation_k, drag_beta=cfg.drag_beta,
-            readout_duration=cfg.heterodyne.integration_window))
-    _write_csv(out / "t1.csv",
-               "delay_s,pe_simulated,pe_sim_stderr,pe_estimated,pe_est_stderr",
-               [delays, pe_true, true_err, p_est, est_err])
-    fit = fitting.fit_exponential_decay(delays, p_est)
-    results = {
-        "t1_s": float(fit.params["time_constant"]),
-        "fit_residual_rms": fit.residual_rms,
-        "max_trace_deviation": trace_dev,
-    }
-    return ["t1.csv"], {"population_decay": fit.to_dict()}, results
+    shape = dict(sigma=cfg.pulse_sigma, truncation_k=cfg.truncation_k,
+                 drag_beta=cfg.drag_beta,
+                 readout_duration=cfg.heterodyne.integration_window)
+    values = cfg.sweep.values
+    pipe = _pipeline_from_config(cfg)
+    rngs = _point_rngs(cfg.seed, len(values))
+    dec = cfg.device.decoherence
+    use_mc = cfg.dephasing is not None and cfg.dephasing.sigma_delta > 0
 
+    rows = []
+    for x, (rng_dynamics, rng_readout) in zip(values, rngs):
+        seq = kind.sequence(x, cfg, pi_amp, shape)
+        if use_mc:
+            traj = dynamics.monte_carlo_dephasing(seq, cfg.dephasing, dec,
+                                                  rng=rng_dynamics)
+            true_err = float(traj.pe_stderr[-1])
+        else:
+            traj = dynamics.simulate_sequence(seq, dec)
+            true_err = 0.0
+        traj.validate_populations()
+        pe_true = float(traj.qubit_pe[-1])
+        p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,
+                                            averages=cfg.averages)
+        rows.append((pe_true, true_err, p_est, est_err,
+                     traj.diagnostics.max_trace_deviation))
+    pe_true, true_err, p_est, est_err, trace_dev = map(np.array, zip(*rows))
+    table = {"x": values, "pe_true": pe_true, "pe_true_err": true_err,
+             "pe_est": p_est, "pe_est_err": est_err}
 
-def _run_echo(cfg, out):
-    pi_amp = pulses.calibrate_pi_amplitude(cfg.pulse_sigma,
-                                           truncation_k=cfg.truncation_k)
-    echo_phase = float(cfg.params.get("echo_phase", np.pi / 2))
-    delays, pe_true, true_err, p_est, est_err, trace_dev = _run_sequence_sweep(
-        cfg, lambda tau: pulses.build_echo_sequence(
-            tau, sigma=cfg.pulse_sigma, pi_amplitude=pi_amp,
-            echo_phase=echo_phase, truncation_k=cfg.truncation_k,
-            drag_beta=cfg.drag_beta,
-            readout_duration=cfg.heterodyne.integration_window))
-    _write_csv(out / "echo.csv",
-               "delay_s,pe_simulated,pe_sim_stderr,pe_estimated,pe_est_stderr",
-               [delays, pe_true, true_err, p_est, est_err])
-    fit = fitting.fit_exponential_decay(delays, p_est)
-    results = {
-        "t2_echo_s": float(fit.params["time_constant"]),
-        "fit_residual_rms": fit.residual_rms,
-        "max_trace_deviation": trace_dev,
-    }
-    return ["echo.csv"], {"echo_decay": fit.to_dict()}, results
+    name = f"{cfg.experiment}.csv"
+    _write_csv(out / name, ",".join(header for header, _ in kind.columns),
+               [table[key] for _, key in kind.columns])
+    fit, results = kind.analyse(values, p_est, cfg, pi_amp)
+    results["fit_residual_rms"] = fit.residual_rms
+    results["max_trace_deviation"] = float(trace_dev.max())
+    return [name], {kind.fit_key: fit.to_dict()}, results
 
 
 def _run_spectroscopy(cfg, out):
@@ -781,17 +753,8 @@ def _run_spectroscopy(cfg, out):
 
 
 def _run_stark(cfg, out):
-    p = cfg.params
-    kwargs = dict(probe_frequency=p.get("probe_frequency"),
-                  fock_cutoff=int(p.get("fock_cutoff", 18)),
-                  settle_time=float(p.get("settle_time", 10e-9)),
-                  precession_time=float(p.get("precession_time", 100e-9)),
-                  dt=float(p.get("dt", 2e-11)))
     amps = cfg.sweep.values
-
-    points = _sweep_map(lambda i: measure_stark_shift(cfg.device, amps[i],
-                                                      **kwargs),
-                        len(amps), cfg.workers)
+    points = [measure_stark_shift(cfg.device, a, **cfg.params) for a in amps]
     n_bar = np.array([pt.photon_number for pt in points])
     nu_q = np.array([pt.qubit_frequency for pt in points])
     trace_dev = max(pt.max_trace_deviation for pt in points)
@@ -804,10 +767,7 @@ def _run_stark(cfg, out):
         coef = np.polyfit(n_bar, nu_q, 1)
         slope_std = float("nan")
     resid = nu_q - np.polyval(coef, n_bar)
-    nu_q0 = device.qubit_frequency(cfg.device.dqd)
-    g_eff = device.coupling_at_detuning(cfg.device.coupling, cfg.device.dqd)
-    chi = device.dispersive_shift(
-        g_eff, nu_q0 - cfg.device.resonator.bare_frequency_nu_r)
+    chi = device.dispersive_shift_of(cfg.device)
 
     _write_csv(out / "stark.csv",
                "drive_amplitude_hz,photon_number,qubit_frequency_hz",
@@ -831,7 +791,7 @@ def _run_stark(cfg, out):
 def _run_readout_trace(cfg, out):
     pipe = _pipeline_from_config(cfg)
     het = pipe.heterodyne
-    p_target = float(cfg.params.get("population", 0.5))
+    p_target = cfg.params.get("population", 0.5)
     skip = het.filter_delay_samples
 
     mean_g = pipe.ref_g.mean_iq(skip=skip)
@@ -884,11 +844,8 @@ def _run_s11(cfg, out):
     if state == "bare":
         shift = 0.0
     else:
-        nu_q = device.qubit_frequency(cfg.device.dqd)
-        g_eff = device.coupling_at_detuning(cfg.device.coupling, cfg.device.dqd)
-        chi = device.dispersive_shift(g_eff,
-                                      nu_q - res.bare_frequency_nu_r)
-        shift = readout.dressed_resonance_shift(state, chi)
+        shift = readout.dressed_resonance_shift(
+            state, device.dispersive_shift_of(cfg.device))
     s11 = readout.reflection_spectrum(freqs, res, resonance_shift=shift)
     readout.spectrum_to_csv(freqs, s11, out / "s11.csv")
 
@@ -908,10 +865,10 @@ def _run_s11(cfg, out):
 _RUNNERS = {
     "spectroscopy": _run_spectroscopy,
     "stark": _run_stark,
-    "rabi": _run_rabi,
-    "ramsey": _run_ramsey,
-    "t1": _run_t1,
-    "echo": _run_echo,
+    "rabi": _run_pulsed,
+    "ramsey": _run_pulsed,
+    "t1": _run_pulsed,
+    "echo": _run_pulsed,
     "readout-trace": _run_readout_trace,
     "s11-sweep": _run_s11,
 }
@@ -931,9 +888,8 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# execution details that cannot change the artifacts: where they land and
-# how many threads computed them
-_NON_PHYSICS_KEYS = ("output_dir", "workers")
+# execution details that cannot change the artifacts: where they land
+_NON_PHYSICS_KEYS = ("output_dir",)
 
 
 def config_hash(effective):
@@ -1028,8 +984,8 @@ def run_experiment(cfg):
     files, fit_report, results = _RUNNERS[cfg.experiment](cfg, out)
     _write_json(out / "fits.json", fit_report)
     _write_json(out / "results.json", results)
-    # the echoed config omits execution details (output_dir, workers) so the
-    # artifacts are location and scheduling independent
+    # the echoed config omits execution details (output_dir) so the
+    # artifacts are location independent
     _write_json(out / "config.json",
                 {k: v for k, v in cfg.effective.items()
                  if k not in _NON_PHYSICS_KEYS})

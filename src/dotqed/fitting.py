@@ -209,6 +209,9 @@ def fit_damped_cosine(t, y, envelope="exp"):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    span = float(t.max() - t.min())
+    if span <= 0:
+        raise ValueError("time axis has no extent")
     if np.ptp(y) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise ValueError("data are flat; no oscillation to fit")
     f0 = _spectral_peak_frequency(t, y)
@@ -218,7 +221,6 @@ def fit_damped_cosine(t, y, envelope="exp"):
     model = _damped_cosine_factory(envelope)
     a0 = 0.5 * float(np.ptp(y))
     c0 = float(np.mean(y))
-    span = float(t.max() - t.min())
     names = {"amplitude": _AS_Y, "decay_time": _LOG_X, "frequency": _PER_X,
              "phase": _DIMENSIONLESS, "offset": _AS_Y}
     p0 = [a0, span / 2.0, f0, 0.0, c0]

@@ -153,12 +153,6 @@ class IqTrace:
         return complex(env.mean())
 
 
-def _as_rng(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def heterodyne_record(traj, config, noise=None, rng=None):
     """Raw ADC record of the cavity field beat against the local oscillator.
 
@@ -178,7 +172,8 @@ def heterodyne_record(traj, config, noise=None, rng=None):
     raw = gain * np.real(alpha * np.exp(1j * TWO_PI
                                         * config.intermediate_frequency * times))
     if noise is not None and noise.noise_temperature > 0:
-        raw = raw + _as_rng(rng).normal(0.0, noise.sigma_per_sample(), n)
+        raw = raw + np.random.default_rng(rng).normal(
+            0.0, noise.sigma_per_sample(), n)
     return times, raw
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -45,7 +46,7 @@ def test_validate_config_happy_path(tmp_path):
     assert cfg.sweep.points == 26
     assert cfg.pulse_sigma == 0.25e-9
     assert cfg.truncation_k == 2.0
-    assert cfg.averages == 1 and cfg.workers == 1
+    assert cfg.averages == 1
     assert cfg.readout_noise is None and cfg.dephasing is None
     npt.assert_allclose(cfg.sweep.values[-1], 25e-9, rtol=1e-15)
 
@@ -59,6 +60,7 @@ def test_validate_config_happy_path(tmp_path):
      "sweep.points: must be >= 2"),
     (lambda c: c["sweep"].pop("stop"), "sweep.stop: required"),
     (lambda c: c.__setitem__("bogus", 1), "config: unknown key"),
+    (lambda c: c.__setitem__("workers", 2), r"config: unknown key\(s\) workers"),
     (lambda c: c["device"].pop("coupling"), "missing section"),
     (lambda c: c.__setitem__("params", {"wavelength": 1.0}),
      "params.wavelength: unknown key for experiment 'ramsey'"),
@@ -75,6 +77,43 @@ def test_validate_config_field_errors(tmp_path, mutate, fragment):
     raw = _ramsey_config(tmp_path / "r")
     mutate(raw)
     with pytest.raises(experiments.ConfigError, match=fragment):
+        experiments.validate_config(raw)
+
+
+# one malformed value per (kind, params key), and echo's former key
+_PARAM_ERRORS = [
+    ("spectroscopy", "rabi_amplitudes", [2e6],
+     "params.rabi_amplitudes: expected a list of >= 2 drive amplitudes in Hz"),
+    ("spectroscopy", "extrapolation_mode", "cubic",
+     "params.extrapolation_mode: expected one of squared, linear, "
+     "got 'cubic'"),
+    ("stark", "probe_frequency", -5e9, "params.probe_frequency: must be > 0"),
+    ("stark", "fock_cutoff", 3, "params.fock_cutoff: must be >= 4"),
+    ("stark", "settle_time", 0.0, "params.settle_time: must be > 0"),
+    ("stark", "precession_time", "long",
+     "params.precession_time: expected a number, got str"),
+    ("stark", "dt", -2e-11, "params.dt: must be > 0"),
+    ("ramsey", "drive_detuning", True,
+     "params.drive_detuning: expected a number, got bool"),
+    ("ramsey", "fit_envelope", "lorentz",
+     "params.fit_envelope: expected one of exp, gauss, none, got 'lorentz'"),
+    ("echo", "echo_phase", float("inf"), "params.echo_phase: must be finite"),
+    ("readout-trace", "population", 1.5, "params.population: must be <= 1"),
+    ("s11-sweep", "qubit_state", "f",
+     "params.qubit_state: expected one of bare, g, e, got 'f'"),
+    ("echo", "fit_envelope", "exp",
+     "params.fit_envelope: unknown key for experiment 'echo'; "
+     "allowed: echo_phase"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, message", _PARAM_ERRORS,
+                         ids=[f"{kind}-{key}" for kind, key, *_ in _PARAM_ERRORS])
+def test_validate_config_param_errors(tmp_path, kind, key, value, message):
+    raw = _ramsey_config(tmp_path / "r")
+    raw["experiment"] = kind
+    raw["params"] = {key: value}
+    with pytest.raises(experiments.ConfigError, match=re.escape(message)):
         experiments.validate_config(raw)
 
 
@@ -117,12 +156,6 @@ def test_run_is_deterministic_across_output_dirs(tmp_path):
     # the echoed config never records where the artifacts landed
     echoed = json.loads((tmp_path / "one" / "config.json").read_text())
     assert "output_dir" not in echoed
-
-    # worker count must not change the artifacts either
-    raw = _s11_config(tmp_path / "three")
-    raw["workers"] = 3
-    m3 = experiments.run_experiment(experiments.validate_config(raw))
-    assert m3.run_hash == m1.run_hash
 
 
 def test_s11_runner_recovers_linewidth(tmp_path):

@@ -63,6 +63,14 @@ def test_damped_cosine_rejects_flat_and_short_data():
         fitting.fit_damped_cosine(t[:3], np.array([0.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("fit_fn", [fitting.fit_damped_cosine,
+                                    fitting.fit_rabi_sweep])
+def test_oscillation_fits_reject_zero_extent_axis(fit_fn):
+    y = np.cos(np.linspace(0.0, 4.0 * np.pi, 20))
+    with pytest.raises(ValueError, match="time axis has no extent"):
+        fit_fn(np.zeros(20), y)
+
+
 def test_lorentzian_peak_and_dip():
     x = np.linspace(5.0e9, 5.14e9, 141)
     peak = 0.4 / (1.0 + ((x - 5.07e9) / 8e6) ** 2) + 0.05
