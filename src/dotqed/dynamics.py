@@ -11,7 +11,7 @@ P_e(t) = exp(-2*pi*gamma1*t).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -529,28 +529,15 @@ def compile_sequence(sequence, qubit_frequency=0.0, dt_pulse=DEFAULT_DT_PULSE,
                              detuning0=detuning0)
 
 
-def _evolve_two_level(compiled, dec, deltas=None, n_batch=1):
-    """Batched fixed-RK4 integration of 2x2 Lindblad states.
+def _two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
+    """One fixed RK4 step of the two-level Lindblad equation.
 
-    Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
-    so Hermiticity is exact and the trace is preserved to rounding.  deltas
-    (n_batch, n_steps) are per-step z detunings in Hz, held constant within
-    each step.  Returns (mean population, sem, max trace deviation).
+    State components are (p_g, rho_01, p_e); u1/u2/u4 are the drive at the
+    step's start, midpoint and end, w = pi * detuning (rad/s), g1 and decay
+    the population and coherence decay rates.  Every argument broadcasts, so
+    one call steps a batch of realizations or a batch of steps.
     """
-    g1 = TWO_PI * dec.gamma1
-    decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
-
-    a = np.ones(n_batch)                       # ground population
-    b = np.zeros(n_batch, dtype=complex)       # rho_01
-    d = np.zeros(n_batch)                      # excited population
-    n_out = len(compiled.times)
-    pe_mean = np.empty(n_out)
-    pe_sem = np.zeros(n_out)
-    pe_mean[0] = 0.0
-    root_n = np.sqrt(n_batch) if n_batch > 1 else 1.0
-    trace_dev = 0.0
-
-    def stage(u, w, av, bv, dv):
+    def stage(u, av, bv, dv):
         ub = u * np.conj(bv)
         flow = 2.0 * ub.imag            # population flow driven by the pulse
         da = flow + g1 * dv
@@ -558,24 +545,83 @@ def _evolve_two_level(compiled, dec, deltas=None, n_batch=1):
         db = -1j * (u * (dv - av) - 2.0 * w * bv) - decay * bv
         return da, db, dd
 
-    for k in range(n_out - 1):
-        dt = compiled.dts[k]
-        if deltas is not None:
-            w = np.pi * (compiled.detuning0 + deltas[:, k])
-        else:
-            w = np.pi * compiled.detuning0
-        u1, u2, u4 = compiled.u1[k], compiled.u2[k], compiled.u4[k]
+    da1, db1, dd1 = stage(u1, a, b, d)
+    da2, db2, dd2 = stage(u2, a + 0.5 * dt * da1, b + 0.5 * dt * db1,
+                          d + 0.5 * dt * dd1)
+    da3, db3, dd3 = stage(u2, a + 0.5 * dt * da2, b + 0.5 * dt * db2,
+                          d + 0.5 * dt * dd2)
+    da4, db4, dd4 = stage(u4, a + dt * da3, b + dt * db3, d + dt * dd3)
+    return (a + (dt / 6.0) * (da1 + 2.0 * (da2 + da3) + da4),
+            b + (dt / 6.0) * (db1 + 2.0 * (db2 + db3) + db4),
+            d + (dt / 6.0) * (dd1 + 2.0 * (dd2 + dd3) + dd4))
 
-        da1, db1, dd1 = stage(u1, w, a, b, d)
-        da2, db2, dd2 = stage(u2, w, a + 0.5 * dt * da1, b + 0.5 * dt * db1,
-                              d + 0.5 * dt * dd1)
-        da3, db3, dd3 = stage(u2, w, a + 0.5 * dt * da2, b + 0.5 * dt * db2,
-                              d + 0.5 * dt * dd2)
-        da4, db4, dd4 = stage(u4, w, a + dt * da3, b + dt * db3, d + dt * dd3)
-        a = a + (dt / 6.0) * (da1 + 2.0 * (da2 + da3) + da4)
-        b = b + (dt / 6.0) * (db1 + 2.0 * (db2 + db3) + db4)
-        d = d + (dt / 6.0) * (dd1 + 2.0 * (dd2 + dd3) + dd4)
 
+# Steps per prefix-scan block: bounds the (block, 4, 4) propagator stack.
+SCAN_BLOCK = 1024
+
+# The real basis states (p_g, Re rho_01, Im rho_01, p_e) as columns.
+_BASIS_A = np.array([[1.0], [0.0], [0.0], [0.0]])
+_BASIS_B = np.array([[0.0], [1.0], [1j], [0.0]])
+_BASIS_D = np.array([[0.0], [0.0], [0.0], [1.0]])
+
+
+def _evolve_two_level(compiled, dec, deltas=None):
+    """Fixed-RK4 integration of the 2x2 Lindblad state from |g><g|.
+
+    Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
+    so Hermiticity is exact and the trace is preserved to rounding.  Both
+    paths advance the state with the one RK4 formula, `_two_level_step`.
+    Returns (mean population, sem, max trace deviation) at every grid time.
+
+    deltas is None: one deterministic trajectory.  The step is linear in the
+    real state (p_g, Re rho_01, Im rho_01, p_e), so stepping the four basis
+    states through a block of SCAN_BLOCK steps at once gives each step's 4x4
+    propagator.  An inclusive prefix product (P[s:] = P[s:] @ P[:-s] for
+    s = 1, 2, 4, ...) composes them; applied to the state carried in from the
+    previous block it yields the state after every step of the block.  The
+    trace deviation is checked at every step.
+
+    deltas (n_realizations, n_steps): per-step z detunings in Hz, held
+    constant within each step.  All realizations are stepped in lockstep,
+    one step at a time; the trace deviation is checked every 256th step.
+    """
+    g1 = TWO_PI * dec.gamma1
+    decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
+    n_steps = len(compiled.dts)
+    pe_mean = np.zeros(n_steps + 1)
+    pe_sem = np.zeros(n_steps + 1)
+    trace_dev = 0.0
+
+    if deltas is None:
+        w = np.pi * compiled.detuning0
+        state = np.array([1.0, 0.0, 0.0, 0.0])
+        for lo in range(0, n_steps, SCAN_BLOCK):
+            blk = slice(lo, lo + SCAN_BLOCK)
+            a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D,
+                                      compiled.u1[blk], compiled.u2[blk],
+                                      compiled.u4[blk], w, compiled.dts[blk],
+                                      g1, decay)
+            prop = np.stack([a.T, b.real.T, b.imag.T, d.T], axis=1)
+            shift = 1
+            while shift < len(prop):
+                prop[shift:] = prop[shift:] @ prop[:-shift]
+                shift *= 2
+            states = prop @ state
+            pe_mean[lo + 1:lo + 1 + len(states)] = states[:, 3]
+            trace_dev = max(trace_dev, float(
+                np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
+            state = states[-1]
+        return pe_mean, pe_sem, trace_dev
+
+    n_batch = deltas.shape[0]
+    a = np.ones(n_batch)                       # ground population
+    b = np.zeros(n_batch, dtype=complex)       # rho_01
+    d = np.zeros(n_batch)                      # excited population
+    root_n = np.sqrt(n_batch) if n_batch > 1 else 1.0
+    for k in range(n_steps):
+        w = np.pi * (compiled.detuning0 + deltas[:, k])
+        a, b, d = _two_level_step(a, b, d, compiled.u1[k], compiled.u2[k],
+                                  compiled.u4[k], w, compiled.dts[k], g1, decay)
         pe_mean[k + 1] = d.mean()
         if n_batch > 1:
             pe_sem[k + 1] = d.std(ddof=1) / root_n
@@ -596,10 +642,9 @@ def simulate_sequence(sequence, dec, *, qubit_frequency=0.0, extra_detuning=0.0,
     Trajectory's final sample is the population handed to the readout chain.
     """
     compiled = compile_sequence(sequence, qubit_frequency, dt_pulse, dt_idle)
-    deltas = None
-    if extra_detuning:
-        deltas = np.full((1, len(compiled.dts)), float(extra_detuning))
-    pe, _, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas, n_batch=1)
+    compiled = replace(compiled,
+                       detuning0=compiled.detuning0 + float(extra_detuning))
+    pe, _, trace_dev = _evolve_two_level(compiled, dec)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, diagnostics=diag)
 
@@ -612,20 +657,17 @@ def monte_carlo_dephasing(sequence, noise, dec, n_realizations=None, *,
     Every realization rides its own noise path, sampled once per step and
     held across it (the step grids resolve tau_c in any regime we simulate).
     Returns the mean population with per-point standard error.  With
-    sigma_delta = 0 this reduces exactly to simulate_sequence: same stepper,
-    same grid, noise term identically zero.
+    sigma_delta = 0 this reduces exactly to simulate_sequence: same
+    propagator scan, same grid, no noise term.
     """
     n = noise.n_realizations if n_realizations is None else int(n_realizations)
     compiled = compile_sequence(sequence, qubit_frequency, dt_pulse, dt_idle)
 
-    if noise.sigma_delta == 0.0:
-        pe, _, trace_dev = _evolve_two_level(compiled, dec, n_batch=1)
-        sem = np.zeros_like(pe)
-    else:
+    deltas = None
+    if noise.sigma_delta != 0.0:
         deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=rng,
                                     n_realizations=n)
-        pe, sem, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas,
-                                               n_batch=n)
+    pe, sem, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, pe_stderr=sem,
                       diagnostics=diag)

@@ -254,6 +254,59 @@ def test_monte_carlo_zero_sigma_reduces_to_deterministic():
     assert np.all(mc.pe_stderr == 0.0)
 
 
+def _scan_case(case):
+    """(compiled tables, sequence or None, extra detuning) of one scan case."""
+    block = dynamics.SCAN_BLOCK
+    synthetic = {"block-1": block - 1, "block": block, "block+1": block + 1,
+                 "10-blocks": 10 * block + 37}
+    if case in synthetic:
+        n_steps = synthetic[case]
+        rng = np.random.default_rng(n_steps)
+        dts = rng.uniform(1e-12, 1e-11, n_steps)
+
+        def drive():
+            return np.pi * 2e8 * (rng.normal(size=n_steps)
+                                  + 1j * rng.normal(size=n_steps))
+
+        compiled = dynamics._CompiledSequence(
+            times=np.concatenate([[0.0], np.cumsum(dts)]), dts=dts,
+            u1=drive(), u2=drive(), u4=drive(), detuning0=3e7)
+        return compiled, None, 0.0
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    seq, extra = {
+        "rabi-drag": (pulses.build_rabi_sequence(1.3 * a_pi, 0.25e-9,
+                                                 drag_beta=0.1e-9), 0.0),
+        "ramsey-detuned": (pulses.build_ramsey_sequence(
+            20e-9, 0.0, sigma=0.25e-9, pi_amplitude=a_pi), 5e6),
+        "t1-150ns": (pulses.build_t1_sequence(
+            150e-9, sigma=0.25e-9, pi_amplitude=a_pi), 0.0),
+        "echo": (pulses.build_echo_sequence(
+            40e-9, sigma=0.25e-9, pi_amplitude=a_pi), 0.0),
+    }[case]
+    return dynamics.compile_sequence(seq), seq, extra
+
+
+@pytest.mark.parametrize("case", ["block-1", "block", "block+1", "10-blocks",
+                                  "rabi-drag", "ramsey-detuned", "t1-150ns",
+                                  "echo"])
+def test_propagator_scan_matches_stepwise_reference(case):
+    # the lockstep path with one realization of constant noise is the
+    # step-by-step reference for the propagator scan
+    compiled, seq, extra = _scan_case(case)
+    n_steps = len(compiled.dts)
+    ref, _, _ = dynamics._evolve_two_level(
+        compiled, DEC, deltas=np.full((1, n_steps), extra))
+    if seq is None:
+        pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC)
+        assert np.all(sem == 0.0)
+    else:
+        traj = dynamics.simulate_sequence(seq, DEC, extra_detuning=extra)
+        pe, trace_dev = traj.qubit_pe, traj.diagnostics.max_trace_deviation
+    assert pe.shape == ref.shape == (n_steps + 1,)
+    npt.assert_allclose(pe, ref, rtol=0.0, atol=1e-12)
+    assert trace_dev < 1e-12
+
+
 def test_echo_refocuses_static_detuning():
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     delta = 5e6
