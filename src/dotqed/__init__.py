@@ -16,16 +16,11 @@ from .device import (
     DecoherenceParams,
     DeviceParams,
     DqdParams,
-    FluxMap,
     ResonatorParams,
-    ac_stark_frequency,
     build_rotating_frame_hamiltonian,
     coupling_at_detuning,
-    dispersive_phase_shift,
     dispersive_shift,
-    load_device_params,
     qubit_frequency,
-    save_device_params,
     vacuum_rabi_splitting,
 )
 from .dynamics import (
@@ -78,6 +73,5 @@ from .readout import (
     ReadoutNoiseModel,
     estimate_population,
     reflection_coefficient,
-    reflection_spectrum,
     synthesize_readout_waveform,
 )

@@ -1,18 +1,18 @@
 """Device parameters and closed-form circuit-QED relations.
 
 The device is a two-level charge qubit (tunnel splitting 2t, detuning delta)
-coupled with strength g to a flux-tunable high-impedance resonator that is
-probed in reflection through a coupling capacitance.
+coupled with strength g to a high-impedance resonator that is probed in
+reflection.
 
 Unit conventions: every stored frequency, rate and linewidth is an ordinary
-frequency in Hz (angular quantity / 2pi); times are seconds, capacitances
-Farad, impedances Ohm.  Factors of 2pi enter only inside the dynamics
-engines.  Hamiltonians built here are H/h, i.e. in Hz.
+frequency in Hz (angular quantity / 2pi); times are seconds.  Factors of 2pi
+enter only inside the dynamics engines.  Hamiltonians built here are H/h,
+i.e. in Hz.
 """
 
-import json
+import numbers
 import warnings
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -23,9 +23,22 @@ from . import qops
 RWA_RATIO = 0.1
 
 
+def _require_finite(name, value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _require_positive(name, value):
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _require_finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _require_non_negative(name, value):
+    _require_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,26 +49,20 @@ class DqdParams:
 
     def __post_init__(self):
         _require_positive("tunnel_splitting_2t", self.tunnel_splitting_2t)
-        if not np.isfinite(self.detuning_delta):
-            raise ValueError("detuning_delta must be finite")
+        _require_finite("detuning_delta", self.detuning_delta)
 
 
 @dataclass(frozen=True)
 class ResonatorParams:
-    """Resonator frequency, reflection linewidths and circuit parameters."""
+    """Resonator frequency and reflection linewidths."""
     bare_frequency_nu_r: float
     kappa_ext: float
     kappa_int: float
-    coupling_capacitance_Cc: float | None = None
-    impedance_Zr: float | None = None
-    line_impedance_Ztl: float = 50.0
 
     def __post_init__(self):
         _require_positive("bare_frequency_nu_r", self.bare_frequency_nu_r)
         _require_positive("kappa_ext", self.kappa_ext)
-        if self.kappa_int < 0:
-            raise ValueError("kappa_int must be >= 0")
-        _require_positive("line_impedance_Ztl", self.line_impedance_Ztl)
+        _require_non_negative("kappa_int", self.kappa_int)
 
     @property
     def kappa_tot(self):
@@ -82,22 +89,12 @@ class DecoherenceParams:
     gamma_phi: float
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma_phi < 0:
-            raise ValueError("decoherence rates must be >= 0")
+        _require_non_negative("gamma1", self.gamma1)
+        _require_non_negative("gamma_phi", self.gamma_phi)
 
     @property
     def gamma2(self):
         return 0.5 * self.gamma1 + self.gamma_phi
-
-
-@dataclass(frozen=True)
-class FluxMap:
-    """SQUID-array tuning curve: nu_r(Phi) = nu_r0 * sqrt(|cos(pi Phi/Phi0)|)."""
-    max_frequency_nu_r0: float
-    flux: float = 0.0  # in units of Phi0
-
-    def __post_init__(self):
-        _require_positive("max_frequency_nu_r0", self.max_frequency_nu_r0)
 
 
 @dataclass(frozen=True)
@@ -107,39 +104,23 @@ class DeviceParams:
     resonator: ResonatorParams
     coupling: CouplingParams
     decoherence: DecoherenceParams
-    flux_map: FluxMap | None = None
 
     def to_dict(self):
-        d = {"dqd": asdict(self.dqd), "resonator": asdict(self.resonator),
-             "coupling": asdict(self.coupling), "decoherence": asdict(self.decoherence)}
-        if self.flux_map is not None:
-            d["flux_map"] = asdict(self.flux_map)
-        return d
+        return {"dqd": asdict(self.dqd), "resonator": asdict(self.resonator),
+                "coupling": asdict(self.coupling),
+                "decoherence": asdict(self.decoherence)}
 
     @classmethod
     def from_dict(cls, d):
         try:
-            flux = FluxMap(**d["flux_map"]) if "flux_map" in d else None
             return cls(dqd=DqdParams(**d["dqd"]),
                        resonator=ResonatorParams(**d["resonator"]),
                        coupling=CouplingParams(**d["coupling"]),
-                       decoherence=DecoherenceParams(**d["decoherence"]),
-                       flux_map=flux)
+                       decoherence=DecoherenceParams(**d["decoherence"]))
         except KeyError as exc:
             raise ValueError(f"device parameters missing section {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"device parameters malformed: {exc}") from exc
-
-
-def load_device_params(path):
-    with open(path) as fh:
-        return DeviceParams.from_dict(json.load(fh))
-
-
-def save_device_params(params, path):
-    with open(path, "w") as fh:
-        json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------- formulas
@@ -168,61 +149,6 @@ def dispersive_shift_of(params):
     return dispersive_shift(g, nu_q - params.resonator.bare_frequency_nu_r)
 
 
-def ac_stark_frequency(nu_q, n_r, g, delta_rq):
-    """Dressed qubit frequency nu_q + (1 + 2 n_r) g^2/Delta."""
-    return nu_q + (1.0 + 2.0 * n_r) * dispersive_shift(g, delta_rq)
-
-
-def dispersive_phase_shift(g, kappa_tot, delta_rq):
-    """Reflection phase contrast between qubit states, atan(2g^2/(kappa Delta)).
-
-    The 2pi factors cancel in the ratio, so plain-Hz inputs are fine.
-    """
-    if kappa_tot <= 0:
-        raise ValueError("kappa_tot must be positive")
-    if delta_rq == 0:
-        raise ValueError("phase shift undefined at zero qubit-resonator detuning")
-    return float(np.arctan(2.0 * g * g / (kappa_tot * delta_rq)))
-
-
-def external_linewidth(coupling_capacitance, omega_r, line_impedance, impedance):
-    """kappa_ext (angular, 1/s) = Cc^2 omega_r^3 Z_TL Z_r / 4.
-
-    Takes the angular resonator frequency omega_r = 2*pi*nu_r.
-    """
-    for name, v in [("coupling_capacitance", coupling_capacitance),
-                    ("omega_r", omega_r), ("line_impedance", line_impedance),
-                    ("impedance", impedance)]:
-        _require_positive(name, v)
-    return coupling_capacitance ** 2 * omega_r ** 3 * line_impedance * impedance / 4.0
-
-
-def resonator_impedance_from_linewidth(kappa_ext_hz, coupling_capacitance,
-                                       omega_r, line_impedance):
-    """Invert external_linewidth for Z_r given kappa_ext as an ordinary Hz rate."""
-    _require_positive("kappa_ext_hz", kappa_ext_hz)
-    return 4.0 * (2.0 * np.pi * kappa_ext_hz) / (
-        coupling_capacitance ** 2 * omega_r ** 3 * line_impedance)
-
-
-def squid_resonator_frequency(flux_map):
-    """nu_r(Phi) = nu_r0 sqrt(|cos(pi Phi/Phi0)|); rejects Phi near Phi0/2."""
-    c = np.cos(np.pi * flux_map.flux)
-    if abs(c) <= 0.01:
-        raise ValueError(
-            f"flux {flux_map.flux} Phi0 too close to half a flux quantum "
-            "(|cos| <= 0.01); the sqrt(|cos|) map is unreliable there")
-    return flux_map.max_frequency_nu_r0 * float(np.sqrt(abs(c)))
-
-
-def flux_map_from_anchor(frequency, flux):
-    """Build a FluxMap whose curve passes through (flux, frequency)."""
-    c = np.cos(np.pi * flux)
-    if abs(c) <= 0.01:
-        raise ValueError("anchor flux too close to half a flux quantum")
-    return FluxMap(max_frequency_nu_r0=frequency / float(np.sqrt(abs(c))), flux=flux)
-
-
 # ------------------------------------------------------------- Hamiltonian
 
 def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
@@ -232,12 +158,11 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
 
     H/h = (nu_q - nu_dr)/2 sigma_z + (nu_r - nu_dr) a^dag a
           + g(delta) (sigma_+ a + sigma_- a^dag)
-          + Omega(t)/2 sigma_x + eps(t) (a + a^dag)
+          + Omega/2 sigma_x + eps (a + a^dag)
 
-    qubit_rabi and cavity_drive may be None, constants (Hz), or callables
-    of time.  Returns a constant matrix when nothing is time dependent,
-    otherwise a callable t -> matrix.  Warns when the rotating-wave
-    approximation is strained (g or detunings not << nu_q + nu_r).
+    qubit_rabi and cavity_drive are constants in Hz; None or 0 leaves the
+    term out.  Warns when the rotating-wave approximation is strained (g or
+    detunings not << nu_q + nu_r).
     """
     if space is None:
         space = qops.HilbertSpace(10)
@@ -256,46 +181,18 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
                 RuntimeWarning, stacklevel=2)
 
     sz = qops.qubit_operator(qops.sigma_z(), space)
-    sx = qops.qubit_operator(qops.sigma_x(), space)
     a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
     num = a.conj().T @ a
     sp_a = qops.qubit_operator(qops.sigma_plus(), space) @ a
     jc = sp_a + sp_a.conj().T
-    x = a + a.conj().T
 
-    h0 = (0.5 * (nu_q - drive_frequency) * sz
-          + (nu_r - drive_frequency) * num + g * jc)
-
-    def as_term(amp, op, prefactor):
-        if amp is None:
-            return None
-        if callable(amp):
-            return lambda t: (prefactor * amp(t)) * op
-        if amp == 0:
-            return None
-        return (prefactor * amp) * op
-
-    rabi_term = as_term(qubit_rabi, sx, 0.5)
-    drive_term = as_term(cavity_drive, x, 1.0)
-
-    static = h0.copy()
-    dynamic = []
-    for term in (rabi_term, drive_term):
-        if term is None:
-            continue
-        if callable(term):
-            dynamic.append(term)
-        else:
-            static = static + term
-    if not dynamic:
-        return static
-
-    def h_of_t(t):
-        h = static
-        for term in dynamic:
-            h = h + term(t)
-        return h
-    return h_of_t
+    h = (0.5 * (nu_q - drive_frequency) * sz
+         + (nu_r - drive_frequency) * num + g * jc)
+    if qubit_rabi:
+        h = h + (0.5 * qubit_rabi) * qops.qubit_operator(qops.sigma_x(), space)
+    if cavity_drive:
+        h = h + cavity_drive * (a + a.conj().T)
+    return h
 
 
 def vacuum_rabi_splitting(dqd, res, coupling, space=None):

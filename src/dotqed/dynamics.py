@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import qops
-from .pulses import drag_quadrature_value, envelope_value
+from .pulses import sequence_envelopes
 from .readout import dressed_resonance_shift
 
 TWO_PI = 2.0 * np.pi
@@ -125,7 +125,6 @@ class Trajectory:
     cavity_alpha: np.ndarray | None = None
     pe_stderr: np.ndarray | None = None
     expectations: dict | None = None
-    states: np.ndarray | None = None
     diagnostics: EvolveDiagnostics | None = None
 
     def validate_populations(self, tol=1e-6):
@@ -157,15 +156,13 @@ def _observable_row(rho, space, ops):
     return pe, top, vals
 
 
-def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
-           store_states=False):
-    """Integrate the Lindblad equation; H/h supplied in Hz.
+def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
+    """Integrate the Lindblad equation for a constant H/h supplied in Hz.
 
-    h_of_t may be a constant matrix or a callable t -> matrix.  Returns a
-    Trajectory sampled at every grid point with the qubit excited population
-    (reduced over the cavity when `space` is given), <a> when `space` is
-    given, optional extra expectations (e_ops: name -> operator), and
-    numerical-hygiene diagnostics.  Warns (TruncationWarning) when the top
+    Returns a Trajectory sampled at every grid point with the qubit excited
+    population (reduced over the cavity when `space` is given), <a> when
+    `space` is given, optional extra expectations (e_ops: name -> operator),
+    and numerical-hygiene diagnostics.  Warns (TruncationWarning) when the top
     two Fock levels accumulate more than 1e-4 population; warns when the
     trace drifts beyond 1e-7.
     """
@@ -175,8 +172,7 @@ def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
     if space is not None and dim != space.dim:
         raise ValueError(f"state dim {dim} does not match {space!r}")
 
-    h_static = None if callable(h_of_t) else np.asarray(h_of_t, dtype=complex) * TWO_PI
-    h_call = h_of_t if callable(h_of_t) else None
+    h = np.asarray(h_hz, dtype=complex) * TWO_PI
     chans = []
     for c in channels:
         l_op = np.asarray(c.operator, dtype=complex)
@@ -187,7 +183,6 @@ def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
     ldl_half = [0.5 * (ld @ l) for l, ld, _ in chans]
 
     def rhs(t, rho):
-        h = h_static if h_call is None else TWO_PI * np.asarray(h_call(t), dtype=complex)
         out = -1j * (h @ rho - rho @ h)
         for (l_op, l_dag, rate), hld in zip(chans, ldl_half):
             out = out + rate * (l_op @ rho @ l_dag - (hld @ rho + rho @ hld))
@@ -204,7 +199,6 @@ def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
 
     pe = np.empty(len(times))
     exp_vals = np.empty((len(op_mats), len(times)), dtype=complex)
-    states = np.empty((len(times), dim, dim), dtype=complex) if store_states else None
     diag = EvolveDiagnostics(min_eigenvalue=np.inf)
     eig_stride = max(1, n_steps // 128)
     max_top = 0.0
@@ -220,8 +214,6 @@ def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
         max_top = max(max_top, top_k)
         if op_mats:
             exp_vals[:, k] = vals
-        if states is not None:
-            states[k] = rho
         tr = np.trace(rho)
         diag.max_trace_deviation = max(diag.max_trace_deviation,
                                        float(abs(tr - 1.0)))
@@ -250,7 +242,7 @@ def evolve(rho0, h_of_t, channels, grid, space=None, e_ops=None,
     elif op_names:
         extra = {name: exp_vals[i] for i, name in enumerate(op_names)}
     return Trajectory(times=times, qubit_pe=pe, cavity_alpha=alpha,
-                      expectations=extra, states=states, diagnostics=diag)
+                      expectations=extra, diagnostics=diag)
 
 
 def _rk4_state_iter(rho0, times, rhs):
@@ -341,39 +333,37 @@ def semiclassical_steady_state(qubit_state, res, chi, probe_frequency,
 
 
 def semiclassical_cavity_response(qubit_state, res, chi, probe_frequency,
-                                  probe_amplitude, grid, alpha0=0.0):
-    """Integrate the driven-cavity field conditioned on a fixed qubit state.
+                                  probe_amplitude, grid):
+    """Ring up the driven-cavity field from vacuum, conditioned on a fixed
+    qubit state.
 
     d alpha/dt = -[i 2 pi (nu_r + shift - nu_p) + pi kappa_tot] alpha
-                 - i sqrt(2 pi kappa_ext) a_in(t)
+                 - i sqrt(2 pi kappa_ext) a_in
 
-    with shift = -chi, +chi, 0 for g, e, mixed.  probe_amplitude may be a
-    constant or a callable a_in(t), normalized so the steady state matches
-    semiclassical_steady_state.
+    with shift = -chi, +chi, 0 for g, e, mixed.  The constant probe_amplitude
+    a_in is normalized so the steady state matches semiclassical_steady_state.
     """
     if qubit_state not in _STATE_PE:
         raise ValueError(f"unknown qubit state {qubit_state!r}")
     shift = dressed_resonance_shift(qubit_state, chi)
     detuning = res.bare_frequency_nu_r + shift - probe_frequency
     pole = 1j * TWO_PI * detuning + np.pi * res.kappa_tot
-    coupling = -1j * np.sqrt(TWO_PI * res.kappa_ext)
-    a_in = probe_amplitude if callable(probe_amplitude) else (lambda t: probe_amplitude)
+    drive = -1j * np.sqrt(TWO_PI * res.kappa_ext) * probe_amplitude
 
     times = grid.times
     alpha = np.empty(len(times), dtype=complex)
-    a = complex(alpha0)
+    a = 0j
     alpha[0] = a
 
-    def f(t, x):
-        return -pole * x + coupling * a_in(t)
+    def f(x):
+        return -pole * x + drive
 
     for k in range(1, len(times)):
-        t = times[k - 1]
-        dt = times[k] - t
-        k1 = f(t, a)
-        k2 = f(t + 0.5 * dt, a + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, a + 0.5 * dt * k2)
-        k4 = f(t + dt, a + dt * k3)
+        dt = times[k] - times[k - 1]
+        k1 = f(a)
+        k2 = f(a + 0.5 * dt * k1)
+        k3 = f(a + 0.5 * dt * k2)
+        k4 = f(a + dt * k3)
         a = a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         alpha[k] = a
 
@@ -395,14 +385,6 @@ def steady_state_spectroscopy(detunings, rabi_amplitude, dec):
     detunings = np.asarray(detunings, dtype=float)
     s = rabi_amplitude ** 2 / (dec.gamma1 * dec.gamma2)
     return s / (2.0 * (1.0 + (detunings / dec.gamma2) ** 2 + s))
-
-
-def power_broadened_hwhm(rabi_amplitude, dec):
-    """HWHM (Hz) = gamma2 sqrt(1 + s); reduces to gamma2 at vanishing power."""
-    if dec.gamma1 <= 0 or dec.gamma2 <= 0:
-        raise ValueError("linewidth needs gamma1 > 0 and gamma2 > 0")
-    s = rabi_amplitude ** 2 / (dec.gamma1 * dec.gamma2)
-    return dec.gamma2 * float(np.sqrt(1.0 + s))
 
 
 # ------------------------------------------------------------------ OU noise
@@ -465,17 +447,8 @@ class _CompiledSequence:
 
 
 def _field_table(entries, t):
-    hx = np.zeros(len(t))
-    hy = np.zeros(len(t))
-    for entry in entries:
-        env = envelope_value(entry.pulse, t)
-        quad = drag_quadrature_value(entry.pulse, t) \
-            if getattr(entry.pulse, "drag_beta", 0.0) else 0.0
-        c = np.cos(entry.carrier_phase)
-        s = np.sin(entry.carrier_phase)
-        hx += env * c - quad * s
-        hy += env * s + quad * c
-    return np.pi * (hx - 1j * hy)
+    i_env, q_env = sequence_envelopes(entries, t)
+    return np.pi * (i_env - 1j * q_env)
 
 
 def compile_sequence(sequence, qubit_frequency=0.0, dt_pulse=DEFAULT_DT_PULSE,
@@ -672,17 +645,3 @@ def monte_carlo_dephasing(sequence, noise, dec, n_realizations=None, *,
     return Trajectory(times=compiled.times, qubit_pe=pe, pe_stderr=sem,
                       diagnostics=diag)
 
-
-def trajectory_to_csv(traj, path):
-    """Write time, P_e, Re<a>, Im<a> (and stderr when present) columns."""
-    alpha = traj.cavity_alpha
-    if alpha is None:
-        alpha = np.zeros(len(traj.times), dtype=complex)
-    cols = [traj.times, traj.qubit_pe, np.real(alpha), np.imag(alpha)]
-    header = "time_s,p_e,re_alpha,im_alpha"
-    if traj.pe_stderr is not None:
-        cols.append(traj.pe_stderr)
-        header += ",p_e_stderr"
-    np.savetxt(path, np.column_stack(cols), fmt="%.12e", delimiter=",",
-               header=header, comments="")
-    return path

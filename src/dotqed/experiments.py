@@ -37,9 +37,21 @@ EXPERIMENT_KINDS = (
     "s11-sweep",
 )
 
-DEFAULT_RINGUP_DT = 0.5e-9
 DEFAULT_DRIVE_DETUNING = 100e6
 DEFAULT_SATURATION_TARGETS = (0.05, 0.1, 0.2, 0.3, 0.4)
+
+# readout pipeline: step of the conditional cavity ring-up, s
+RINGUP_DT = 0.5e-9
+
+# dispersive pull: probe points, Fock cutoff, and the rate (Hz) of the
+# collapse pumps that hold each qubit branch
+PULL_PROBE_POINTS = 61
+PULL_FOCK_CUTOFF = 6
+PULL_HOLD_RATE = 16e6
+
+# ac-Stark fit window ends once |<sigma+>| falls below this fraction of its
+# post-settle value
+STARK_COHERENCE_FLOOR = 0.25
 
 
 class ConfigError(ValueError):
@@ -123,6 +135,8 @@ class ExperimentConfig:
 
 _TOP_KEYS = ("experiment", "device", "sweep", "seed", "output_dir", "noise",
              "pulse", "readout", "params", "averages")
+
+_DEVICE_KEYS = ("dqd", "resonator", "coupling", "decoherence")
 
 _READOUT_KEYS = ("probe_frequency", "probe_amplitude", "sample_rate",
                  "intermediate_frequency", "lowpass_cutoff",
@@ -258,18 +272,20 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
 
     if "device" not in effective:
         raise ConfigError("device: required")
+    dev_raw = _as_mapping(effective["device"], "device")
+    _check_keys(dev_raw, _DEVICE_KEYS, "device")
     try:
-        dev = device.DeviceParams.from_dict(_as_mapping(effective["device"],
-                                                        "device"))
-    except ConfigError:
-        raise
+        dev = device.DeviceParams.from_dict(dev_raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"device: {exc}") from exc
 
     sweep = None
-    if "sweep" in effective:
+    if kind == "readout-trace":
+        if "sweep" in effective:
+            raise ConfigError(f"sweep: not used by experiment '{kind}'")
+    elif "sweep" in effective:
         sweep = _parse_sweep(effective["sweep"], "sweep")
-    elif kind != "readout-trace":
+    else:
         raise ConfigError(f"sweep: required for experiment '{kind}'")
 
     seed_val = _as_int(effective.get("seed", 0), "seed", minimum=0)
@@ -364,8 +380,7 @@ class ReadoutPipeline:
 
 
 def build_readout_pipeline(dev, heterodyne=None, noise=None,
-                           probe_frequency=None, probe_amplitude=None,
-                           ringup_dt=DEFAULT_RINGUP_DT):
+                           probe_frequency=None, probe_amplitude=None):
     """Ring up the conditional cavity fields and demodulate the references.
 
     The probe defaults to the ground-state resonance; the amplitude default
@@ -380,7 +395,7 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
     if probe_amplitude is None:
         # |alpha_ss| = 1 on the ground-branch resonance
         probe_amplitude = np.pi * res.kappa_tot / np.sqrt(2.0 * np.pi * res.kappa_ext)
-    grid = dynamics.SimulationGrid(0.0, het.integration_window, ringup_dt)
+    grid = dynamics.SimulationGrid(0.0, het.integration_window, RINGUP_DT)
     traj_g = dynamics.semiclassical_cavity_response(
         "g", res, chi, probe_frequency, probe_amplitude, grid)
     traj_e = dynamics.semiclassical_cavity_response(
@@ -435,32 +450,31 @@ class DispersivePull:
     fits: dict
 
 
-def measure_dispersive_pull(dev, n_probe=61, span=None, probe_amplitude=None,
-                            fock_cutoff=6, hold_rate=16e6):
+def measure_dispersive_pull(dev):
     """Steady-state cavity transmission line versus pinned qubit state.
 
     Sweeps a weak probe across the resonator for three qubit branches held
     open-system style: a collapse pump to |g>, to |e>, and balanced pumps
-    giving a maximally mixed qubit.  The hold rate must dominate the Purcell
-    rate (kappa (g/Delta)^2, fractions of a MHz here) or the branch drifts
-    toward |g> while the probe integrates.  chi_measured is the line pull of
-    the mixed branch relative to the ground branch; in the dispersive regime
-    it approaches g^2/Delta.
+    giving a maximally mixed qubit.  The probe spans nu_r +- 2 (kappa_tot +
+    2 |chi|) at amplitude kappa_tot/20, about 0.01 photons, which keeps the
+    response linear.  The hold rate must dominate the Purcell rate
+    (kappa (g/Delta)^2, fractions of a MHz here) or the branch drifts toward
+    |g> while the probe integrates.  chi_measured is the line pull of the
+    mixed branch relative to the ground branch; in the dispersive regime it
+    approaches g^2/Delta.
     """
     res = dev.resonator
-    space = qops.HilbertSpace(fock_cutoff)
+    space = qops.HilbertSpace(PULL_FOCK_CUTOFF)
     chi = device.dispersive_shift_of(dev)
-    if span is None:
-        span = 2.0 * (res.kappa_tot + 2.0 * abs(chi))
-    if probe_amplitude is None:
-        probe_amplitude = res.kappa_tot / 20.0  # ~0.01 photons: linear response
+    span = 2.0 * (res.kappa_tot + 2.0 * abs(chi))
+    probe_amplitude = res.kappa_tot / 20.0
     freqs = np.linspace(res.bare_frequency_nu_r - span,
-                        res.bare_frequency_nu_r + span, int(n_probe))
+                        res.bare_frequency_nu_r + span, PULL_PROBE_POINTS)
 
     a_op = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
     sm = qops.qubit_operator(qops.sigma_minus(), space)
     sp = qops.qubit_operator(qops.sigma_plus(), space)
-    hold = 2.0 * np.pi * hold_rate
+    hold = 2.0 * np.pi * PULL_HOLD_RATE
     branch_channels = {
         "g": [dynamics.CollapseChannel(sm, hold, "hold |g>")],
         "e": [dynamics.CollapseChannel(sp, hold, "hold |e>")],
@@ -505,8 +519,7 @@ class StarkPoint:
 
 def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
                         fock_cutoff=18, settle_time=10e-9,
-                        precession_time=100e-9, dt=2e-11,
-                        coherence_floor=0.25):
+                        precession_time=100e-9, dt=2e-11):
     """Qubit precession frequency with the measurement tone populating the cavity.
 
     Prepares the driven-cavity steady state, tips the qubit to the equator,
@@ -517,10 +530,11 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     frequency keeps <n> symmetric between the branches so the photon number
     is constant during the precession window.
 
-    The fit window also ends once |<sigma+>| falls below coherence_floor of
-    its post-settle value: the bare-basis sigma+ carries an order-g/Delta
-    cavity-like component that does not dephase with the qubit, and once the
-    qubit part has decayed that remnant owns the phase.
+    The fit window also ends once |<sigma+>| falls below
+    STARK_COHERENCE_FLOOR of its post-settle value: the bare-basis sigma+
+    carries an order-g/Delta cavity-like component that does not dephase
+    with the qubit, and once the qubit part has decayed that remnant owns
+    the phase.
     """
     res = dev.resonator
     space = qops.HilbertSpace(fock_cutoff)
@@ -549,7 +563,7 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     sel = traj.times >= settle_time
     coherence = traj.expectations["sigma_plus"][sel]
     times = traj.times[sel]
-    alive = np.abs(coherence) >= coherence_floor * np.abs(coherence[0])
+    alive = np.abs(coherence) >= STARK_COHERENCE_FLOOR * np.abs(coherence[0])
     n_keep = len(alive) if alive.all() else int(np.argmin(alive))
     if n_keep < 32:
         raise RuntimeError(
@@ -819,7 +833,7 @@ def _run_readout_trace(cfg, out):
     readout.iq_trace_to_csv(mix_trace, out / "iq_mixture.csv")
 
     fits = {"population_estimate": {
-        "method": midpoint.method,
+        "method": "matched",
         "target_population": p_target,
         "noiseless_estimate": midpoint.p_e,
         "noisy_estimate": p_est,
@@ -846,7 +860,7 @@ def _run_s11(cfg, out):
     else:
         shift = readout.dressed_resonance_shift(
             state, device.dispersive_shift_of(cfg.device))
-    s11 = readout.reflection_spectrum(freqs, res, resonance_shift=shift)
+    s11 = readout.reflection_coefficient(freqs, res, resonance_shift=shift)
     readout.spectrum_to_csv(freqs, s11, out / "s11.csv")
 
     fit = fitting.fit_lorentzian(freqs, np.abs(s11) ** 2)

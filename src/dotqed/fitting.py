@@ -301,31 +301,6 @@ def extrapolate_zero_power_linewidth(drive_powers, linewidths, mode="squared"):
                                   mode=mode)
 
 
-@dataclass(frozen=True)
-class PhotonCalibration:
-    photons_per_unit_power: float
-    base_frequency: float     # Hz, zero-power qubit frequency
-    frequency_slope: float    # Hz of qubit shift per unit power
-
-
-def calibrate_photon_number(drive_powers, qubit_frequencies, chi):
-    """Convert a power axis to mean photon number via the AC-Stark slope.
-
-    The dressed qubit frequency moves by 2 chi per photon, so a linear fit
-    of frequency against power gives n_bar/power = slope / (2 chi).
-    """
-    if chi == 0:
-        raise ValueError("chi must be nonzero to calibrate photon number")
-    p = np.asarray(drive_powers, dtype=float)
-    f = np.asarray(qubit_frequencies, dtype=float)
-    if len(p) < 2:
-        raise ValueError("need at least two power points")
-    slope, intercept = np.polyfit(p, f, 1)
-    return PhotonCalibration(photons_per_unit_power=float(slope / (2.0 * chi)),
-                             base_frequency=float(intercept),
-                             frequency_slope=float(slope))
-
-
 def fit_rabi_sweep(amplitudes, populations):
     """Rotation-angle calibration from a drive-amplitude sweep.
 

@@ -6,7 +6,7 @@ outside that support, which is what the sequence assembly relies on.  The
 rotation angle of a pulse is theta = 2*pi * integral(Omega(t) dt).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -17,11 +17,13 @@ DEFAULT_READOUT_DURATION = 400e-9
 
 @dataclass(frozen=True)
 class GaussianPulse:
-    """A * exp(-(t-t0)^2 / 2 sigma^2) on [t0 - k sigma, t0 + k sigma]."""
+    """A * exp(-(t-t0)^2 / 2 sigma^2) on [t0 - k sigma, t0 + k sigma], with a
+    derivative (DRAG) quadrature of weight drag_beta (seconds)."""
     amplitude: float          # peak Rabi rate, Hz
     t0: float                 # center, s
     sigma: float              # width, s
     truncation_k: float = DEFAULT_TRUNCATION_K
+    drag_beta: float = 0.0
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -38,12 +40,6 @@ class GaussianPulse:
         return self.t0 + self.truncation_k * self.sigma
 
 
-@dataclass(frozen=True)
-class DragPulse(GaussianPulse):
-    """Gaussian with a derivative quadrature of weight drag_beta (seconds)."""
-    drag_beta: float = 0.0
-
-
 def envelope_value(pulse, t):
     """In-phase envelope, zero outside the truncated support."""
     t = np.asarray(t, dtype=float)
@@ -55,55 +51,24 @@ def envelope_value(pulse, t):
 
 def drag_quadrature_value(pulse, t):
     """Quadrature envelope beta * d/dt of the Gaussian, zero off support."""
-    beta = getattr(pulse, "drag_beta", 0.0)
     t = np.asarray(t, dtype=float)
     inside = (t >= pulse.start) & (t <= pulse.end)
     x = (t - pulse.t0) / pulse.sigma
-    out = np.where(inside,
-                   -beta * pulse.amplitude * x / pulse.sigma * np.exp(-0.5 * x * x),
-                   0.0)
+    out = np.where(inside, -pulse.drag_beta * pulse.amplitude * x / pulse.sigma
+                   * np.exp(-0.5 * x * x), 0.0)
     return out if out.ndim else float(out)
 
 
-def rabi_angle(pulse):
-    """theta = 2*pi * integral of the truncated Gaussian envelope.
-
-    Closed form: 2*pi * A * sigma * sqrt(2*pi) * erf(k/sqrt(2)).
-    """
-    return (2.0 * np.pi * pulse.amplitude * pulse.sigma * np.sqrt(2.0 * np.pi)
-            * float(erf(pulse.truncation_k / np.sqrt(2.0))))
-
-
-@dataclass(frozen=True)
-class AmplitudeCalibration:
-    """Linear AWG-voltage to Rabi-rate map with a full-scale limit."""
-    volts_to_rabi: float      # Hz per volt
-    A0_volts: float           # hardware full scale, V
-
-    def __post_init__(self):
-        if self.volts_to_rabi <= 0 or self.A0_volts <= 0:
-            raise ValueError("calibration constants must be positive")
-
-    @property
-    def max_rabi(self):
-        return self.volts_to_rabi * self.A0_volts
-
-
-def calibrate_pi_amplitude(sigma, calibration=None, truncation_k=DEFAULT_TRUNCATION_K):
+def calibrate_pi_amplitude(sigma, truncation_k=DEFAULT_TRUNCATION_K):
     """Peak amplitude (Hz) giving a pi rotation for a width-sigma pulse.
 
-    A_pi = 1 / (2 sigma sqrt(2*pi) erf(k/sqrt(2))).  Raises when the pulse
-    would exceed the calibrated full scale.
+    A_pi = 1 / (2 sigma sqrt(2*pi) erf(k/sqrt(2))), so the truncated
+    envelope has area 1/2.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    amp = 1.0 / (2.0 * sigma * np.sqrt(2.0 * np.pi)
-                 * float(erf(truncation_k / np.sqrt(2.0))))
-    if calibration is not None and amp > calibration.max_rabi:
-        raise ValueError(
-            f"pi pulse at sigma = {sigma:.3e} s needs peak {amp:.3e} Hz, above "
-            f"the calibrated full scale {calibration.max_rabi:.3e} Hz")
-    return amp
+    return 1.0 / (2.0 * sigma * np.sqrt(2.0 * np.pi)
+                  * float(erf(truncation_k / np.sqrt(2.0))))
 
 
 @dataclass(frozen=True)
@@ -150,18 +115,12 @@ class PulseSequence:
         return sorted({e.carrier_frequency for e in self.entries})
 
 
-def _pulse(amplitude, t0, sigma, truncation_k, drag_beta):
-    if drag_beta:
-        return DragPulse(amplitude, t0, sigma, truncation_k, drag_beta=drag_beta)
-    return GaussianPulse(amplitude, t0, sigma, truncation_k)
-
-
 def build_rabi_sequence(amplitude, sigma, *, qubit_frequency=0.0,
                         truncation_k=DEFAULT_TRUNCATION_K, drag_beta=0.0,
                         readout_duration=DEFAULT_READOUT_DURATION):
     """Single drive pulse of the given peak amplitude, then readout."""
     k = truncation_k
-    p = _pulse(amplitude, k * sigma, sigma, k, drag_beta)
+    p = GaussianPulse(amplitude, k * sigma, sigma, k, drag_beta)
     return PulseSequence(
         entries=(SequenceEntry(p, qubit_frequency, 0.0),),
         readout_window=ReadoutWindow(p.end, readout_duration))
@@ -180,8 +139,9 @@ def build_ramsey_sequence(delta_tau, drive_detuning, *, sigma, pi_amplitude,
     k = truncation_k
     carrier = qubit_frequency + drive_detuning
     amp = 0.5 * pi_amplitude
-    p1 = _pulse(amp, k * sigma, sigma, k, drag_beta)
-    p2 = _pulse(amp, p1.end + delta_tau + k * sigma, sigma, k, drag_beta)
+    p1 = GaussianPulse(amp, k * sigma, sigma, k, drag_beta)
+    p2 = GaussianPulse(amp, p1.end + delta_tau + k * sigma, sigma, k,
+                       drag_beta)
     return PulseSequence(
         entries=(SequenceEntry(p1, carrier, 0.0), SequenceEntry(p2, carrier, 0.0)),
         readout_window=ReadoutWindow(p2.end, readout_duration))
@@ -194,7 +154,7 @@ def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude, qubit_frequency=0.0,
     if delta_tau_w < 0:
         raise ValueError("delta_tau_w must be >= 0")
     k = truncation_k
-    p = _pulse(pi_amplitude, k * sigma, sigma, k, drag_beta)
+    p = GaussianPulse(pi_amplitude, k * sigma, sigma, k, drag_beta)
     return PulseSequence(
         entries=(SequenceEntry(p, qubit_frequency, 0.0),),
         readout_window=ReadoutWindow(p.end + delta_tau_w, readout_duration))
@@ -213,9 +173,10 @@ def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, qubit_frequency=0.0,
     k = truncation_k
     amp2 = 0.5 * pi_amplitude
     half = 0.5 * delta_tau
-    p1 = _pulse(amp2, k * sigma, sigma, k, drag_beta)
-    pp = _pulse(pi_amplitude, p1.end + half + k * sigma, sigma, k, drag_beta)
-    p2 = _pulse(amp2, pp.end + half + k * sigma, sigma, k, drag_beta)
+    p1 = GaussianPulse(amp2, k * sigma, sigma, k, drag_beta)
+    pp = GaussianPulse(pi_amplitude, p1.end + half + k * sigma, sigma, k,
+                       drag_beta)
+    p2 = GaussianPulse(amp2, pp.end + half + k * sigma, sigma, k, drag_beta)
     return PulseSequence(
         entries=(SequenceEntry(p1, qubit_frequency, 0.0),
                  SequenceEntry(pp, qubit_frequency, echo_phase),
@@ -223,31 +184,18 @@ def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, qubit_frequency=0.0,
         readout_window=ReadoutWindow(p2.end, readout_duration))
 
 
-def sequence_envelopes(sequence, t):
-    """Summed (I, Q) drive envelopes of a sequence on a time grid."""
+def sequence_envelopes(entries, t):
+    """Summed (I, Q) drive envelopes of sequence entries on a time grid."""
     t = np.asarray(t, dtype=float)
-    i_env = np.zeros_like(t)
-    q_env = np.zeros_like(t)
-    for entry in sequence.entries:
+    i_env = np.zeros(t.shape)
+    q_env = np.zeros(t.shape)
+    for entry in entries:
         base = envelope_value(entry.pulse, t)
-        drag = drag_quadrature_value(entry.pulse, t)
+        drag = drag_quadrature_value(entry.pulse, t) \
+            if entry.pulse.drag_beta else 0.0
         c, s = np.cos(entry.carrier_phase), np.sin(entry.carrier_phase)
         # phase rotates the (I, Q) pair; DRAG rides 90 deg ahead of the carrier
         i_env += base * c - drag * s
         q_env += base * s + drag * c
     return i_env, q_env
 
-
-def sequence_to_csv(sequence, path, sample_rate=25e9):
-    """Write time, I, Q, carrier columns sampled at the AWG rate."""
-    n = int(np.floor(sequence.total_duration * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
-    i_env, q_env = sequence_envelopes(sequence, t)
-    carrier = np.zeros_like(t)
-    for entry in sequence.entries:
-        mask = (t >= entry.pulse.start) & (t <= entry.pulse.end)
-        carrier[mask] = entry.carrier_frequency
-    data = np.column_stack([t, i_env, q_env, carrier])
-    np.savetxt(path, data, fmt="%.12e", delimiter=",",
-               header="time_s,i_envelope_hz,q_envelope_hz,carrier_hz", comments="")
-    return path

@@ -24,17 +24,14 @@ EIG_FLOOR = -1e-8
 class HilbertSpace:
     """Qubit (x) cavity space bookkeeping: dimensions and index layout."""
 
-    def __init__(self, fock_cutoff, qubit_levels=2):
-        if qubit_levels != 2:
-            raise ValueError("only two-level qubits are supported")
+    def __init__(self, fock_cutoff):
         if int(fock_cutoff) != fock_cutoff or fock_cutoff < 2:
             raise ValueError("fock_cutoff must be an integer >= 2")
         self.fock_cutoff = int(fock_cutoff)
-        self.qubit_levels = 2
 
     @property
     def dim(self):
-        return self.qubit_levels * self.fock_cutoff
+        return 2 * self.fock_cutoff
 
     def __repr__(self):
         return f"HilbertSpace(fock_cutoff={self.fock_cutoff})"
@@ -103,25 +100,6 @@ def cavity_operator(op, space):
     return tensor_product(identity(2), op)
 
 
-def fock_state(fock_cutoff, n):
-    if not 0 <= n < fock_cutoff:
-        raise ValueError(f"Fock index {n} outside cutoff {fock_cutoff}")
-    psi = np.zeros(fock_cutoff, dtype=complex)
-    psi[n] = 1.0
-    return psi
-
-
-def coherent_state(fock_cutoff, alpha):
-    """Truncated coherent state |alpha>; accurate while |alpha|^2 << N."""
-    if alpha == 0:
-        return fock_state(fock_cutoff, 0)
-    n = np.arange(fock_cutoff)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, fock_cutoff)))))
-    # alpha**n / sqrt(n!) computed in log space to dodge overflow
-    coeff = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2)
-    return coeff.astype(complex)
-
-
 def ket_to_dm(psi):
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
@@ -153,31 +131,3 @@ def validate_density_matrix(rho, context=""):
         raise ValueError(f"density matrix has eigenvalue {w.min():.3e} < {EIG_FLOOR:g}{label}")
     return True
 
-
-def is_density_matrix(rho):
-    try:
-        validate_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
-def partial_trace_qubit(rho, space):
-    """Trace out the cavity, returning the 2x2 qubit state."""
-    n = space.fock_cutoff
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(f"state dimension {rho.shape} does not match {space!r}")
-    return np.einsum("ikjk->ij", rho.reshape(2, n, 2, n))
-
-
-def partial_trace_cavity(rho, space):
-    """Trace out the qubit, returning the NxN cavity state."""
-    n = space.fock_cutoff
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(f"state dimension {rho.shape} does not match {space!r}")
-    return np.einsum("kikj->ij", rho.reshape(2, n, 2, n))
-
-
-def fock_populations(rho, space):
-    """Diagonal of the reduced cavity state (real populations)."""
-    return np.real(np.diag(partial_trace_cavity(rho, space)))

@@ -54,12 +54,6 @@ def reflection_coefficient(probe_frequency, res, resonance_shift=0.0):
     return 1.0 - TWO_PI * res.kappa_ext / denom
 
 
-def reflection_spectrum(probe_frequencies, res, resonance_shift=0.0):
-    """S11 over a frequency sweep, as a complex array."""
-    return reflection_coefficient(np.asarray(probe_frequencies, dtype=float),
-                                  res, resonance_shift)
-
-
 def phase_winding(s11):
     """Signed total phase accumulated along a spectrum, via unwrapping."""
     phase = np.unwrap(np.angle(np.asarray(s11)))
@@ -199,18 +193,6 @@ def synthesize_readout_waveform(traj, config, noise=None, rng=None):
     return demodulate(times, raw, config)
 
 
-def blend_reference_traces(trace_g, trace_e, p_e):
-    """Envelope of a population mixture: (1 - p) * g + p * e, per sample.
-
-    Valid because the master equation is linear in the density matrix, so
-    the ensemble-averaged field of a mixture is the mixture of conditional
-    fields.
-    """
-    env = (1.0 - p_e) * trace_g.envelope + p_e * trace_e.envelope
-    return IqTrace(times=trace_g.times, i=np.real(env), q=np.imag(env),
-                   sample_rate=trace_g.sample_rate)
-
-
 def rotate_reference_phase(trace, phi):
     """Rotate the IQ plane by -phi, e.g. to put the ground trace on +I."""
     env = trace.envelope * np.exp(-1j * phi)
@@ -223,20 +205,18 @@ def rotate_reference_phase(trace, phi):
 @dataclass(frozen=True)
 class PopulationEstimate:
     p_e: float
-    method: str
     n_samples: int
     ref_separation: float     # rms separation of the reference envelopes
 
 
-def estimate_population(trace, ref_g, ref_e, config, method="matched"):
+def estimate_population(trace, ref_g, ref_e, config):
     """Project a demodulated trace onto the g/e reference envelopes.
 
-    matched: per-sample weights w = (e - g); p = Re <w, s - g> / <w, w>.
-    flat:    time-averaged envelopes only; p is the projection of the mean.
-
-    Both are affine in the signal envelope, so a noiseless mixture trace
-    returns its population exactly.  The first n_filter_taps samples are
-    excluded to drop the demodulation filter transient.
+    Matched filter: per-sample weights w = (e - g) and
+    p = Re <w, s - g> / <w, w>.  This is affine in the signal envelope, so a
+    noiseless mixture trace returns its population exactly.  The first
+    n_filter_taps samples are excluded to drop the demodulation filter
+    transient.
     """
     skip = config.n_filter_taps
     sig = trace.envelope[skip:]
@@ -247,25 +227,13 @@ def estimate_population(trace, ref_g, ref_e, config, method="matched"):
     if len(sig) == 0:
         raise ValueError("integration window shorter than the filter transient")
 
-    if method == "matched":
-        w = e - g
-        norm = np.real(np.vdot(w, w))
-        if norm <= 0:
-            raise ValueError("reference envelopes are identical; no contrast")
-        p = float(np.real(np.vdot(w, sig - g)) / norm)
-        sep = float(np.sqrt(norm / len(w)))
-    elif method == "flat":
-        mu_g = g.mean()
-        mu_e = e.mean()
-        diff = mu_e - mu_g
-        if abs(diff) == 0:
-            raise ValueError("reference envelopes are identical; no contrast")
-        p = float(np.real(np.conj(diff) * (sig.mean() - mu_g)) / abs(diff) ** 2)
-        sep = float(abs(diff))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return PopulationEstimate(p_e=p, method=method, n_samples=len(sig),
-                              ref_separation=sep)
+    w = e - g
+    norm = np.real(np.vdot(w, w))
+    if norm <= 0:
+        raise ValueError("reference envelopes are identical; no contrast")
+    return PopulationEstimate(p_e=float(np.real(np.vdot(w, sig - g)) / norm),
+                              n_samples=len(sig),
+                              ref_separation=float(np.sqrt(norm / len(w))))
 
 
 # ------------------------------------------------------------ CSV output

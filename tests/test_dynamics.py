@@ -207,7 +207,8 @@ def test_spectroscopy_formula_matches_liouvillian():
         npt.assert_allclose(np.real(rho[1, 1]), line[k], rtol=1e-9,
                             atol=1e-12)
     # HWHM identity: the line crosses half its peak at gamma2 sqrt(1+s)
-    hwhm = dynamics.power_broadened_hwhm(rabi, DEC)
+    s = rabi ** 2 / (DEC.gamma1 * DEC.gamma2)
+    hwhm = DEC.gamma2 * np.sqrt(1.0 + s)
     half = dynamics.steady_state_spectroscopy(np.array([hwhm]), rabi, DEC)
     npt.assert_allclose(half, 0.5 * line.max(), rtol=1e-12)
 
@@ -352,16 +353,3 @@ def test_simulation_grid_guards():
     traj = dynamics.Trajectory(times=np.array([0.0]), qubit_pe=np.array([1.2]))
     with pytest.raises(ValueError, match="populations"):
         traj.validate_populations()
-
-
-def test_trajectory_csv_columns(tmp_path):
-    traj = dynamics.Trajectory(times=np.array([0.0, 1e-9]),
-                               qubit_pe=np.array([0.0, 0.5]),
-                               cavity_alpha=np.array([0.0 + 0j, 1.0 - 2.0j]),
-                               pe_stderr=np.array([0.0, 0.01]))
-    path = tmp_path / "traj.csv"
-    dynamics.trajectory_to_csv(traj, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "time_s,p_e,re_alpha,im_alpha,p_e_stderr"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    npt.assert_allclose(data[1], [1e-9, 0.5, 1.0, -2.0, 0.01], rtol=1e-9)

@@ -62,6 +62,12 @@ def test_validate_config_happy_path(tmp_path):
     (lambda c: c.__setitem__("bogus", 1), "config: unknown key"),
     (lambda c: c.__setitem__("workers", 2), r"config: unknown key\(s\) workers"),
     (lambda c: c["device"].pop("coupling"), "missing section"),
+    (lambda c: c["device"].__setitem__("decoherance_typo", {"gamma1": 1e6}),
+     r"device: unknown key\(s\) decoherance_typo"),
+    (lambda c: c["device"]["resonator"].__setitem__("impedance_Zr", 3e3),
+     "device: .*impedance_Zr"),
+    (lambda c: c.update(experiment="readout-trace", params={}),
+     "sweep: not used by experiment 'readout-trace'"),
     (lambda c: c.__setitem__("params", {"wavelength": 1.0}),
      "params.wavelength: unknown key for experiment 'ramsey'"),
     (lambda c: c.__setitem__("noise", {"dephasing": {"sigma_delta": 1e6}}),
@@ -113,6 +119,8 @@ def test_validate_config_param_errors(tmp_path, kind, key, value, message):
     raw = _ramsey_config(tmp_path / "r")
     raw["experiment"] = kind
     raw["params"] = {key: value}
+    if kind == "readout-trace":
+        raw.pop("sweep")
     with pytest.raises(experiments.ConfigError, match=re.escape(message)):
         experiments.validate_config(raw)
 
@@ -255,6 +263,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg.write_text(json.dumps(raw))
     assert cli.main(["simulate", "s11-sweep", "--config", str(bad_cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+    # JSON NaN parses to a float; the device rejects it before any fit runs
+    raw = _s11_config(tmp_path / "r3")
+    raw["device"]["decoherence"]["gamma1"] = float("nan")
+    bad_cfg.write_text(json.dumps(raw))
+    assert "NaN" in bad_cfg.read_text()
+    assert cli.main(["simulate", "s11-sweep", "--config", str(bad_cfg)]) == 2
+    assert "gamma1 must be a finite number" in capsys.readouterr().err
 
     ref_ok = tmp_path / "ref_ok.json"
     ref_ok.write_text(json.dumps({"quantities": {

@@ -115,17 +115,6 @@ def test_zero_power_extrapolation_squared_is_exact():
             np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
-def test_photon_calibration_slope():
-    chi = 4.959016393442623e6
-    powers = np.linspace(0.0, 4.0, 9)
-    freqs = 5.68e9 + 2.0 * chi * (0.7 * powers)   # 0.7 photons per unit power
-    cal = fitting.calibrate_photon_number(powers, freqs, chi)
-    npt.assert_allclose(cal.photons_per_unit_power, 0.7, rtol=1e-10)
-    npt.assert_allclose(cal.base_frequency, 5.68e9, rtol=1e-12)
-    with pytest.raises(ValueError):
-        fitting.calibrate_photon_number(powers, freqs, 0.0)
-
-
 def test_rabi_sweep_pi_amplitude():
     amps = np.linspace(0.0, 2.0e9, 81)
     rate = 1.0 / 1.6718382e9          # cycles per Hz of drive amplitude

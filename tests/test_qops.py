@@ -75,28 +75,6 @@ def test_tensor_dimension_guard():
         qops.tensor_product(np.eye(300), np.eye(300))
 
 
-def test_fock_state_and_populations():
-    space = qops.HilbertSpace(5)
-    ket = qops.fock_state(5, 3)
-    assert ket[3] == 1.0 and np.sum(np.abs(ket)) == 1.0
-    psi = np.kron(np.array([1.0, 0.0]), ket)
-    rho = qops.ket_to_dm(psi)
-    pops = qops.fock_populations(rho, space)
-    npt.assert_allclose(pops, [0, 0, 0, 1, 0], atol=1e-15)
-
-
-def test_coherent_state_statistics():
-    alpha = 1.2 - 0.7j
-    ket = qops.coherent_state(40, alpha)
-    npt.assert_allclose(np.vdot(ket, ket), 1.0, rtol=1e-12)
-    n_mean = np.sum(np.arange(40) * np.abs(ket) ** 2)
-    npt.assert_allclose(n_mean, abs(alpha) ** 2, rtol=1e-9)
-    # Poisson photon statistics
-    n = 3
-    expected = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * n) / 6.0
-    npt.assert_allclose(abs(ket[n]) ** 2, expected, rtol=1e-9)
-
-
 def test_expectation_and_dm_roundtrip():
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = qops.ket_to_dm(psi)
@@ -120,20 +98,3 @@ def test_validate_density_matrix_rejects_bad_input():
     # the context string surfaces in the message
     with pytest.raises(ValueError, match="after step 3"):
         qops.validate_density_matrix(2.0 * good, context="after step 3")
-    assert qops.is_density_matrix(good)
-    assert not qops.is_density_matrix(neg)
-
-
-def test_partial_traces_recover_product_factors():
-    space = qops.HilbertSpace(4)
-    rho_q = np.array([[0.75, 0.1 + 0.2j], [0.1 - 0.2j, 0.25]])
-    # the cutoff-4 coherent expansion loses ~5e-4 of its norm to the tail;
-    # renormalize so the product state has unit trace
-    ket_c = qops.coherent_state(4, 0.6)
-    ket_c = ket_c / np.linalg.norm(ket_c)
-    rho_c = qops.ket_to_dm(ket_c)
-    rho = qops.tensor_product(rho_q, rho_c)
-    npt.assert_allclose(qops.partial_trace_qubit(rho, space), rho_q,
-                        atol=1e-12)
-    npt.assert_allclose(qops.partial_trace_cavity(rho, space), rho_c,
-                        atol=1e-12)
