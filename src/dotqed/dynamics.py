@@ -351,22 +351,9 @@ def semiclassical_cavity_response(qubit_state, res, chi, probe_frequency,
     drive = -1j * np.sqrt(TWO_PI * res.kappa_ext) * probe_amplitude
 
     times = grid.times
-    alpha = np.empty(len(times), dtype=complex)
-    a = 0j
-    alpha[0] = a
-
-    def f(x):
-        return -pole * x + drive
-
-    for k in range(1, len(times)):
-        dt = times[k] - times[k - 1]
-        k1 = f(a)
-        k2 = f(a + 0.5 * dt * k1)
-        k3 = f(a + 0.5 * dt * k2)
-        k4 = f(a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        alpha[k] = a
-
+    alpha = np.fromiter(
+        _rk4_state_iter(np.array(0j), times, lambda t, x: -pole * x + drive),
+        dtype=complex, count=len(times))
     pe = np.full(len(times), _STATE_PE[qubit_state])
     return Trajectory(times=times, qubit_pe=pe, cavity_alpha=alpha)
 
@@ -406,14 +393,14 @@ class OuNoiseModel:
             raise ValueError("n_realizations must be >= 1")
 
 
-def sample_ou_detuning(model, grid, rng=None, n_realizations=None):
-    """Exact-discretization OU paths at the grid times, shape (n, n_times).
+def sample_ou_detuning(model, times, rng=None, n_realizations=None):
+    """Exact-discretization OU paths at the given times, shape (n, n_times).
 
     x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k, with the
     first sample drawn from the stationary distribution.  The update uses the
     exact transition density, so non-uniform spacing costs nothing.
     """
-    times = grid.times if hasattr(grid, "times") else np.asarray(grid, dtype=float)
+    times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
     n = model.n_realizations if n_realizations is None else int(n_realizations)
     out = np.empty((n, len(times)))
@@ -451,21 +438,21 @@ def _field_table(entries, t):
     return np.pi * (i_env - 1j * q_env)
 
 
-def compile_sequence(sequence, qubit_frequency=0.0, dt_pulse=DEFAULT_DT_PULSE,
-                     dt_idle=DEFAULT_DT_IDLE):
+def compile_sequence(sequence):
     """Build the step grid and drive tables for a pulse sequence.
 
     The grid runs from t = 0 to the readout-window start, split at every
-    pulse-support edge; segments under a pulse use dt_pulse, idle gaps use
-    dt_idle.  All entries must share one carrier; the frame rotates at that
-    carrier, so the static z coefficient is qubit_frequency - carrier.
+    pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, idle
+    gaps DEFAULT_DT_IDLE.  All entries must share one carrier, given as a
+    detuning from the qubit frequency; the frame rotates at that carrier, so
+    the static z coefficient is -carrier.
     """
     carriers = sequence.carrier_frequencies
     if len(carriers) > 1:
         raise ValueError("sequence mixes carrier frequencies; the two-level "
                          "simulator supports a single carrier")
-    carrier = carriers[0] if carriers else qubit_frequency
-    detuning0 = qubit_frequency - carrier
+    carrier = carriers[0] if carriers else 0.0
+    detuning0 = 0.0 - carrier     # not -carrier, which turns 0.0 into -0.0
 
     t_end = sequence.readout_window.start
     if t_end <= 0.0:
@@ -486,7 +473,7 @@ def compile_sequence(sequence, qubit_frequency=0.0, dt_pulse=DEFAULT_DT_PULSE,
         mid = 0.5 * (a + b)
         active = [e for e in sequence.entries
                   if e.pulse.start <= mid <= e.pulse.end]
-        dt = dt_pulse if active else dt_idle
+        dt = DEFAULT_DT_PULSE if active else DEFAULT_DT_IDLE
         n = max(1, int(np.ceil((b - a) / dt - 1e-9)))
         seg = np.linspace(a, b, n + 1)
         all_times.append(seg[1:])
@@ -605,8 +592,7 @@ def _evolve_two_level(compiled, dec, deltas=None):
     return pe_mean, pe_sem, trace_dev
 
 
-def simulate_sequence(sequence, dec, *, qubit_frequency=0.0, extra_detuning=0.0,
-                      dt_pulse=DEFAULT_DT_PULSE, dt_idle=DEFAULT_DT_IDLE):
+def simulate_sequence(sequence, dec, *, extra_detuning=0.0):
     """Deterministic two-level simulation of a control sequence.
 
     Evolves |g><g| through the pulses up to the readout-window start, in the
@@ -614,7 +600,7 @@ def simulate_sequence(sequence, dec, *, qubit_frequency=0.0, extra_detuning=0.0,
     offset to the qubit frequency (useful for fringe scans).  The returned
     Trajectory's final sample is the population handed to the readout chain.
     """
-    compiled = compile_sequence(sequence, qubit_frequency, dt_pulse, dt_idle)
+    compiled = compile_sequence(sequence)
     compiled = replace(compiled,
                        detuning0=compiled.detuning0 + float(extra_detuning))
     pe, _, trace_dev = _evolve_two_level(compiled, dec)
@@ -622,9 +608,7 @@ def simulate_sequence(sequence, dec, *, qubit_frequency=0.0, extra_detuning=0.0,
     return Trajectory(times=compiled.times, qubit_pe=pe, diagnostics=diag)
 
 
-def monte_carlo_dephasing(sequence, noise, dec, n_realizations=None, *,
-                          qubit_frequency=0.0, rng=None,
-                          dt_pulse=DEFAULT_DT_PULSE, dt_idle=DEFAULT_DT_IDLE):
+def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
     """Average the sequence simulation over OU detuning realizations.
 
     Every realization rides its own noise path, sampled once per step and
@@ -633,13 +617,11 @@ def monte_carlo_dephasing(sequence, noise, dec, n_realizations=None, *,
     sigma_delta = 0 this reduces exactly to simulate_sequence: same
     propagator scan, same grid, no noise term.
     """
-    n = noise.n_realizations if n_realizations is None else int(n_realizations)
-    compiled = compile_sequence(sequence, qubit_frequency, dt_pulse, dt_idle)
+    compiled = compile_sequence(sequence)
 
     deltas = None
     if noise.sigma_delta != 0.0:
-        deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=rng,
-                                    n_realizations=n)
+        deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=rng)
     pe, sem, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, pe_stderr=sem,

@@ -20,22 +20,12 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import device, dynamics, fitting, pulses, qops, readout
-
-EXPERIMENT_KINDS = (
-    "spectroscopy",
-    "stark",
-    "rabi",
-    "ramsey",
-    "t1",
-    "echo",
-    "readout-trace",
-    "s11-sweep",
-)
 
 DEFAULT_DRIVE_DETUNING = 100e6
 DEFAULT_SATURATION_TARGETS = (0.05, 0.1, 0.2, 0.3, 0.4)
@@ -138,13 +128,13 @@ _TOP_KEYS = ("experiment", "device", "sweep", "seed", "output_dir", "noise",
 
 _DEVICE_KEYS = ("dqd", "resonator", "coupling", "decoherence")
 
-_READOUT_KEYS = ("probe_frequency", "probe_amplitude", "sample_rate",
-                 "intermediate_frequency", "lowpass_cutoff",
-                 "integration_window", "n_filter_taps")
-
 
 def _number(**limits):
     return lambda value, path: _as_number(value, path, **limits)
+
+
+def _integer(**limits):
+    return lambda value, path: _as_int(value, path, **limits)
 
 
 def _choice(*choices):
@@ -165,69 +155,76 @@ def _population(value, path):
     return p
 
 
-# per-kind keys accepted under "params", each with the validator that checks
-# and converts its value; a key left out keeps the default of its consumer
-_PARAMS = {
-    "spectroscopy": {"rabi_amplitudes": _drive_amplitudes,
-                     "extrapolation_mode": _choice("squared", "linear")},
-    "stark": {"probe_frequency": _number(positive=True),
-              "fock_cutoff": lambda value, path: _as_int(value, path, minimum=4),
-              "settle_time": _number(positive=True),
-              "precession_time": _number(positive=True),
-              "dt": _number(positive=True)},
-    "rabi": {},
-    "ramsey": {"drive_detuning": _number(),
-               "fit_envelope": _choice("exp", "gauss", "none")},
-    "t1": {},
-    "echo": {"echo_phase": _number()},
-    "readout-trace": {"population": _population},
-    "s11-sweep": {"qubit_state": _choice("bare", "g", "e")},
+# the default of a key the config must set
+_REQUIRED = object()
+
+# each config object as key -> (validator, default); a default of None leaves
+# the key out, so that the object built from the section keeps its own
+_SECTIONS = {
+    "sweep": {"start": (_number(), _REQUIRED),
+              "stop": (_number(), _REQUIRED),
+              "points": (_integer(minimum=2), _REQUIRED)},
+    "pulse": {"sigma": (_number(positive=True), 0.25e-9),
+              "drag_beta": (_number(), 0.0),
+              "truncation_k": (_number(positive=True),
+                               pulses.DEFAULT_TRUNCATION_K)},
+    "readout": {"probe_frequency": (_number(positive=True), None),
+                "probe_amplitude": (_number(positive=True), None),
+                "sample_rate": (_number(positive=True), None),
+                "intermediate_frequency": (_number(positive=True), None),
+                "lowpass_cutoff": (_number(positive=True), None),
+                "integration_window": (_number(positive=True), None),
+                "n_filter_taps": (_integer(minimum=3), None)},
+    "noise.readout": {"noise_temperature": (_number(minimum=0.0), None),
+                      "system_gain": (_number(positive=True), None)},
+    "noise.dephasing": {"sigma_delta": (_number(minimum=0.0), _REQUIRED),
+                        "tau_c": (_number(positive=True), _REQUIRED),
+                        "n_realizations": (_integer(minimum=1), None)},
 }
 
 
-def _parse_sweep(raw, path):
+def _parse_section(raw, path, schema):
+    """Check a config object against its schema; return its values by key."""
     m = _as_mapping(raw, path)
-    _check_keys(m, ("start", "stop", "points"), path)
-    for key in ("start", "stop", "points"):
-        if key not in m:
+    _check_keys(m, schema, path)
+    values = {}
+    for key, (check, default) in schema.items():
+        if key in m:
+            values[key] = check(m[key], f"{path}.{key}")
+        elif default is _REQUIRED:
             raise ConfigError(f"{path}.{key}: required")
-    return SweepSpec(start=_as_number(m["start"], f"{path}.start"),
-                     stop=_as_number(m["stop"], f"{path}.stop"),
-                     points=_as_int(m["points"], f"{path}.points", minimum=2))
+        elif default is not None:
+            values[key] = default
+    return values
 
 
-def _parse_noise(raw):
-    m = _as_mapping(raw, "noise")
-    _check_keys(m, ("readout", "dephasing"), "noise")
-    readout_noise = None
-    dephasing = None
-    if "readout" in m:
-        r = _as_mapping(m["readout"], "noise.readout")
-        _check_keys(r, ("noise_temperature", "system_gain"), "noise.readout")
-        readout_noise = readout.ReadoutNoiseModel(
-            noise_temperature=_as_number(r.get("noise_temperature", 6.0),
-                                         "noise.readout.noise_temperature",
-                                         minimum=0.0),
-            system_gain=_as_number(r.get("system_gain", 1.0),
-                                   "noise.readout.system_gain", positive=True))
-    if "dephasing" in m:
-        d = _as_mapping(m["dephasing"], "noise.dephasing")
-        _check_keys(d, ("sigma_delta", "tau_c", "n_realizations"),
-                    "noise.dephasing")
-        if "sigma_delta" not in d or "tau_c" not in d:
-            raise ConfigError("noise.dephasing: sigma_delta and tau_c are required")
-        dephasing = dynamics.OuNoiseModel(
-            sigma_delta=_as_number(d["sigma_delta"],
-                                   "noise.dephasing.sigma_delta", minimum=0.0),
-            tau_c=_as_number(d["tau_c"], "noise.dephasing.tau_c", positive=True),
-            n_realizations=_as_int(d.get("n_realizations", 1000),
-                                   "noise.dephasing.n_realizations", minimum=1))
-    return readout_noise, dephasing
+def _check_reads(effective, kind):
+    """Reject every optional section that the kind never reads; return the
+    `noise` object ({} when the config has none).
+
+    A section counts as read when the kind reads it or one of its
+    subsections, so `noise` is rejected whole on a kind that reads neither
+    noise.readout nor noise.dephasing.
+    """
+    reads = _KINDS[kind].reads
+
+    def check(name):
+        if not any(r == name or r.startswith(name + ".") for r in reads):
+            raise ConfigError(f"{name}: not used by experiment '{kind}'")
+
+    for key in ("sweep", "noise", "pulse", "readout", "averages"):
+        if key in effective:
+            check(key)
+    noise = _as_mapping(effective.get("noise", {}), "noise")
+    _check_keys(noise, ("readout", "dephasing"), "noise")
+    for key in noise:
+        check(f"noise.{key}")
+    return noise
 
 
 def _parse_params(kind, raw):
     m = _as_mapping(raw, "params")
-    schema = _PARAMS[kind]
+    schema = _KINDS[kind].params
     unknown = sorted(set(m) - set(schema))
     if unknown:
         raise ConfigError(
@@ -244,8 +241,8 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     (command-line precedence).  experiment fills in the kind when the
     config omits it and must agree with the config when both are given,
     so a config written for one pipeline is never run through another.
-    Raises ConfigError naming the offending field on any problem; never
-    partially applies a config.
+    Raises ConfigError naming the offending field on any problem, including
+    a section the kind never reads; never partially applies a config.
     """
     m = _as_mapping(raw, "config")
     effective = copy.deepcopy(m)
@@ -266,7 +263,7 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     kind = effective.get("experiment")
     if kind is None:
         raise ConfigError("experiment: required (or pass the subcommand)")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"experiment: unknown kind {kind!r}; choose from "
                           f"{', '.join(EXPERIMENT_KINDS)}")
 
@@ -279,13 +276,12 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"device: {exc}") from exc
 
+    noise = _check_reads(effective, kind)
     sweep = None
-    if kind == "readout-trace":
-        if "sweep" in effective:
-            raise ConfigError(f"sweep: not used by experiment '{kind}'")
-    elif "sweep" in effective:
-        sweep = _parse_sweep(effective["sweep"], "sweep")
-    else:
+    if "sweep" in effective:
+        sweep = SweepSpec(**_parse_section(effective["sweep"], "sweep",
+                                           _SECTIONS["sweep"]))
+    elif "sweep" in _KINDS[kind].reads:
         raise ConfigError(f"sweep: required for experiment '{kind}'")
 
     seed_val = _as_int(effective.get("seed", 0), "seed", minimum=0)
@@ -293,40 +289,20 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output_dir: expected a non-empty string")
 
-    readout_noise, dephasing = (None, None)
-    if "noise" in effective:
-        readout_noise, dephasing = _parse_noise(effective["noise"])
+    readout_noise = dephasing = None
+    if "readout" in noise:
+        readout_noise = readout.ReadoutNoiseModel(**_parse_section(
+            noise["readout"], "noise.readout", _SECTIONS["noise.readout"]))
+    if "dephasing" in noise:
+        dephasing = dynamics.OuNoiseModel(**_parse_section(
+            noise["dephasing"], "noise.dephasing", _SECTIONS["noise.dephasing"]))
 
-    sigma, beta, trunc = 0.25e-9, 0.0, pulses.DEFAULT_TRUNCATION_K
-    if "pulse" in effective:
-        p = _as_mapping(effective["pulse"], "pulse")
-        _check_keys(p, ("sigma", "drag_beta", "truncation_k"), "pulse")
-        sigma = _as_number(p.get("sigma", sigma), "pulse.sigma", positive=True)
-        beta = _as_number(p.get("drag_beta", beta), "pulse.drag_beta")
-        trunc = _as_number(p.get("truncation_k", trunc), "pulse.truncation_k",
-                           positive=True)
-
-    probe_frequency = None
-    probe_amplitude = None
-    het_kwargs = {}
-    if "readout" in effective:
-        r = _as_mapping(effective["readout"], "readout")
-        _check_keys(r, _READOUT_KEYS, "readout")
-        if "probe_frequency" in r:
-            probe_frequency = _as_number(r["probe_frequency"],
-                                         "readout.probe_frequency", positive=True)
-        if "probe_amplitude" in r:
-            probe_amplitude = _as_number(r["probe_amplitude"],
-                                         "readout.probe_amplitude", positive=True)
-        for key in ("sample_rate", "intermediate_frequency", "lowpass_cutoff",
-                    "integration_window"):
-            if key in r:
-                het_kwargs[key] = _as_number(r[key], f"readout.{key}",
-                                             positive=True)
-        if "n_filter_taps" in r:
-            het_kwargs["n_filter_taps"] = _as_int(r["n_filter_taps"],
-                                                  "readout.n_filter_taps",
-                                                  minimum=3)
+    pulse = _parse_section(effective.get("pulse", {}), "pulse",
+                           _SECTIONS["pulse"])
+    het_kwargs = _parse_section(effective.get("readout", {}), "readout",
+                                _SECTIONS["readout"])
+    probe_frequency = het_kwargs.pop("probe_frequency", None)
+    probe_amplitude = het_kwargs.pop("probe_amplitude", None)
     try:
         het = readout.HeterodyneConfig(**het_kwargs)
     except ValueError as exc:
@@ -340,9 +316,9 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
         experiment=kind, device=dev, sweep=sweep, seed=seed_val,
         output_dir=out_dir, heterodyne=het, readout_noise=readout_noise,
         dephasing=dephasing, probe_frequency=probe_frequency,
-        probe_amplitude=probe_amplitude, pulse_sigma=sigma, drag_beta=beta,
-        truncation_k=trunc, averages=averages, params=params,
-        effective=effective)
+        probe_amplitude=probe_amplitude, pulse_sigma=pulse["sigma"],
+        drag_beta=pulse["drag_beta"], truncation_k=pulse["truncation_k"],
+        averages=averages, params=params, effective=effective)
 
 
 def load_config(path, experiment=None, seed=None, output_dir=None):
@@ -423,14 +399,14 @@ def measure_population(pipe, p_e, rng=None, averages=1):
     het = pipe.heterodyne
     if pipe.noise is None or pipe.noise.noise_temperature <= 0.0:
         trace = readout.synthesize_readout_waveform(traj, het)
-        est = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e, het)
-        return est.p_e, 0.0
+        return readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
+                                           het), 0.0
     vals = np.empty(int(averages))
     for k in range(int(averages)):
         trace = readout.synthesize_readout_waveform(traj, het,
                                                     noise=pipe.noise, rng=rng)
         vals[k] = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
-                                              het).p_e
+                                              het)
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), sem
 
@@ -653,41 +629,8 @@ class _PulsedKind:
     analyse: Callable
 
 
-_DELAY_COLUMNS = (("delay_s", "x"), ("pe_simulated", "pe_true"),
-                  ("pe_sim_stderr", "pe_true_err"), ("pe_estimated", "pe_est"),
-                  ("pe_est_stderr", "pe_est_err"))
-
-# builders are looked up in `pulses` at call time, not bound here, so that
-# a replaced module function (a profiler's wrapper, a test double) is used
-_PULSED = {
-    "rabi": _PulsedKind(
-        sequence=lambda amp, cfg, pi_amp, shape:
-            pulses.build_rabi_sequence(amp, **shape),
-        columns=(("drive_amplitude_hz", "x"), ("pe_simulated", "pe_true"),
-                 ("pe_estimated", "pe_est"), ("pe_stderr", "pe_est_err")),
-        fit_key="rabi_oscillation", analyse=_analyse_rabi),
-    "ramsey": _PulsedKind(
-        sequence=lambda tau, cfg, pi_amp, shape: pulses.build_ramsey_sequence(
-            tau, cfg.params.get("drive_detuning", DEFAULT_DRIVE_DETUNING),
-            pi_amplitude=pi_amp, **shape),
-        columns=_DELAY_COLUMNS, fit_key="fringe_decay",
-        analyse=_analyse_ramsey),
-    "t1": _PulsedKind(
-        sequence=lambda tau, cfg, pi_amp, shape:
-            pulses.build_t1_sequence(tau, pi_amplitude=pi_amp, **shape),
-        columns=_DELAY_COLUMNS, fit_key="population_decay",
-        analyse=_analyse_decay("t1_s")),
-    "echo": _PulsedKind(
-        sequence=lambda tau, cfg, pi_amp, shape: pulses.build_echo_sequence(
-            tau, pi_amplitude=pi_amp, **shape, **cfg.params),
-        columns=_DELAY_COLUMNS, fit_key="echo_decay",
-        analyse=_analyse_decay("t2_echo_s")),
-}
-
-
-def _run_pulsed(cfg, out):
+def _run_pulsed(kind, cfg, out):
     """Pulsed kinds: simulate each sweep point, read it out, fit the sweep."""
-    kind = _PULSED[cfg.experiment]
     pi_amp = pulses.calibrate_pi_amplitude(cfg.pulse_sigma,
                                            truncation_k=cfg.truncation_k)
     shape = dict(sigma=cfg.pulse_sigma, truncation_k=cfg.truncation_k,
@@ -835,14 +778,14 @@ def _run_readout_trace(cfg, out):
     fits = {"population_estimate": {
         "method": "matched",
         "target_population": p_target,
-        "noiseless_estimate": midpoint.p_e,
+        "noiseless_estimate": midpoint,
         "noisy_estimate": p_est,
         "noisy_stderr": est_err,
     }}
     results = {
         "iq_separation": float(abs(mean_e - mean_g)),
         "rotation_phase_rad": rotation,
-        "midpoint_noiseless": float(midpoint.p_e),
+        "midpoint_noiseless": midpoint,
         "population_estimate": float(p_est),
         "estimate_stderr": float(est_err),
         "probe_frequency_hz": pipe.probe_frequency,
@@ -876,16 +819,92 @@ def _run_s11(cfg, out):
     return ["s11.csv"], {"reflection_dip": fit.to_dict()}, results
 
 
-_RUNNERS = {
-    "spectroscopy": _run_spectroscopy,
-    "stark": _run_stark,
-    "rabi": _run_pulsed,
-    "ramsey": _run_pulsed,
-    "t1": _run_pulsed,
-    "echo": _run_pulsed,
-    "readout-trace": _run_readout_trace,
-    "s11-sweep": _run_s11,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind.
+
+    run(cfg, out) writes the artifacts and returns (files, fits, results).
+    reads names the optional config sections the runner uses: "sweep",
+    "pulse", "readout", "averages", "noise.readout" and "noise.dephasing";
+    validate_config rejects the others.  params maps each key accepted under
+    "params" to the validator that checks and converts its value; a key left
+    out keeps the default of its consumer.
+    """
+    run: Callable
+    reads: tuple
+    params: dict
+
+
+def _pulsed(**kind):
+    return partial(_run_pulsed, _PulsedKind(**kind))
+
+
+_PULSED_READS = ("sweep", "pulse", "readout", "averages", "noise.readout",
+                 "noise.dephasing")
+
+_DELAY_COLUMNS = (("delay_s", "x"), ("pe_simulated", "pe_true"),
+                  ("pe_sim_stderr", "pe_true_err"), ("pe_estimated", "pe_est"),
+                  ("pe_est_stderr", "pe_est_err"))
+
+# in the order the command line lists them.  Pulse builders are looked up in
+# `pulses` at call time, not bound here, so that a replaced module function
+# (a profiler's wrapper, a test double) is used
+_KINDS = {
+    "spectroscopy": _Kind(
+        run=_run_spectroscopy, reads=("sweep",),
+        params={"rabi_amplitudes": _drive_amplitudes,
+                "extrapolation_mode": _choice("squared", "linear")}),
+    "stark": _Kind(
+        run=_run_stark, reads=("sweep",),
+        params={"probe_frequency": _number(positive=True),
+                "fock_cutoff": _integer(minimum=4),
+                "settle_time": _number(positive=True),
+                "precession_time": _number(positive=True),
+                "dt": _number(positive=True)}),
+    "rabi": _Kind(
+        run=_pulsed(
+            sequence=lambda amp, cfg, pi_amp, shape:
+                pulses.build_rabi_sequence(amp, **shape),
+            columns=(("drive_amplitude_hz", "x"), ("pe_simulated", "pe_true"),
+                     ("pe_estimated", "pe_est"), ("pe_stderr", "pe_est_err")),
+            fit_key="rabi_oscillation", analyse=_analyse_rabi),
+        reads=_PULSED_READS, params={}),
+    "ramsey": _Kind(
+        run=_pulsed(
+            sequence=lambda tau, cfg, pi_amp, shape:
+                pulses.build_ramsey_sequence(
+                    tau, cfg.params.get("drive_detuning",
+                                        DEFAULT_DRIVE_DETUNING),
+                    pi_amplitude=pi_amp, **shape),
+            columns=_DELAY_COLUMNS, fit_key="fringe_decay",
+            analyse=_analyse_ramsey),
+        reads=_PULSED_READS,
+        params={"drive_detuning": _number(),
+                "fit_envelope": _choice("exp", "gauss", "none")}),
+    "t1": _Kind(
+        run=_pulsed(
+            sequence=lambda tau, cfg, pi_amp, shape:
+                pulses.build_t1_sequence(tau, pi_amplitude=pi_amp, **shape),
+            columns=_DELAY_COLUMNS, fit_key="population_decay",
+            analyse=_analyse_decay("t1_s")),
+        reads=_PULSED_READS, params={}),
+    "echo": _Kind(
+        run=_pulsed(
+            sequence=lambda tau, cfg, pi_amp, shape:
+                pulses.build_echo_sequence(tau, pi_amplitude=pi_amp, **shape,
+                                           **cfg.params),
+            columns=_DELAY_COLUMNS, fit_key="echo_decay",
+            analyse=_analyse_decay("t2_echo_s")),
+        reads=_PULSED_READS, params={"echo_phase": _number()}),
+    "readout-trace": _Kind(
+        run=_run_readout_trace, reads=("readout", "averages", "noise.readout"),
+        params={"population": _population}),
+    "s11-sweep": _Kind(
+        run=_run_s11, reads=("sweep",),
+        params={"qubit_state": _choice("bare", "g", "e")}),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # ----------------------------------------------------------- manifest
@@ -995,7 +1014,7 @@ def run_experiment(cfg):
     """Execute one configured experiment end to end; returns the manifest."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files, fit_report, results = _RUNNERS[cfg.experiment](cfg, out)
+    files, fit_report, results = _KINDS[cfg.experiment].run(cfg, out)
     _write_json(out / "fits.json", fit_report)
     _write_json(out / "results.json", results)
     # the echoed config omits execution details (output_dir) so the
@@ -1045,6 +1064,12 @@ class CheckReport:
         return "\n".join(lines)
 
 
+# one entry under a reference file's "quantities", in the _SECTIONS form
+_REFERENCE_QUANTITY = {"expected": (_number(), _REQUIRED),
+                       "rtol": (_number(minimum=0.0), 0.0),
+                       "atol": (_number(minimum=0.0), 0.0)}
+
+
 def compare_to_reference(run, reference_path):
     """Check a run's results.json against expected values with tolerances.
 
@@ -1079,15 +1104,9 @@ def compare_to_reference(run, reference_path):
 
     rows = []
     for name in sorted(quantities):
-        spec = quantities[name]
         path = f"reference.quantities.{name}"
-        if not isinstance(spec, dict) or "expected" not in spec:
-            raise ConfigError(f'{path}: expected an object with an "expected" '
-                              "value")
-        _check_keys(spec, ("expected", "rtol", "atol"), path)
-        expected = _as_number(spec["expected"], f"{path}.expected")
-        rtol = _as_number(spec.get("rtol", 0.0), f"{path}.rtol", minimum=0.0)
-        atol = _as_number(spec.get("atol", 0.0), f"{path}.atol", minimum=0.0)
+        spec = _parse_section(quantities[name], path, _REFERENCE_QUANTITY)
+        expected, rtol, atol = spec["expected"], spec["rtol"], spec["atol"]
         if rtol == 0.0 and atol == 0.0:
             raise ConfigError(f"{path}: needs rtol or atol")
         actual = results.get(name)

@@ -61,12 +61,6 @@ class FitResult:
     residual_rms: float
     converged: bool
     flags: list = field(default_factory=list)
-    model: object = field(default=None, repr=False, compare=False)
-
-    def evaluate(self, x):
-        if self.model is None:
-            raise ValueError("fit carries no model")
-        return self.model(np.asarray(x, dtype=float), *self.params.values())
 
     def to_dict(self):
         return {
@@ -146,7 +140,6 @@ def _run_fit(model, names, p0, x, y):
         residual_rms=residual_rms,
         converged=bool(res.success and res.status != 0),
         flags=flags,
-        model=model,
     )
 
 

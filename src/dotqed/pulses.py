@@ -74,7 +74,7 @@ def calibrate_pi_amplitude(sigma, truncation_k=DEFAULT_TRUNCATION_K):
 @dataclass(frozen=True)
 class SequenceEntry:
     pulse: GaussianPulse
-    carrier_frequency: float = 0.0   # Hz; relative to the anchor passed to the builder
+    carrier_frequency: float = 0.0   # Hz, detuning from the qubit frequency
     carrier_phase: float = 0.0       # rad; 0 = +x rotation, pi/2 = +y
 
 
@@ -107,28 +107,23 @@ class PulseSequence:
             raise ValueError("readout window starts before the last pulse ends")
 
     @property
-    def total_duration(self):
-        return self.readout_window.start + self.readout_window.duration
-
-    @property
     def carrier_frequencies(self):
         return sorted({e.carrier_frequency for e in self.entries})
 
 
-def build_rabi_sequence(amplitude, sigma, *, qubit_frequency=0.0,
-                        truncation_k=DEFAULT_TRUNCATION_K, drag_beta=0.0,
-                        readout_duration=DEFAULT_READOUT_DURATION):
+def build_rabi_sequence(amplitude, sigma, *, truncation_k=DEFAULT_TRUNCATION_K,
+                        drag_beta=0.0, readout_duration=DEFAULT_READOUT_DURATION):
     """Single drive pulse of the given peak amplitude, then readout."""
     k = truncation_k
     p = GaussianPulse(amplitude, k * sigma, sigma, k, drag_beta)
     return PulseSequence(
-        entries=(SequenceEntry(p, qubit_frequency, 0.0),),
+        entries=(SequenceEntry(p),),
         readout_window=ReadoutWindow(p.end, readout_duration))
 
 
 def build_ramsey_sequence(delta_tau, drive_detuning, *, sigma, pi_amplitude,
-                          qubit_frequency=0.0, truncation_k=DEFAULT_TRUNCATION_K,
-                          drag_beta=0.0, readout_duration=DEFAULT_READOUT_DURATION):
+                          truncation_k=DEFAULT_TRUNCATION_K, drag_beta=0.0,
+                          readout_duration=DEFAULT_READOUT_DURATION):
     """pi/2 -- delta_tau -- pi/2, both about +x, carrier detuned by drive_detuning.
 
     delta_tau is the free gap between the truncated pulse supports, so
@@ -137,17 +132,17 @@ def build_ramsey_sequence(delta_tau, drive_detuning, *, sigma, pi_amplitude,
     if delta_tau < 0:
         raise ValueError("delta_tau must be >= 0")
     k = truncation_k
-    carrier = qubit_frequency + drive_detuning
     amp = 0.5 * pi_amplitude
     p1 = GaussianPulse(amp, k * sigma, sigma, k, drag_beta)
     p2 = GaussianPulse(amp, p1.end + delta_tau + k * sigma, sigma, k,
                        drag_beta)
     return PulseSequence(
-        entries=(SequenceEntry(p1, carrier, 0.0), SequenceEntry(p2, carrier, 0.0)),
+        entries=(SequenceEntry(p1, drive_detuning),
+                 SequenceEntry(p2, drive_detuning)),
         readout_window=ReadoutWindow(p2.end, readout_duration))
 
 
-def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude, qubit_frequency=0.0,
+def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude,
                       truncation_k=DEFAULT_TRUNCATION_K, drag_beta=0.0,
                       readout_duration=DEFAULT_READOUT_DURATION):
     """pi pulse, then readout delayed by delta_tau_w after the pulse ends."""
@@ -156,13 +151,13 @@ def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude, qubit_frequency=0.0,
     k = truncation_k
     p = GaussianPulse(pi_amplitude, k * sigma, sigma, k, drag_beta)
     return PulseSequence(
-        entries=(SequenceEntry(p, qubit_frequency, 0.0),),
+        entries=(SequenceEntry(p),),
         readout_window=ReadoutWindow(p.end + delta_tau_w, readout_duration))
 
 
-def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, qubit_frequency=0.0,
-                        echo_phase=np.pi / 2, truncation_k=DEFAULT_TRUNCATION_K,
-                        drag_beta=0.0, readout_duration=DEFAULT_READOUT_DURATION):
+def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, echo_phase=np.pi / 2,
+                        truncation_k=DEFAULT_TRUNCATION_K, drag_beta=0.0,
+                        readout_duration=DEFAULT_READOUT_DURATION):
     """pi/2_x -- delta_tau/2 -- pi_y -- delta_tau/2 -- pi/2_x.
 
     The refocusing pulse sits about +y by default (echo_phase = pi/2); the
@@ -178,9 +173,8 @@ def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, qubit_frequency=0.0,
                        drag_beta)
     p2 = GaussianPulse(amp2, pp.end + half + k * sigma, sigma, k, drag_beta)
     return PulseSequence(
-        entries=(SequenceEntry(p1, qubit_frequency, 0.0),
-                 SequenceEntry(pp, qubit_frequency, echo_phase),
-                 SequenceEntry(p2, qubit_frequency, 0.0)),
+        entries=(SequenceEntry(p1), SequenceEntry(pp, carrier_phase=echo_phase),
+                 SequenceEntry(p2)),
         readout_window=ReadoutWindow(p2.end, readout_duration))
 
 

@@ -49,10 +49,6 @@ def sigma_x():
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def sigma_y():
-    return np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
 def sigma_z():
     # |e><e| - |g><g| with |g> = index 0
     return np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)

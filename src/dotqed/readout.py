@@ -202,15 +202,8 @@ def rotate_reference_phase(trace, phi):
 
 # ------------------------------------------------- population estimation
 
-@dataclass(frozen=True)
-class PopulationEstimate:
-    p_e: float
-    n_samples: int
-    ref_separation: float     # rms separation of the reference envelopes
-
-
 def estimate_population(trace, ref_g, ref_e, config):
-    """Project a demodulated trace onto the g/e reference envelopes.
+    """Project a demodulated trace onto the g/e reference envelopes; return p_e.
 
     Matched filter: per-sample weights w = (e - g) and
     p = Re <w, s - g> / <w, w>.  This is affine in the signal envelope, so a
@@ -231,9 +224,7 @@ def estimate_population(trace, ref_g, ref_e, config):
     norm = np.real(np.vdot(w, w))
     if norm <= 0:
         raise ValueError("reference envelopes are identical; no contrast")
-    return PopulationEstimate(p_e=float(np.real(np.vdot(w, sig - g)) / norm),
-                              n_samples=len(sig),
-                              ref_separation=float(np.sqrt(norm / len(w))))
+    return float(np.real(np.vdot(w, sig - g)) / norm)
 
 
 # ------------------------------------------------------------ CSV output

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -71,7 +72,7 @@ def test_validate_config_happy_path(tmp_path):
     (lambda c: c.__setitem__("params", {"wavelength": 1.0}),
      "params.wavelength: unknown key for experiment 'ramsey'"),
     (lambda c: c.__setitem__("noise", {"dephasing": {"sigma_delta": 1e6}}),
-     "noise.dephasing: sigma_delta and tau_c are required"),
+     "noise.dephasing.tau_c: required"),
     (lambda c: c.__setitem__("readout", {"intermediate_frequency": 2e9}),
      "readout: "),
     (lambda c: c.__setitem__("averages", 0), "averages: must be >= 1"),
@@ -84,6 +85,83 @@ def test_validate_config_field_errors(tmp_path, mutate, fragment):
     mutate(raw)
     with pytest.raises(experiments.ConfigError, match=fragment):
         experiments.validate_config(raw)
+
+
+# the optional sections each kind reads, and a valid value of each section
+_PULSED_READS = {"sweep", "pulse", "readout", "averages", "noise.readout",
+                 "noise.dephasing"}
+_READS = {
+    "spectroscopy": {"sweep"},
+    "stark": {"sweep"},
+    "rabi": _PULSED_READS,
+    "ramsey": _PULSED_READS,
+    "t1": _PULSED_READS,
+    "echo": _PULSED_READS,
+    "readout-trace": {"readout", "averages", "noise.readout"},
+    "s11-sweep": {"sweep"},
+}
+_SECTION_VALUES = {
+    "sweep": {"start": 0.0, "stop": 25e-9, "points": 3},
+    "pulse": {"sigma": 0.3e-9, "drag_beta": 0.1e-9},
+    "readout": {"integration_window": 300e-9},
+    "averages": 4,
+    "noise.readout": {"noise_temperature": 3.0},
+    "noise.dephasing": {"sigma_delta": 1e6, "tau_c": 1e-6},
+}
+
+
+@pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+@pytest.mark.parametrize("section", list(_SECTION_VALUES))
+def test_validate_config_rejects_unread_sections(tmp_path, kind, section):
+    raw = {"experiment": kind, "device": _device_dict(),
+           "output_dir": str(tmp_path / "r")}
+    if "sweep" in _READS[kind]:
+        raw["sweep"] = dict(_SECTION_VALUES["sweep"])
+    parent, _, key = section.rpartition(".")
+    (raw.setdefault(parent, {}) if parent else raw)[key] = \
+        _SECTION_VALUES[section]
+    if section in _READS[kind]:
+        experiments.validate_config(raw)
+        return
+    # `noise` is unread as a whole when the kind reads none of its sections
+    reads_noise = any(s.startswith("noise.") for s in _READS[kind])
+    path = section if reads_noise or not parent else parent
+    with pytest.raises(experiments.ConfigError,
+                       match=f"^{re.escape(path)}: not used by experiment "
+                             f"'{re.escape(kind)}'$"):
+        experiments.validate_config(raw)
+
+
+def test_readme_tables_match_the_kind_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def rows(heading):
+        # the first markdown table after `heading`, as lists of cells
+        lines = readme[readme.index(heading):].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        table = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            table.append([c.strip() for c in line.strip("|").split("|")])
+        return table
+
+    def names(cell):
+        # backticked names outside parentheses
+        return re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
+
+    per_kind = rows("Sweep axis and `params` per kind")
+    assert [names(r[0])[0] for r in per_kind] \
+        == list(experiments.EXPERIMENT_KINDS)
+    for row in per_kind:
+        kind = names(row[0])[0]
+        assert names(row[2]) == list(experiments._KINDS[kind].params), kind
+
+    read_by = {names(r[0])[0]: names(r[2]) for r in rows("Top level")}
+    for section in _SECTION_VALUES:
+        assert read_by[section] == [
+            k for k, spec in experiments._KINDS.items()
+            if section in spec.reads], section
 
 
 # one malformed value per (kind, params key), and echo's former key
@@ -263,6 +341,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg.write_text(json.dumps(raw))
     assert cli.main(["simulate", "s11-sweep", "--config", str(bad_cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+    # a section the kind never reads is rejected, not folded into the hash
+    raw = _s11_config(tmp_path / "r4")
+    raw["averages"] = 4
+    bad_cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "s11-sweep", "--config", str(bad_cfg)]) == 2
+    assert "averages: not used by experiment 's11-sweep'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r4").exists()
 
     # JSON NaN parses to a float; the device rejects it before any fit runs
     raw = _s11_config(tmp_path / "r3")
