@@ -114,7 +114,6 @@ class EvolveDiagnostics:
     max_trace_deviation: float = 0.0
     max_hermiticity_defect: float = 0.0
     min_eigenvalue: float = 0.0
-    max_top_fock_population: float = 0.0
 
 
 @dataclass
@@ -223,7 +222,6 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
             w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
             diag.min_eigenvalue = min(diag.min_eigenvalue, float(w.min()))
 
-    diag.max_top_fock_population = max_top
     if diag.max_trace_deviation > TRACE_TOL:
         warnings.warn(
             f"trace drifted by {diag.max_trace_deviation:.2e} (> {TRACE_TOL:g}); "
@@ -393,7 +391,7 @@ class OuNoiseModel:
             raise ValueError("n_realizations must be >= 1")
 
 
-def sample_ou_detuning(model, times, rng=None, n_realizations=None):
+def sample_ou_detuning(model, times, rng=None):
     """Exact-discretization OU paths at the given times, shape (n, n_times).
 
     x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k, with the
@@ -402,7 +400,7 @@ def sample_ou_detuning(model, times, rng=None, n_realizations=None):
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
-    n = model.n_realizations if n_realizations is None else int(n_realizations)
+    n = model.n_realizations
     out = np.empty((n, len(times)))
     out[:, 0] = model.sigma_delta * rng.standard_normal(n)
     if len(times) > 1:

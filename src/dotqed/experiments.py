@@ -14,8 +14,8 @@ as plain functions rather than CLI experiment kinds: measure_dispersive_pull
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import inspect
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import device, dynamics, fitting, pulses, qops, readout
 
-DEFAULT_DRIVE_DETUNING = 100e6
 DEFAULT_SATURATION_TARGETS = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 # readout pipeline: step of the conditional cavity ring-up, s
@@ -59,8 +58,9 @@ def _as_mapping(value, path):
 def _check_keys(mapping, allowed, path):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}; "
-                          f"allowed: {', '.join(sorted(allowed))}")
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}"
+                          + (f"; allowed: {', '.join(sorted(allowed))}"
+                             if allowed else ""))
 
 
 def _as_number(value, path, minimum=None, positive=False):
@@ -155,31 +155,43 @@ def _population(value, path):
     return p
 
 
+def _default(owner, key):
+    """The default that a class or function gives its parameter `key`."""
+    return inspect.signature(owner).parameters[key].default
+
+
+def _fields(owner, **checks):
+    """Schema entries whose defaults are the defaults of `owner`."""
+    return {key: (check, _default(owner, key)) for key, check in checks.items()}
+
+
 # the default of a key the config must set
 _REQUIRED = object()
 
 # each config object as key -> (validator, default); a default of None leaves
-# the key out, so that the object built from the section keeps its own
+# the key out, for a value that the run derives from the device
 _SECTIONS = {
     "sweep": {"start": (_number(), _REQUIRED),
               "stop": (_number(), _REQUIRED),
               "points": (_integer(minimum=2), _REQUIRED)},
     "pulse": {"sigma": (_number(positive=True), 0.25e-9),
-              "drag_beta": (_number(), 0.0),
-              "truncation_k": (_number(positive=True),
-                               pulses.DEFAULT_TRUNCATION_K)},
+              **_fields(pulses.GaussianPulse, drag_beta=_number(),
+                        truncation_k=_number(positive=True))},
     "readout": {"probe_frequency": (_number(positive=True), None),
                 "probe_amplitude": (_number(positive=True), None),
-                "sample_rate": (_number(positive=True), None),
-                "intermediate_frequency": (_number(positive=True), None),
-                "lowpass_cutoff": (_number(positive=True), None),
-                "integration_window": (_number(positive=True), None),
-                "n_filter_taps": (_integer(minimum=3), None)},
-    "noise.readout": {"noise_temperature": (_number(minimum=0.0), None),
-                      "system_gain": (_number(positive=True), None)},
+                **_fields(readout.HeterodyneConfig,
+                          sample_rate=_number(positive=True),
+                          intermediate_frequency=_number(positive=True),
+                          lowpass_cutoff=_number(positive=True),
+                          integration_window=_number(positive=True),
+                          n_filter_taps=_integer(minimum=3))},
+    "noise.readout": _fields(readout.ReadoutNoiseModel,
+                             noise_temperature=_number(minimum=0.0),
+                             system_gain=_number(positive=True)),
     "noise.dephasing": {"sigma_delta": (_number(minimum=0.0), _REQUIRED),
                         "tau_c": (_number(positive=True), _REQUIRED),
-                        "n_realizations": (_integer(minimum=1), None)},
+                        **_fields(dynamics.OuNoiseModel,
+                                  n_realizations=_integer(minimum=1))},
 }
 
 
@@ -198,40 +210,28 @@ def _parse_section(raw, path, schema):
     return values
 
 
-def _check_reads(effective, kind):
-    """Reject every optional section that the kind never reads; return the
-    `noise` object ({} when the config has none).
+def _reads(kind, name):
+    """Whether the kind reads the section `name` or one of its subsections."""
+    return any(r == name or r.startswith(name + ".") for r in _KINDS[kind].reads)
 
-    A section counts as read when the kind reads it or one of its
-    subsections, so `noise` is rejected whole on a kind that reads neither
-    noise.readout nor noise.dephasing.
+
+def _check_reads(m, kind):
+    """Reject every optional section that the kind never reads, and `noise`
+    whole on a kind that reads neither of its sections; return the `noise`
+    object ({} when the config has none).
     """
-    reads = _KINDS[kind].reads
-
     def check(name):
-        if not any(r == name or r.startswith(name + ".") for r in reads):
+        if not _reads(kind, name):
             raise ConfigError(f"{name}: not used by experiment '{kind}'")
 
     for key in ("sweep", "noise", "pulse", "readout", "averages"):
-        if key in effective:
+        if key in m:
             check(key)
-    noise = _as_mapping(effective.get("noise", {}), "noise")
+    noise = _as_mapping(m.get("noise", {}), "noise")
     _check_keys(noise, ("readout", "dephasing"), "noise")
     for key in noise:
         check(f"noise.{key}")
     return noise
-
-
-def _parse_params(kind, raw):
-    m = _as_mapping(raw, "params")
-    schema = _KINDS[kind].params
-    unknown = sorted(set(m) - set(schema))
-    if unknown:
-        raise ConfigError(
-            f"params.{unknown[0]}: unknown key for experiment '{kind}'"
-            + (f"; allowed: {', '.join(schema)}" if schema else ""))
-    return {key: check(m[key], f"params.{key}")
-            for key, check in schema.items() if key in m}
 
 
 def validate_config(raw, experiment=None, seed=None, output_dir=None):
@@ -243,80 +243,86 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     so a config written for one pipeline is never run through another.
     Raises ConfigError naming the offending field on any problem, including
     a section the kind never reads; never partially applies a config.
+
+    The config's `effective` dict is what the run is hashed by and echoes:
+    the kind, seed, device (every number a float), params and each section
+    the kind reads, with every default filled in except those derived from
+    the device at run time.  output_dir is never in it.
     """
-    m = _as_mapping(raw, "config")
-    effective = copy.deepcopy(m)
+    m = dict(_as_mapping(raw, "config"))
     if experiment is not None:
-        declared = effective.get("experiment")
+        declared = m.get("experiment")
         if declared is not None and declared != experiment:
             raise ConfigError(
                 f"experiment: config declares {declared!r} but the command "
                 f"line selected {experiment!r}")
-        effective["experiment"] = experiment
+        m["experiment"] = experiment
     if seed is not None:
-        effective["seed"] = seed
+        m["seed"] = seed
     if output_dir is not None:
-        effective["output_dir"] = output_dir
+        m["output_dir"] = output_dir
 
-    _check_keys(effective, _TOP_KEYS, "config")
+    _check_keys(m, _TOP_KEYS, "config")
 
-    kind = effective.get("experiment")
+    kind = m.get("experiment")
     if kind is None:
         raise ConfigError("experiment: required (or pass the subcommand)")
     if kind not in _KINDS:
         raise ConfigError(f"experiment: unknown kind {kind!r}; choose from "
                           f"{', '.join(EXPERIMENT_KINDS)}")
 
-    if "device" not in effective:
+    if "device" not in m:
         raise ConfigError("device: required")
-    dev_raw = _as_mapping(effective["device"], "device")
+    dev_raw = _as_mapping(m["device"], "device")
     _check_keys(dev_raw, _DEVICE_KEYS, "device")
     try:
         dev = device.DeviceParams.from_dict(dev_raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"device: {exc}") from exc
 
-    noise = _check_reads(effective, kind)
-    sweep = None
-    if "sweep" in effective:
-        sweep = SweepSpec(**_parse_section(effective["sweep"], "sweep",
-                                           _SECTIONS["sweep"]))
-    elif "sweep" in _KINDS[kind].reads:
+    noise = _check_reads(m, kind)
+    if "sweep" not in m and _reads(kind, "sweep"):
         raise ConfigError(f"sweep: required for experiment '{kind}'")
+    sweep = (_parse_section(m["sweep"], "sweep", _SECTIONS["sweep"])
+             if "sweep" in m else None)
 
-    seed_val = _as_int(effective.get("seed", 0), "seed", minimum=0)
-    out_dir = effective.get("output_dir", f"runs/{kind}")
+    seed_val = _as_int(m.get("seed", 0), "seed", minimum=0)
+    out_dir = m.get("output_dir", f"runs/{kind}")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output_dir: expected a non-empty string")
 
-    readout_noise = dephasing = None
-    if "readout" in noise:
-        readout_noise = readout.ReadoutNoiseModel(**_parse_section(
-            noise["readout"], "noise.readout", _SECTIONS["noise.readout"]))
-    if "dephasing" in noise:
-        dephasing = dynamics.OuNoiseModel(**_parse_section(
-            noise["dephasing"], "noise.dephasing", _SECTIONS["noise.dephasing"]))
-
-    pulse = _parse_section(effective.get("pulse", {}), "pulse",
-                           _SECTIONS["pulse"])
-    het_kwargs = _parse_section(effective.get("readout", {}), "readout",
+    noise = {key: _parse_section(sub, f"noise.{key}", _SECTIONS[f"noise.{key}"])
+             for key, sub in noise.items()}
+    pulse = _parse_section(m.get("pulse", {}), "pulse", _SECTIONS["pulse"])
+    het_values = _parse_section(m.get("readout", {}), "readout",
                                 _SECTIONS["readout"])
-    probe_frequency = het_kwargs.pop("probe_frequency", None)
-    probe_amplitude = het_kwargs.pop("probe_amplitude", None)
     try:
-        het = readout.HeterodyneConfig(**het_kwargs)
+        heterodyne = readout.HeterodyneConfig(**{
+            k: v for k, v in het_values.items() if not k.startswith("probe_")})
     except ValueError as exc:
         raise ConfigError(f"readout: {exc}") from exc
+    params = _parse_section(m.get("params", {}), "params", _KINDS[kind].params)
+    averages = _as_int(
+        m.get("averages", _default(measure_population, "averages")),
+        "averages", minimum=1)
 
-    params = _parse_params(kind, effective.get("params", {}))
-
-    averages = _as_int(effective.get("averages", 1), "averages", minimum=1)
-
+    effective = {"experiment": kind, "seed": seed_val, "params": params,
+                 "device": {name: {k: float(v) for k, v in fields.items()}
+                            for name, fields in dev.to_dict().items()}}
+    sections = {"sweep": sweep, "noise": noise, "pulse": pulse,
+                "readout": het_values, "averages": averages}
+    effective.update((name, value) for name, value in sections.items()
+                     if _reads(kind, name))
     return ExperimentConfig(
-        experiment=kind, device=dev, sweep=sweep, seed=seed_val,
-        output_dir=out_dir, heterodyne=het, readout_noise=readout_noise,
-        dephasing=dephasing, probe_frequency=probe_frequency,
-        probe_amplitude=probe_amplitude, pulse_sigma=pulse["sigma"],
+        experiment=kind, device=dev, sweep=sweep and SweepSpec(**sweep),
+        seed=seed_val, output_dir=out_dir, heterodyne=heterodyne,
+        readout_noise=(readout.ReadoutNoiseModel(**noise["readout"])
+                       if "readout" in noise else None),
+        dephasing=(dynamics.OuNoiseModel(**noise["dephasing"])
+                   if "dephasing" in noise else None),
+        probe_frequency=het_values.get("probe_frequency"),
+        probe_amplitude=het_values.get("probe_amplitude"),
+        pulse_sigma=pulse["sigma"],
         drag_beta=pulse["drag_beta"], truncation_k=pulse["truncation_k"],
         averages=averages, params=params, effective=effective)
 
@@ -591,10 +597,10 @@ def _analyse_rabi(amps, p_est, cfg, pi_amp):
 
 
 def _analyse_ramsey(delays, p_est, cfg, pi_amp):
-    detuning = cfg.params.get("drive_detuning", DEFAULT_DRIVE_DETUNING)
+    detuning = cfg.params["drive_detuning"]
     if detuning != 0.0:
-        fit = fitting.fit_damped_cosine(
-            delays, p_est, envelope=cfg.params.get("fit_envelope", "exp"))
+        fit = fitting.fit_damped_cosine(delays, p_est,
+                                        envelope=cfg.params["fit_envelope"])
         t2 = fit.params.get("decay_time", float("inf"))
         fringe = abs(fit.params["frequency"])
     else:
@@ -684,9 +690,8 @@ def _run_spectroscopy(cfg, out):
     lines = [dynamics.steady_state_spectroscopy(dets, a, dec) for a in amps]
     line_fits = [fitting.fit_lorentzian(dets, line) for line in lines]
     hwhms = np.array([abs(f.params["hwhm"]) for f in line_fits])
-    mode = cfg.params.get("extrapolation_mode", "squared")
-    extrap = fitting.extrapolate_zero_power_linewidth(amps ** 2, hwhms,
-                                                      mode=mode)
+    extrap = fitting.extrapolate_zero_power_linewidth(
+        amps ** 2, hwhms, mode=cfg.params["extrapolation_mode"])
 
     header = "detuning_hz," + ",".join(f"pe_line{i}" for i in range(len(amps)))
     _write_csv(out / "lines.csv", header, [dets] + lines)
@@ -748,7 +753,7 @@ def _run_stark(cfg, out):
 def _run_readout_trace(cfg, out):
     pipe = _pipeline_from_config(cfg)
     het = pipe.heterodyne
-    p_target = cfg.params.get("population", 0.5)
+    p_target = cfg.params["population"]
     skip = het.filter_delay_samples
 
     mean_g = pipe.ref_g.mean_iq(skip=skip)
@@ -759,17 +764,18 @@ def _run_readout_trace(cfg, out):
 
     rng_meas, rng_trace = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    noiseless = readout.synthesize_readout_waveform(
-        _blend_trajectory(pipe, p_target), het)
+    traj = _blend_trajectory(pipe, p_target)
+    noiseless = readout.synthesize_readout_waveform(traj, het)
     midpoint = readout.estimate_population(noiseless, pipe.ref_g, pipe.ref_e,
                                            het)
-    p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
-                                        averages=cfg.averages)
-    mix_trace = readout.rotate_reference_phase(
-        readout.synthesize_readout_waveform(
-            _blend_trajectory(pipe, p_target), het,
-            noise=pipe.noise, rng=rng_trace),
-        rotation)
+    # without readout noise, measuring would read this same trace again
+    p_est, est_err, mixture = midpoint, 0.0, noiseless
+    if pipe.noise is not None:
+        p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
+                                            averages=cfg.averages)
+        mixture = readout.synthesize_readout_waveform(
+            traj, het, noise=pipe.noise, rng=rng_trace)
+    mix_trace = readout.rotate_reference_phase(mixture, rotation)
 
     readout.iq_trace_to_csv(ref_g_rot, out / "iq_ground.csv")
     readout.iq_trace_to_csv(ref_e_rot, out / "iq_excited.csv")
@@ -797,7 +803,7 @@ def _run_readout_trace(cfg, out):
 def _run_s11(cfg, out):
     res = cfg.device.resonator
     freqs = cfg.sweep.values
-    state = cfg.params.get("qubit_state", "bare")
+    state = cfg.params["qubit_state"]
     if state == "bare":
         shift = 0.0
     else:
@@ -826,9 +832,8 @@ class _Kind:
     run(cfg, out) writes the artifacts and returns (files, fits, results).
     reads names the optional config sections the runner uses: "sweep",
     "pulse", "readout", "averages", "noise.readout" and "noise.dephasing";
-    validate_config rejects the others.  params maps each key accepted under
-    "params" to the validator that checks and converts its value; a key left
-    out keeps the default of its consumer.
+    validate_config rejects the others.  params is the schema of "params" in
+    the _SECTIONS form, key -> (validator, default).
     """
     run: Callable
     reads: tuple
@@ -852,15 +857,18 @@ _DELAY_COLUMNS = (("delay_s", "x"), ("pe_simulated", "pe_true"),
 _KINDS = {
     "spectroscopy": _Kind(
         run=_run_spectroscopy, reads=("sweep",),
-        params={"rabi_amplitudes": _drive_amplitudes,
-                "extrapolation_mode": _choice("squared", "linear")}),
+        params={"rabi_amplitudes": (_drive_amplitudes, None),
+                "extrapolation_mode": (
+                    _choice("squared", "linear"),
+                    _default(fitting.extrapolate_zero_power_linewidth, "mode"))}),
     "stark": _Kind(
         run=_run_stark, reads=("sweep",),
-        params={"probe_frequency": _number(positive=True),
-                "fock_cutoff": _integer(minimum=4),
-                "settle_time": _number(positive=True),
-                "precession_time": _number(positive=True),
-                "dt": _number(positive=True)}),
+        params={"probe_frequency": (_number(positive=True), None),
+                **_fields(measure_stark_shift,
+                          fock_cutoff=_integer(minimum=4),
+                          settle_time=_number(positive=True),
+                          precession_time=_number(positive=True),
+                          dt=_number(positive=True))}),
     "rabi": _Kind(
         run=_pulsed(
             sequence=lambda amp, cfg, pi_amp, shape:
@@ -873,14 +881,15 @@ _KINDS = {
         run=_pulsed(
             sequence=lambda tau, cfg, pi_amp, shape:
                 pulses.build_ramsey_sequence(
-                    tau, cfg.params.get("drive_detuning",
-                                        DEFAULT_DRIVE_DETUNING),
-                    pi_amplitude=pi_amp, **shape),
+                    tau, cfg.params["drive_detuning"], pi_amplitude=pi_amp,
+                    **shape),
             columns=_DELAY_COLUMNS, fit_key="fringe_decay",
             analyse=_analyse_ramsey),
         reads=_PULSED_READS,
-        params={"drive_detuning": _number(),
-                "fit_envelope": _choice("exp", "gauss", "none")}),
+        params={"drive_detuning": (_number(), 100e6),
+                "fit_envelope": (_choice("exp", "gauss", "none"),
+                                 _default(fitting.fit_damped_cosine,
+                                          "envelope"))}),
     "t1": _Kind(
         run=_pulsed(
             sequence=lambda tau, cfg, pi_amp, shape:
@@ -895,13 +904,14 @@ _KINDS = {
                                            **cfg.params),
             columns=_DELAY_COLUMNS, fit_key="echo_decay",
             analyse=_analyse_decay("t2_echo_s")),
-        reads=_PULSED_READS, params={"echo_phase": _number()}),
+        reads=_PULSED_READS,
+        params=_fields(pulses.build_echo_sequence, echo_phase=_number())),
     "readout-trace": _Kind(
         run=_run_readout_trace, reads=("readout", "averages", "noise.readout"),
-        params={"population": _population}),
+        params={"population": (_population, 0.5)}),
     "s11-sweep": _Kind(
         run=_run_s11, reads=("sweep",),
-        params={"qubit_state": _choice("bare", "g", "e")}),
+        params={"qubit_state": (_choice("bare", "g", "e"), "bare")}),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)
@@ -921,15 +931,9 @@ def _sha256_file(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-# execution details that cannot change the artifacts: where they land
-_NON_PHYSICS_KEYS = ("output_dir",)
-
-
 def config_hash(effective):
-    """Hash of the effective config, excluding pure execution details."""
-    stripped = {k: v for k, v in effective.items()
-                if k not in _NON_PHYSICS_KEYS}
-    return _sha256_text(_canonical_json(stripped))
+    """Hash of the effective config (ExperimentConfig.effective)."""
+    return _sha256_text(_canonical_json(effective))
 
 
 def _versions():
@@ -1017,11 +1021,7 @@ def run_experiment(cfg):
     files, fit_report, results = _KINDS[cfg.experiment].run(cfg, out)
     _write_json(out / "fits.json", fit_report)
     _write_json(out / "results.json", results)
-    # the echoed config omits execution details (output_dir) so the
-    # artifacts are location independent
-    _write_json(out / "config.json",
-                {k: v for k, v in cfg.effective.items()
-                 if k not in _NON_PHYSICS_KEYS})
+    _write_json(out / "config.json", cfg.effective)
     files = list(files) + ["fits.json", "results.json", "config.json"]
     manifest = RunManifest.build(cfg, out, files)
     manifest.save(out / "manifest.json")

@@ -15,6 +15,7 @@ excited state.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import h as PLANCK_H
@@ -97,9 +98,13 @@ class HeterodyneConfig:
     def filter_delay_samples(self):
         return (self.n_filter_taps - 1) // 2
 
+    @cached_property
     def filter_taps(self):
-        return firwin(self.n_filter_taps, self.lowpass_cutoff,
+        """Lowpass FIR taps, designed once per config and read-only."""
+        taps = firwin(self.n_filter_taps, self.lowpass_cutoff,
                       fs=self.sample_rate)
+        taps.flags.writeable = False
+        return taps
 
 
 def thermal_occupancy(temperature, frequency=READOUT_BAND_HZ):
@@ -136,7 +141,6 @@ class IqTrace:
     times: np.ndarray
     i: np.ndarray
     q: np.ndarray
-    sample_rate: float
 
     @property
     def envelope(self):
@@ -181,10 +185,8 @@ def demodulate(times, samples, config):
     times = np.asarray(times, dtype=float)
     mixed = 2.0 * np.asarray(samples, dtype=float) \
         * np.exp(-1j * TWO_PI * config.intermediate_frequency * times)
-    taps = config.filter_taps()
-    env = lfilter(taps, 1.0, mixed)
-    return IqTrace(times=times, i=np.real(env), q=np.imag(env),
-                   sample_rate=config.sample_rate)
+    env = lfilter(config.filter_taps, 1.0, mixed)
+    return IqTrace(times=times, i=np.real(env), q=np.imag(env))
 
 
 def synthesize_readout_waveform(traj, config, noise=None, rng=None):
@@ -196,8 +198,7 @@ def synthesize_readout_waveform(traj, config, noise=None, rng=None):
 def rotate_reference_phase(trace, phi):
     """Rotate the IQ plane by -phi, e.g. to put the ground trace on +I."""
     env = trace.envelope * np.exp(-1j * phi)
-    return IqTrace(times=trace.times, i=np.real(env), q=np.imag(env),
-                   sample_rate=trace.sample_rate)
+    return IqTrace(times=trace.times, i=np.real(env), q=np.imag(env))
 
 
 # ------------------------------------------------- population estimation

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -232,14 +234,17 @@ def test_ou_sampler_exact_update_is_grid_independent():
     # the step size; a naive Euler kick would inflate it on coarse grids
     model = dynamics.OuNoiseModel(sigma_delta=2e6, tau_c=10e-9)
     coarse = dynamics.sample_ou_detuning(
-        model, np.linspace(0.0, 4e-7, 11), rng=1, n_realizations=20000)
+        replace(model, n_realizations=20000), np.linspace(0.0, 4e-7, 11),
+        rng=1)
     fine = dynamics.sample_ou_detuning(
-        model, np.linspace(0.0, 4e-7, 4001), rng=2, n_realizations=2000)
+        replace(model, n_realizations=2000), np.linspace(0.0, 4e-7, 4001),
+        rng=2)
     npt.assert_allclose(coarse[:, -1].std(), 2e6, rtol=0.03)
     npt.assert_allclose(fine[:, -1].std(), 2e6, rtol=0.05)
     # seeded reproducibility
     again = dynamics.sample_ou_detuning(
-        model, np.linspace(0.0, 4e-7, 11), rng=1, n_realizations=20000)
+        replace(model, n_realizations=20000), np.linspace(0.0, 4e-7, 11),
+        rng=1)
     npt.assert_array_equal(coarse, again)
 
 

@@ -70,7 +70,10 @@ def test_validate_config_happy_path(tmp_path):
     (lambda c: c.update(experiment="readout-trace", params={}),
      "sweep: not used by experiment 'readout-trace'"),
     (lambda c: c.__setitem__("params", {"wavelength": 1.0}),
-     "params.wavelength: unknown key for experiment 'ramsey'"),
+     r"^params: unknown key\(s\) wavelength; allowed: drive_detuning, "
+     r"fit_envelope$"),
+    (lambda c: c.update(experiment="t1", params={"drive_detuning": 0.0}),
+     r"^params: unknown key\(s\) drive_detuning$"),
     (lambda c: c.__setitem__("noise", {"dephasing": {"sigma_delta": 1e6}}),
      "noise.dephasing.tau_c: required"),
     (lambda c: c.__setitem__("readout", {"intermediate_frequency": 2e9}),
@@ -186,8 +189,7 @@ _PARAM_ERRORS = [
     ("s11-sweep", "qubit_state", "f",
      "params.qubit_state: expected one of bare, g, e, got 'f'"),
     ("echo", "fit_envelope", "exp",
-     "params.fit_envelope: unknown key for experiment 'echo'; "
-     "allowed: echo_phase"),
+     "params: unknown key(s) fit_envelope; allowed: echo_phase"),
 ]
 
 
@@ -228,6 +230,85 @@ def test_config_hash_ignores_output_location(tmp_path):
     b = experiments.validate_config(_s11_config(tmp_path / "b"))
     assert experiments.config_hash(a.effective) \
         == experiments.config_hash(b.effective)
+
+
+def _bare_config(kind):
+    raw = {"experiment": kind, "device": _device_dict()}
+    if kind != "readout-trace":
+        raw["sweep"] = {"start": 0.0, "stop": 25e-9, "points": 3}
+    return raw
+
+
+def _int_g0(raw):
+    raw["device"]["coupling"]["g0"] = 55_000_000
+    return raw
+
+
+# (kind, change to the bare config, whether the config hash stays): each
+# change that keeps it spells out a default or writes a device number as an
+# integer
+_HASH_CASES = [
+    ("rabi", lambda c: c.update(averages=1), True),
+    ("rabi", lambda c: c.update(pulse={}), True),
+    ("rabi", lambda c: c.update(noise={}), True),
+    ("rabi", lambda c: c.update(params={}), True),
+    ("rabi", lambda c: c.update(readout={}), True),
+    ("rabi", lambda c: c.update(readout={"n_filter_taps": 127}), True),
+    ("rabi", lambda c: c.update(pulse={"sigma": 2.5e-10}), True),
+    ("rabi", _int_g0, True),
+    ("ramsey", lambda c: c.update(params={"drive_detuning": 100_000_000,
+                                          "fit_envelope": "exp"}), True),
+    ("echo", lambda c: c.update(params={"echo_phase": np.pi / 2}), True),
+    ("stark", lambda c: c.update(params={
+        "fock_cutoff": 18, "settle_time": 10e-9, "precession_time": 100e-9,
+        "dt": 2e-11}), True),
+    ("spectroscopy", lambda c: c.update(
+        params={"extrapolation_mode": "squared"}), True),
+    ("readout-trace", lambda c: c.update(params={"population": 0.5}), True),
+    ("s11-sweep", lambda c: c.update(params={"qubit_state": "bare"}), True),
+    ("rabi", lambda c: c.update(pulse={"sigma": 3e-10}), False),
+]
+
+
+@pytest.mark.parametrize("kind, change, same", _HASH_CASES)
+def test_config_hash_covers_values_not_their_spelling(kind, change, same):
+    raw = _bare_config(kind)
+    change(raw)
+    hashes = [experiments.config_hash(experiments.validate_config(c).effective)
+              for c in (raw, _bare_config(kind))]
+    assert (hashes[0] == hashes[1]) is same
+
+
+# a short run of each kind, with a section or param set where it reads one
+_DELAYS = {"start": 0.0, "stop": 20e-9, "points": 8}
+_ROUND_TRIP = {
+    "spectroscopy": {"sweep": {"start": -50e6, "stop": 50e6, "points": 41}},
+    "stark": {"sweep": {"start": 0.5e6, "stop": 1e6, "points": 2},
+              "params": {"fock_cutoff": 6, "precession_time": 30e-9}},
+    "rabi": {"sweep": {"start": 0.0, "stop": 2e9, "points": 8},
+             "pulse": {"drag_beta": 0.1e-9}},
+    "ramsey": {"sweep": _DELAYS, "noise": {"readout": {}}, "averages": 2},
+    "t1": {"sweep": {"start": 0.0, "stop": 100e-9, "points": 8},
+           "readout": {"probe_frequency": 5.065e9}},
+    # zero sigma_delta keeps the section but skips the Monte Carlo path
+    "echo": {"sweep": _DELAYS, "noise": {"dephasing": {
+        "sigma_delta": 0.0, "tau_c": 1e-6, "n_realizations": 10}}},
+    "readout-trace": {"params": {"population": 0.25}},
+    "s11-sweep": {"sweep": {"start": 4.47e9, "stop": 5.67e9, "points": 201},
+                  "params": {"qubit_state": "e"}},
+}
+
+
+@pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+def test_config_json_reproduces_the_config_hash(tmp_path, kind):
+    raw = dict(_ROUND_TRIP[kind], experiment=kind, device=_device_dict(),
+               output_dir=str(tmp_path / "run"))
+    manifest = experiments.run_experiment(
+        experiments.validate_config(raw, seed=5))
+    echoed = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert "output_dir" not in echoed
+    cfg = experiments.validate_config(echoed)
+    assert experiments.config_hash(cfg.effective) == manifest.config_sha256
 
 
 def test_run_is_deterministic_across_output_dirs(tmp_path):
@@ -324,6 +405,25 @@ def test_manifest_roundtrip_and_check(tmp_path):
     ref_empty.write_text(json.dumps({"quantities": {}}))
     with pytest.raises(experiments.ConfigError, match="non-empty"):
         experiments.compare_to_reference(out, ref_empty)
+
+
+def test_readme_example_prints_its_results(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme[readme.index("`s11.json`:"):]
+    config = re.search(r"```json\n(.*?)```", example, re.S).group(1)
+    shown = re.search(r"\$ dotqed simulate s11-sweep --config s11.json\n"
+                      r"(.*?)```", example, re.S).group(1)
+    cfg_path = tmp_path / "s11.json"
+    cfg_path.write_text(config)
+
+    assert cli.main(["simulate", "s11-sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0
+
+    def results(text):
+        # the `name = value` lines; the run hash depends on library versions
+        return re.findall(r"^  \w+ = .+$", text, re.M)
+
+    assert results(capsys.readouterr().out) == results(shown) != []
 
 
 def test_cli_exit_codes(tmp_path, capsys):
