@@ -29,6 +29,14 @@ ADAPTIVE_TOL = 1e-9
 DEFAULT_DT_PULSE = 1e-12
 DEFAULT_DT_IDLE = 1e-11
 
+# Steps per prefix-scan block: bounds the (block, 4, 4) propagator stacks.
+SCAN_BLOCK = 1024
+# Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
+# the stepper; its trace check runs at least this often.
+MC_BLOCK = 128
+# Realizations per block of OU kicks: bounds the sampler's draw buffer.
+OU_DRAW_ROWS = 32
+
 
 class TruncationWarning(UserWarning):
     """Cavity population reached the top of the Fock ladder."""
@@ -397,19 +405,29 @@ def sample_ou_detuning(model, times, rng=None):
     x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k, with the
     first sample drawn from the stationary distribution.  The update uses the
     exact transition density, so non-uniform spacing costs nothing.
+
+    The paths are a transposed view of a time-major buffer, so the recurrence
+    updates one contiguous row of realizations per step.  The kicks xi_k are
+    drawn OU_DRAW_ROWS realizations at a time, in the order of one
+    (n, n_times - 1) draw, straight into that buffer; the values equal those
+    of the step-by-step loop bit for bit.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
     n = model.n_realizations
-    out = np.empty((n, len(times)))
-    out[:, 0] = model.sigma_delta * rng.standard_normal(n)
+    out = np.empty((len(times), n))
+    out[0] = model.sigma_delta * rng.standard_normal(n)
     if len(times) > 1:
         decay = np.exp(-np.diff(times) / model.tau_c)
         kick = model.sigma_delta * np.sqrt(np.maximum(0.0, 1.0 - decay ** 2))
-        noise = rng.standard_normal((n, len(times) - 1))
-        for k in range(len(times) - 1):
-            out[:, k + 1] = out[:, k] * decay[k] + kick[k] * noise[:, k]
-    return out
+        draws = np.empty((min(OU_DRAW_ROWS, n), len(times) - 1))
+        for lo in range(0, n, OU_DRAW_ROWS):
+            rows = draws[:min(OU_DRAW_ROWS, n - lo)]
+            rng.standard_normal(out=rows)
+            np.multiply(rows.T, kick[:, None], out=out[1:, lo:lo + len(rows)])
+        for k in range(len(decay)):
+            out[k + 1] += out[k] * decay[k]
+    return out.T
 
 
 # ------------------------------------------------------- sequence simulation
@@ -514,34 +532,68 @@ def _two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
             d + (dt / 6.0) * (dd1 + 2.0 * (dd2 + dd3) + dd4))
 
 
-# Steps per prefix-scan block: bounds the (block, 4, 4) propagator stack.
-SCAN_BLOCK = 1024
-
 # The real basis states (p_g, Re rho_01, Im rho_01, p_e) as columns.
 _BASIS_A = np.array([[1.0], [0.0], [0.0], [0.0]])
 _BASIS_B = np.array([[0.0], [1.0], [1j], [0.0]])
 _BASIS_D = np.array([[0.0], [0.0], [0.0], [1.0]])
+
+# Chebyshev nodes on [-1, 1], and the coefficients of their Lagrange basis
+# polynomials: l_m(x) = sum_j _LAGRANGE[j, m] x^j.
+_NODES = np.cos((2 * np.arange(5) + 1) * np.pi / 10)
+_LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
+                      / np.prod(xm - np.delete(_NODES, m))
+                      for m, xm in enumerate(_NODES)]).T
+
+
+def _exp_series(z, degree=4):
+    """1 + z + z^2/2 + ... + z^degree/degree!, the exponential series cut at
+    `degree`.  Degree 4 is R, the RK4 stability polynomial: one RK4 step of
+    dy/dt = (z/dt) y multiplies y by R(z); its j-th derivative is degree 4 - j.
+    """
+    out = 1.0
+    for k in range(degree, 0, -1):
+        out = 1.0 + z / k * out
+    return out
 
 
 def _evolve_two_level(compiled, dec, deltas=None):
     """Fixed-RK4 integration of the 2x2 Lindblad state from |g><g|.
 
     Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
-    so Hermiticity is exact and the trace is preserved to rounding.  Both
-    paths advance the state with the one RK4 formula, `_two_level_step`.
+    so Hermiticity is exact and the trace is preserved to rounding.  Every
+    step under a pulse comes from the one RK4 formula, `_two_level_step`,
+    applied to the four real basis states (p_g, Re rho_01, Im rho_01, p_e):
+    the step is linear in that state, so this gives its 4x4 propagator.
     Returns (mean population, sem, max trace deviation) at every grid time.
 
-    deltas is None: one deterministic trajectory.  The step is linear in the
-    real state (p_g, Re rho_01, Im rho_01, p_e), so stepping the four basis
-    states through a block of SCAN_BLOCK steps at once gives each step's 4x4
-    propagator.  An inclusive prefix product (P[s:] = P[s:] @ P[:-s] for
-    s = 1, 2, 4, ...) composes them; applied to the state carried in from the
-    previous block it yields the state after every step of the block.  The
-    trace deviation is checked at every step.
+    deltas is None: one deterministic trajectory.  The basis states are
+    stepped through a block of SCAN_BLOCK steps at once; an inclusive prefix
+    product (P[s:] = P[s:] @ P[:-s] for s = 1, 2, 4, ...) composes the
+    propagators, and applied to the state carried in from the previous block
+    it yields the state after every step of the block.  The trace deviation
+    is checked at every step.
 
     deltas (n_realizations, n_steps): per-step z detunings in Hz, held
-    constant within each step.  All realizations are stepped in lockstep,
-    one step at a time; the trace deviation is checked every 256th step.
+    constant within each step; all realizations advance together, in blocks
+    of MC_BLOCK steps.
+    - Steps under a pulse: the RK4 step is a polynomial of degree 4 in the
+      detuning w, so `_two_level_step` gives each step's propagator P at 5
+      Chebyshev nodes w_m spanning that step's realized w range (half-width
+      at least 1 urad of phase per step, so that one realization or constant
+      noise still has distinct nodes).  Every realization advances by
+      s += sum_m l_m(x) (P(w_m) - I) s, with l_m the Lagrange weights of the
+      nodes at x = (w - centre) / half-width, summed in powers of x:
+      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That
+      is the exact RK4 step up to rounding; interpolating the increments
+      P - I rather than P keeps that rounding relative to the increment.
+    - Idle gaps (no drive) in closed form: each component evolves alone.
+      p_e is multiplied by R(-g1 dt) per step in every realization, with R
+      the RK4 stability polynomial, so the gap's mean and sem are their entry
+      values times a cumulative product; rho_01 is multiplied by
+      R(dt (2i w - decay)), one product per block of steps; p_g gains what
+      p_e loses.
+    Mean and sem are reduced per block; the trace deviation is checked at
+    every block end and every gap end.
     """
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
@@ -553,40 +605,104 @@ def _evolve_two_level(compiled, dec, deltas=None):
     if deltas is None:
         w = np.pi * compiled.detuning0
         state = np.array([1.0, 0.0, 0.0, 0.0])
+        # Two stacks allocated once and ping-ponged, since matmul's out must
+        # not overlap its inputs.  Each is stored basis-major, (in, step,
+        # out), the layout the propagators are built in; matmul picks its
+        # kernel, and so its rounding, by the operands' strides.
+        stacks = np.empty((2, 4, min(SCAN_BLOCK, n_steps), 4))
         for lo in range(0, n_steps, SCAN_BLOCK):
             blk = slice(lo, lo + SCAN_BLOCK)
             a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D,
                                       compiled.u1[blk], compiled.u2[blk],
                                       compiled.u4[blk], w, compiled.dts[blk],
                                       g1, decay)
-            prop = np.stack([a.T, b.real.T, b.imag.T, d.T], axis=1)
+            m = a.shape[1]
+            np.stack([a, b.real, b.imag, d], axis=-1, out=stacks[0, :, :m])
+            cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
             shift = 1
-            while shift < len(prop):
-                prop[shift:] = prop[shift:] @ prop[:-shift]
+            while shift < m:
+                nxt[:shift] = cur[:shift]
+                np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
+                cur, nxt = nxt, cur
                 shift *= 2
-            states = prop @ state
-            pe_mean[lo + 1:lo + 1 + len(states)] = states[:, 3]
+            states = cur @ state
+            pe_mean[lo + 1:lo + 1 + m] = states[:, 3]
             trace_dev = max(trace_dev, float(
                 np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
             state = states[-1]
         return pe_mean, pe_sem, trace_dev
 
     n_batch = deltas.shape[0]
-    a = np.ones(n_batch)                       # ground population
-    b = np.zeros(n_batch, dtype=complex)       # rho_01
-    d = np.zeros(n_batch)                      # excited population
-    root_n = np.sqrt(n_batch) if n_batch > 1 else 1.0
-    for k in range(n_steps):
-        w = np.pi * (compiled.detuning0 + deltas[:, k])
-        a, b, d = _two_level_step(a, b, d, compiled.u1[k], compiled.u2[k],
-                                  compiled.u4[k], w, compiled.dts[k], g1, decay)
-        pe_mean[k + 1] = d.mean()
-        if n_batch > 1:
-            pe_sem[k + 1] = d.std(ddof=1) / root_n
-        if k % 256 == 0:
-            trace_dev = max(trace_dev, float(np.abs(a + d - 1.0).max()))
+    root_n = np.sqrt(n_batch)
+    state = np.zeros((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
+    state[0, 0] = 1.0
+    powers = np.ones((5, MC_BLOCK, n_batch))        # x^j per step and realization
+    terms = np.empty((5, 4, n_batch))               # x^j s_l of one step
+    flat = terms.reshape(20, n_batch)
+    idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
+    runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1, [n_steps]])
 
-    trace_dev = max(trace_dev, float(np.abs(a + d - 1.0).max()))
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        if idle[lo]:
+            s = state[0]
+            p0 = s[3].copy()
+            relax = np.cumprod(_exp_series(-g1 * compiled.dts[lo:hi]))
+            pe_mean[lo + 1:hi + 1] = p0.mean() * relax
+            if n_batch > 1:
+                pe_sem[lo + 1:hi + 1] = p0.std(ddof=1) / root_n * relax
+            coh = s[1] + 1j * s[2]
+            for blo in range(lo, hi, MC_BLOCK):
+                bhi = min(blo + MC_BLOCK, hi)
+                # R(alpha + i beta) for z = dt (2i w - decay), in real
+                # arithmetic: sum_j R^(j)(alpha) (i beta)^j / j!
+                dt = compiled.dts[blo:bhi, None]
+                alpha = -decay * dt
+                beta = TWO_PI * dt * (compiled.detuning0 + deltas[:, blo:bhi].T)
+                q = beta * beta
+                factor = np.empty(beta.shape, dtype=complex)
+                factor.real = _exp_series(alpha) - q * (
+                    _exp_series(alpha, 2) / 2.0 - q / 24.0)
+                factor.imag = beta * (_exp_series(alpha, 3)
+                                      - q * _exp_series(alpha, 1) / 6.0)
+                coh *= np.prod(factor, axis=0)
+            s[1], s[2] = coh.real, coh.imag
+            s[3] = p0 * relax[-1]
+            s[0] += p0 - s[3]
+            trace_dev = max(trace_dev, float(np.abs(s[0] + s[3] - 1.0).max()))
+            continue
+        for blo in range(lo, hi, MC_BLOCK):
+            bhi = min(blo + MC_BLOCK, hi)
+            m = bhi - blo
+            blk = slice(blo, bhi)
+            w = np.pi * (compiled.detuning0 + deltas[:, blk].T)   # (m, n)
+            w_lo, w_hi = w.min(axis=1), w.max(axis=1)
+            centre = 0.5 * (w_lo + w_hi)
+            half = np.maximum(0.5 * (w_hi - w_lo), 1e-6 / compiled.dts[blk])
+            a, b, d = _two_level_step(
+                _BASIS_A[..., None], _BASIS_B[..., None], _BASIS_D[..., None],
+                compiled.u1[blk, None], compiled.u2[blk, None],
+                compiled.u4[blk, None], centre[:, None] + half[:, None] * _NODES,
+                compiled.dts[blk, None], g1, decay)
+            # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k and node q
+            incr = np.stack([a, b.real, b.imag, d])
+            incr[range(4), range(4)] -= 1.0
+            coef = np.einsum("jq,ilkq->kijl", _LAGRANGE, incr).reshape(m, 4, 20)
+            x = powers[1, :m]
+            np.subtract(w, centre[:, None], out=x)
+            x /= half[:, None]
+            for j in range(2, 5):
+                np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
+            for k in range(m):
+                np.multiply(powers[:, k, None], state[k], out=terms)
+                np.matmul(coef[k], flat, out=state[k + 1])
+                state[k + 1] += state[k]
+            pe = state[1:m + 1, 3]
+            pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
+            if n_batch > 1:
+                pe_sem[blo + 1:bhi + 1] = pe.std(axis=1, ddof=1) / root_n
+            state[0] = state[m]
+            trace_dev = max(trace_dev, float(
+                np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
     return pe_mean, pe_sem, trace_dev
 
 
@@ -611,9 +727,13 @@ def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
 
     Every realization rides its own noise path, sampled once per step and
     held across it (the step grids resolve tau_c in any regime we simulate).
-    Returns the mean population with per-point standard error.  With
-    sigma_delta = 0 this reduces exactly to simulate_sequence: same
-    propagator scan, same grid, no noise term.
+    All realizations advance together: each step under a pulse through its
+    RK4 propagator interpolated in the detuning from 5 nodes, each idle gap
+    in closed form through the RK4 stability polynomial (see
+    `_evolve_two_level`); both agree with stepping every realization one RK4
+    step at a time to rounding.  Returns the mean population with per-point
+    standard error.  With sigma_delta = 0 this reduces exactly to
+    simulate_sequence: same propagator scan, same grid, no noise term.
     """
     compiled = compile_sequence(sequence)
 

@@ -18,7 +18,7 @@ import hashlib
 import inspect
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -361,12 +361,18 @@ class ReadoutPipeline:
     chi: float
 
 
+def _noiseless(noise):
+    """The amplifier chain at its gain, with its added noise switched off."""
+    return None if noise is None else replace(noise, noise_temperature=0.0)
+
+
 def build_readout_pipeline(dev, heterodyne=None, noise=None,
                            probe_frequency=None, probe_amplitude=None):
     """Ring up the conditional cavity fields and demodulate the references.
 
     The probe defaults to the ground-state resonance; the amplitude default
-    puts one steady-state photon in the cavity for the ground branch.
+    puts one steady-state photon in the cavity for the ground branch.  The
+    references are recorded at the chain's system_gain, like every shot.
     """
     het = heterodyne or readout.HeterodyneConfig()
     res = dev.resonator
@@ -382,8 +388,8 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
         "g", res, chi, probe_frequency, probe_amplitude, grid)
     traj_e = dynamics.semiclassical_cavity_response(
         "e", res, chi, probe_frequency, probe_amplitude, grid)
-    ref_g = readout.synthesize_readout_waveform(traj_g, het)
-    ref_e = readout.synthesize_readout_waveform(traj_e, het)
+    ref_g = readout.synthesize_readout_waveform(traj_g, het, _noiseless(noise))
+    ref_e = readout.synthesize_readout_waveform(traj_e, het, _noiseless(noise))
     return ReadoutPipeline(heterodyne=het, noise=noise, traj_g=traj_g,
                            traj_e=traj_e, ref_g=ref_g, ref_e=ref_e,
                            probe_frequency=probe_frequency,
@@ -404,7 +410,7 @@ def measure_population(pipe, p_e, rng=None, averages=1):
     traj = _blend_trajectory(pipe, p_e)
     het = pipe.heterodyne
     if pipe.noise is None or pipe.noise.noise_temperature <= 0.0:
-        trace = readout.synthesize_readout_waveform(traj, het)
+        trace = readout.synthesize_readout_waveform(traj, het, pipe.noise)
         return readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
                                            het), 0.0
     vals = np.empty(int(averages))
@@ -765,7 +771,8 @@ def _run_readout_trace(cfg, out):
     rng_meas, rng_trace = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(cfg.seed).spawn(2))
     traj = _blend_trajectory(pipe, p_target)
-    noiseless = readout.synthesize_readout_waveform(traj, het)
+    noiseless = readout.synthesize_readout_waveform(traj, het,
+                                                    _noiseless(pipe.noise))
     midpoint = readout.estimate_population(noiseless, pipe.ref_g, pipe.ref_e,
                                            het)
     # without readout noise, measuring would read this same trace again

@@ -260,6 +260,23 @@ def test_monte_carlo_zero_sigma_reduces_to_deterministic():
     assert np.all(mc.pe_stderr == 0.0)
 
 
+def _stepwise_reference(compiled, dec, deltas):
+    """Mean P_e, its sem and the trace deviation, one RK4 step at a time."""
+    g1 = 2.0 * np.pi * dec.gamma1
+    decay = 0.5 * g1 + 2.0 * np.pi * dec.gamma_phi
+    n = deltas.shape[0]
+    a, b, d = np.ones(n), np.zeros(n, dtype=complex), np.zeros(n)
+    pe, sem = [0.0], [0.0]
+    for k in range(len(compiled.dts)):
+        w = np.pi * (compiled.detuning0 + deltas[:, k])
+        a, b, d = dynamics._two_level_step(
+            a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k], w,
+            compiled.dts[k], g1, decay)
+        pe.append(d.mean())
+        sem.append(d.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0)
+    return np.array(pe), np.array(sem), float(np.abs(a + d - 1.0).max())
+
+
 def _scan_case(case):
     """(compiled tables, sequence or None, extra detuning) of one scan case."""
     block = dynamics.SCAN_BLOCK
@@ -296,12 +313,9 @@ def _scan_case(case):
                                   "rabi-drag", "ramsey-detuned", "t1-150ns",
                                   "echo"])
 def test_propagator_scan_matches_stepwise_reference(case):
-    # the lockstep path with one realization of constant noise is the
-    # step-by-step reference for the propagator scan
     compiled, seq, extra = _scan_case(case)
     n_steps = len(compiled.dts)
-    ref, _, _ = dynamics._evolve_two_level(
-        compiled, DEC, deltas=np.full((1, n_steps), extra))
+    ref, _, _ = _stepwise_reference(compiled, DEC, np.full((1, n_steps), extra))
     if seq is None:
         pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC)
         assert np.all(sem == 0.0)
@@ -311,6 +325,74 @@ def test_propagator_scan_matches_stepwise_reference(case):
     assert pe.shape == ref.shape == (n_steps + 1,)
     npt.assert_allclose(pe, ref, rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12
+
+
+# sigma = 2 gamma2 with tau_c = 4 us is the quasi-static noise of the echo
+# acceptance check; 193 MHz at 0.1 ns is its white noise
+_OU_SLOW = dict(sigma_delta=2.0 * 6.80155e6, tau_c=4e-6)
+_OU_WHITE = dict(sigma_delta=193e6, tau_c=1e-10)
+
+
+def _mc_case(case):
+    """(compiled tables, deltas) of one Monte-Carlo case."""
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
+    echo = pulses.build_echo_sequence(10e-9, **shape)
+    seq, noise, n = {
+        "ou-n1": (echo, _OU_SLOW, 1),
+        "ou-n2": (echo, _OU_SLOW, 2),
+        "ou-n500": (pulses.build_ramsey_sequence(5e-9, 0.0, **shape),
+                    _OU_SLOW, 500),
+        "constant": (echo, None, 3),
+        "white": (echo, _OU_WHITE, 200),
+        "drag": (pulses.build_echo_sequence(10e-9, drag_beta=0.1e-9, **shape),
+                 _OU_SLOW, 200),
+        "ramsey-100MHz": (pulses.build_ramsey_sequence(5e-9, 100e6, **shape),
+                          _OU_SLOW, 200),
+        "zero-delay": (pulses.build_ramsey_sequence(0.0, 0.0, **shape),
+                       _OU_WHITE, 200),
+    }[case]
+    compiled = dynamics.compile_sequence(seq)
+    if noise is None:
+        return compiled, np.full((n, len(compiled.dts)), 4e6)
+    model = dynamics.OuNoiseModel(n_realizations=n, **noise)
+    return compiled, dynamics.sample_ou_detuning(model, compiled.times[:-1],
+                                                 rng=n)
+
+
+@pytest.mark.parametrize("case", ["ou-n1", "ou-n2", "ou-n500", "constant",
+                                  "white", "drag", "ramsey-100MHz",
+                                  "zero-delay"])
+def test_monte_carlo_matches_stepwise_reference(case):
+    compiled, deltas = _mc_case(case)
+    if case == "zero-delay":
+        # the back-to-back pulse edges leave one idle step of rounding length
+        assert compiled.dts.min() < 1e-20
+    pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC, deltas)
+    ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, deltas)
+    npt.assert_allclose(pe, ref_pe, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(sem, ref_sem, rtol=0.0, atol=1e-12)
+    assert trace_dev < 1e-12 and ref_trace < 1e-12
+
+
+def test_ou_sampler_matches_loop_reference():
+    # more realizations than one block of draws
+    n = 2 * dynamics.OU_DRAW_ROWS + 5
+    model = dynamics.OuNoiseModel(sigma_delta=193e6, tau_c=1e-10,
+                                  n_realizations=n)
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    times = dynamics.compile_sequence(pulses.build_echo_sequence(
+        2e-9, sigma=0.25e-9, pi_amplitude=a_pi)).times
+    rng = np.random.default_rng(9)
+    ref = np.empty((n, len(times)))
+    ref[:, 0] = model.sigma_delta * rng.standard_normal(n)
+    decay = np.exp(-np.diff(times) / model.tau_c)
+    kick = model.sigma_delta * np.sqrt(1.0 - decay ** 2)
+    noise = rng.standard_normal((n, len(times) - 1))
+    for k in range(len(times) - 1):
+        ref[:, k + 1] = ref[:, k] * decay[k] + kick[k] * noise[:, k]
+    npt.assert_array_equal(dynamics.sample_ou_detuning(model, times, rng=9),
+                           ref)
 
 
 def test_echo_refocuses_static_detuning():

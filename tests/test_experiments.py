@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dotqed import cli, experiments
+from dotqed import cli, experiments, readout
 
 
 def _device_dict():
@@ -371,6 +371,36 @@ def test_readout_trace_runner_midpoint(tmp_path):
     assert results["iq_separation"] > 0.1
     for name in ("iq_ground.csv", "iq_excited.csv", "iq_mixture.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-6])
+def test_measure_population_is_unbiased_at_any_gain(flagship, temperature):
+    # references and shots both go through the chain at its system_gain, so
+    # the gain cancels from the estimate with or without added noise
+    noise = readout.ReadoutNoiseModel(noise_temperature=temperature,
+                                      system_gain=2.0)
+    pipe = experiments.build_readout_pipeline(flagship, noise=noise)
+    rng = np.random.default_rng(5)
+    for p_e in (0.0, 0.5, 1.0):
+        p_est, _ = experiments.measure_population(pipe, p_e, rng=rng,
+                                                  averages=4)
+        npt.assert_allclose(p_est, p_e, atol=1e-3)
+
+
+def test_readout_trace_midpoint_at_gain(tmp_path):
+    out = tmp_path / "trace"
+    raw = {
+        "experiment": "readout-trace",
+        "device": _device_dict(),
+        "noise": {"readout": {"noise_temperature": 1e-6, "system_gain": 2.0}},
+        "averages": 2,
+        "seed": 3,
+        "output_dir": str(out),
+    }
+    experiments.run_experiment(experiments.validate_config(raw))
+    results = json.loads((out / "results.json").read_text())
+    npt.assert_allclose(results["midpoint_noiseless"], 0.5, atol=1e-9)
+    npt.assert_allclose(results["population_estimate"], 0.5, atol=1e-3)
 
 
 def test_manifest_roundtrip_and_check(tmp_path):
