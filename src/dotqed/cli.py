@@ -45,14 +45,16 @@ def _simulate(args):
     cfg = experiments.load_config(args.config, experiment=args.experiment,
                                   seed=args.seed, output_dir=args.out)
     manifest = experiments.run_experiment(cfg)
-    with open(Path(cfg.output_dir) / "results.json") as fh:
-        results = json.load(fh)
+    results, fits = (json.loads((Path(cfg.output_dir) / name).read_text())
+                     for name in ("results.json", "fits.json"))
     print(f"{cfg.experiment}: wrote {len(manifest.files)} files "
           f"to {cfg.output_dir}")
     for name in sorted(results):
         value = results[name]
         shown = f"{value:.6g}" if isinstance(value, float) else value
         print(f"  {name} = {shown}")
+    for name, problems in experiments.flagged_fits(fits):
+        print(f"  flagged fit {name}: {', '.join(problems)}")
     print(f"run hash {manifest.run_hash}")
     return 0
 

@@ -73,12 +73,9 @@ def qubit_channels(dec, space=None):
 
 
 def cavity_channels(res, space):
-    """Photon loss through the port (kappa_ext) and internally (kappa_int)."""
+    """Photon loss at 2*pi*kappa_tot, through the port and internally."""
     a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
-    chans = [CollapseChannel(a, TWO_PI * res.kappa_ext, "cavity external loss")]
-    if res.kappa_int > 0:
-        chans.append(CollapseChannel(a, TWO_PI * res.kappa_int, "cavity internal loss"))
-    return chans
+    return [CollapseChannel(a, TWO_PI * res.kappa_tot, "cavity loss")]
 
 
 def lindblad_rhs(rho, h_angular, channels):
@@ -93,6 +90,27 @@ def lindblad_rhs(rho, h_angular, channels):
         out = out + ch.rate * (l_op @ rho @ l_op.conj().T
                                - 0.5 * (ldl @ rho + rho @ ldl))
     return out
+
+
+def _jump_form(h_hz, channels):
+    """The Lindblad generator as an effective Hamiltonian plus jumps.
+
+    Returns Heff = 2 pi H - (i/2) sum_k r_k L_k^dag L_k (rad/s) and the jump
+    operators J_k = sqrt(r_k) L_k, so that
+    drho/dt = -i (Heff rho - rho Heff^dag) + sum_k J_k rho J_k^dag: the
+    quantum-jump split of Dalibard, Castin and Molmer, PRL 68, 580 (1992).
+    """
+    heff = TWO_PI * np.asarray(h_hz, dtype=complex)
+    dim = heff.shape[0]
+    jumps = []
+    for c in channels:
+        l_op = np.asarray(c.operator, dtype=complex)
+        if l_op.shape != (dim, dim):
+            raise ValueError(f"channel {c.label!r} has shape {l_op.shape}, "
+                             f"state is {dim}x{dim}")
+        heff -= 0.5j * c.rate * (l_op.conj().T @ l_op)
+        jumps.append(np.sqrt(c.rate) * l_op)
+    return heff, jumps
 
 
 @dataclass(frozen=True)
@@ -150,19 +168,6 @@ def _rk4_step(rho, t, dt, rhs):
     return rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _observable_row(rho, space, ops):
-    if space is not None:
-        n = space.fock_cutoff
-        diag = np.real(np.diag(rho))
-        pe = float(diag[n:].sum())
-        top = float(diag[n - 2] + diag[n - 1] + diag[2 * n - 2] + diag[2 * n - 1])
-    else:
-        pe = float(np.real(rho[1, 1]))
-        top = 0.0
-    vals = [complex(np.einsum("ij,ji->", op, rho)) for op in ops]
-    return pe, top, vals
-
-
 def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     """Integrate the Lindblad equation for a constant H/h supplied in Hz.
 
@@ -179,36 +184,38 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     if space is not None and dim != space.dim:
         raise ValueError(f"state dim {dim} does not match {space!r}")
 
-    h = np.asarray(h_hz, dtype=complex) * TWO_PI
-    chans = []
-    for c in channels:
-        l_op = np.asarray(c.operator, dtype=complex)
-        if l_op.shape != (dim, dim):
-            raise ValueError(f"channel {c.label!r} has shape {l_op.shape}, "
-                             f"state is {dim}x{dim}")
-        chans.append((l_op, l_op.conj().T, c.rate))
-    ldl_half = [0.5 * (ld @ l) for l, ld, _ in chans]
+    heff, jumps = _jump_form(h_hz, channels)
+    heff_dag = heff.conj().T
+    jumps = [(j, j.conj().T) for j in jumps]
 
     def rhs(t, rho):
-        out = -1j * (h @ rho - rho @ h)
-        for (l_op, l_dag, rate), hld in zip(chans, ldl_half):
-            out = out + rate * (l_op @ rho @ l_dag - (hld @ rho + rho @ hld))
+        # not -i (X - X^dag) with X = Heff rho: that assumes rho exactly
+        # Hermitian, the jump term's rounding breaks it, and the error grows
+        out = -1j * (heff @ rho - rho @ heff_dag)
+        for j, j_dag in jumps:
+            out += j @ rho @ j_dag
         return out
 
     times = grid.times
     n_steps = len(times) - 1
     e_ops = e_ops or {}
-    op_names = list(e_ops)
-    op_mats = [np.asarray(e_ops[k], dtype=complex) for k in op_names]
+    # tr(A rho) = A^T.ravel() @ rho.ravel(); rows: trace, P_e, population of
+    # the top two Fock levels, then <a> when space is given, then e_ops
     if space is not None:
-        alpha_op = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
-        op_mats = [alpha_op] + op_mats
-
-    pe = np.empty(len(times))
-    exp_vals = np.empty((len(op_mats), len(times)), dtype=complex)
+        n = space.fock_cutoff
+        top = np.zeros((n, n))
+        top[n - 2, n - 2] = top[n - 1, n - 1] = 1.0
+        ops = [qops.qubit_operator(np.diag([0.0, 1.0]), space),
+               qops.cavity_operator(top, space),
+               qops.cavity_operator(qops.annihilation(n), space)]
+    else:
+        ops = [np.zeros((dim, dim)), np.zeros((dim, dim))]
+        ops[0][1, 1] = 1.0
+    ops = [np.eye(dim)] + ops + [np.asarray(e_ops[k]) for k in e_ops]
+    obs = np.array([op.T.ravel() for op in ops], dtype=complex)
+    vals = np.empty((len(times), len(ops)), dtype=complex)
     diag = EvolveDiagnostics(min_eigenvalue=np.inf)
     eig_stride = max(1, n_steps // 128)
-    max_top = 0.0
 
     if grid.method == "rk4":
         rho_iter = _rk4_state_iter(rho0, times, rhs)
@@ -216,20 +223,15 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
         rho_iter = _adaptive_state_iter(rho0, times, rhs, dim)
 
     for k, rho in enumerate(rho_iter):
-        pe_k, top_k, vals = _observable_row(rho, space, op_mats)
-        pe[k] = pe_k
-        max_top = max(max_top, top_k)
-        if op_mats:
-            exp_vals[:, k] = vals
-        tr = np.trace(rho)
-        diag.max_trace_deviation = max(diag.max_trace_deviation,
-                                       float(abs(tr - 1.0)))
+        vals[k] = obs @ rho.ravel()
         diag.max_hermiticity_defect = max(
             diag.max_hermiticity_defect, float(np.max(np.abs(rho - rho.conj().T))))
         if k % eig_stride == 0 or k == n_steps:
             w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
             diag.min_eigenvalue = min(diag.min_eigenvalue, float(w.min()))
 
+    diag.max_trace_deviation = float(np.abs(vals[:, 0] - 1.0).max())
+    max_top = float(vals[:, 2].real.max())
     if diag.max_trace_deviation > TRACE_TOL:
         warnings.warn(
             f"trace drifted by {diag.max_trace_deviation:.2e} (> {TRACE_TOL:g}); "
@@ -240,14 +242,10 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
             f"(> {TRUNCATION_POP_TOL:g}); raise the cutoff",
             TruncationWarning, stacklevel=2)
 
-    alpha = None
-    extra = None
-    if space is not None:
-        alpha = exp_vals[0]
-        extra = {name: exp_vals[1 + i] for i, name in enumerate(op_names)} or None
-    elif op_names:
-        extra = {name: exp_vals[i] for i, name in enumerate(op_names)}
-    return Trajectory(times=times, qubit_pe=pe, cavity_alpha=alpha,
+    n_fixed = 3 + (space is not None)
+    extra = {name: vals[:, n_fixed + i] for i, name in enumerate(e_ops)} or None
+    return Trajectory(times=times, qubit_pe=vals[:, 1].real,
+                      cavity_alpha=vals[:, 3] if space is not None else None,
                       expectations=extra, diagnostics=diag)
 
 
@@ -279,16 +277,11 @@ def liouvillian(h_hz, channels):
     vec(drho/dt) = L @ vec(rho) with vec = ndarray.ravel() (C order), using
     vec(A rho B) = (A kron B^T) vec(rho).
     """
-    h = TWO_PI * np.asarray(h_hz, dtype=complex)
-    d = h.shape[0]
-    ident = np.eye(d)
-    gen = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    for ch in channels:
-        l_op = np.asarray(ch.operator, dtype=complex)
-        ldl = l_op.conj().T @ l_op
-        gen = gen + ch.rate * (np.kron(l_op, l_op.conj())
-                               - 0.5 * (np.kron(ldl, ident)
-                                        + np.kron(ident, ldl.T)))
+    heff, jumps = _jump_form(h_hz, channels)
+    ident = np.eye(heff.shape[0])
+    gen = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
+    for j in jumps:
+        gen += np.kron(j, j.conj())
     return gen
 
 

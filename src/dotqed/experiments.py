@@ -469,8 +469,7 @@ def measure_dispersive_pull(dev):
         "mixed": [dynamics.CollapseChannel(sm, hold, "hold down"),
                   dynamics.CollapseChannel(sp, hold, "hold up")],
     }
-    cavity = dynamics.CollapseChannel(a_op, 2.0 * np.pi * res.kappa_tot,
-                                      "cavity loss")
+    cavity = dynamics.cavity_channels(res, space)
 
     responses = {}
     fits = {}
@@ -481,7 +480,7 @@ def measure_dispersive_pull(dev):
             h = device.build_rotating_frame_hamiltonian(
                 dev.dqd, res, dev.coupling, drive_frequency=f,
                 cavity_drive=probe_amplitude, space=space)
-            rho = dynamics.steady_state(h, [cavity] + extra)
+            rho = dynamics.steady_state(h, cavity + extra)
             resp[i] = qops.expectation(rho, a_op)
         fit = fitting.fit_lorentzian(freqs, np.abs(resp) ** 2)
         responses[branch] = resp
@@ -530,9 +529,7 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     h = device.build_rotating_frame_hamiltonian(
         dev.dqd, res, dev.coupling, drive_frequency=probe,
         cavity_drive=drive_amplitude, space=space)
-    channels = [dynamics.CollapseChannel(
-        qops.cavity_operator(qops.annihilation(space.fock_cutoff), space),
-        2.0 * np.pi * res.kappa_tot, "cavity loss")]
+    channels = dynamics.cavity_channels(res, space)
 
     rho_ss = dynamics.steady_state(h, channels)
     c = np.sqrt(0.5)
@@ -1077,21 +1074,44 @@ _REFERENCE_QUANTITY = {"expected": (_number(), _REQUIRED),
                        "atol": (_number(minimum=0.0), 0.0)}
 
 
+def flagged_fits(report, name=""):
+    """(name, problems) for each fit in a fits.json object that did not
+    converge or raised flags; nested objects and lists are walked."""
+    if isinstance(report, list):
+        return [bad for i, item in enumerate(report)
+                for bad in flagged_fits(item, f"{name}[{i}]")]
+    if not isinstance(report, dict):
+        return []
+    if "converged" in report:
+        problems = list(report["flags"])
+        if not report["converged"]:
+            problems.insert(0, "not converged")
+        return [(name, problems)] if problems else []
+    return [bad for key, item in report.items()
+            for bad in flagged_fits(item, f"{name}.{key}" if name else key)]
+
+
 def compare_to_reference(run, reference_path):
     """Check a run's results.json against expected values with tolerances.
 
     `run` is a manifest path or a run directory.  The reference file must
     hold a non-empty "quantities" object; an empty or malformed reference
-    raises ConfigError rather than passing vacuously.
+    raises ConfigError rather than passing vacuously.  Every fit in the
+    run's fits.json that did not converge or raised flags adds a failing
+    row, whose value is its number of problems.
     """
     run_path = Path(run)
     RunManifest.load(run_path)  # reject runs without a readable manifest
     run_dir = run_path if run_path.is_dir() else run_path.parent
-    results_path = run_dir / "results.json"
-    if not results_path.exists():
-        raise ConfigError(f"run: {results_path} not found")
-    with open(results_path) as fh:
-        results = json.load(fh)
+
+    def read(name):
+        path = run_dir / name
+        if not path.exists():
+            raise ConfigError(f"run: {path} not found")
+        with open(path) as fh:
+            return json.load(fh)
+
+    results, fits = read("results.json"), read("fits.json")
 
     try:
         with open(reference_path) as fh:
@@ -1127,4 +1147,8 @@ def compare_to_reference(run, reference_path):
         rows.append(CheckRow(name=name, expected=expected,
                              actual=float(actual), rtol=rtol, atol=atol,
                              passed=bool(ok)))
+    for name, problems in flagged_fits(fits):
+        rows.append(CheckRow(name=f"fit {name}", expected=0.0,
+                             actual=float(len(problems)), rtol=0.0, atol=0.0,
+                             passed=False, note=", ".join(problems)))
     return CheckReport(rows=rows)

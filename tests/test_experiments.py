@@ -507,6 +507,53 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["simulate", "juggling", "--config", str(cfg_path)])
 
 
+def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "s11.json"
+    out = tmp_path / "run"
+    cfg_path.write_text(json.dumps(_s11_config(out)))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"quantities": {
+        "kappa_tot_hz": {"expected": 30e6, "rtol": 0.02}}}))
+    check = ["check", "--run", str(out), "--reference", str(ref)]
+    assert cli.main(["simulate", "s11-sweep", "--config", str(cfg_path)]) == 0
+    assert "flagged fit" not in capsys.readouterr().out
+    assert cli.main(check) == 0
+
+    fits_path = out / "fits.json"
+    fits = json.loads(fits_path.read_text())
+    fits["reflection_dip"]["flags"] = ["poor-fit"]
+    fits_path.write_text(json.dumps(fits))
+    capsys.readouterr()
+    assert cli.main(check) == 1
+    table = capsys.readouterr().out
+    assert "fit reflection_dip" in table and "(poor-fit)" in table
+
+    fits["reflection_dip"].update(flags=[], converged=False)
+    fits_path.write_text(json.dumps(fits))
+    assert cli.main(check) == 1
+    assert "(not converged)" in capsys.readouterr().out
+
+    # nested reports, such as spectroscopy's list of line fits, are walked
+    assert experiments.flagged_fits({
+        "lines": [{"converged": True, "flags": []},
+                  {"converged": False, "flags": ["ill-conditioned"]}],
+        "zero_power_extrapolation": {"mode": "squared", "slope": 1.0},
+    }) == [("lines[1]", ["not converged", "ill-conditioned"])]
+
+    # simulate names a flagged fit next to its results
+    fit_lorentzian = experiments.fitting.fit_lorentzian
+
+    def flagged(*args, **kwargs):
+        fit = fit_lorentzian(*args, **kwargs)
+        fit.flags.append("poor-fit")
+        return fit
+
+    monkeypatch.setattr(experiments.fitting, "fit_lorentzian", flagged)
+    assert cli.main(["simulate", "s11-sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "flagged")]) == 0
+    assert "flagged fit reflection_dip: poor-fit" in capsys.readouterr().out
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg_path = tmp_path / "s11.json"
     raw = _s11_config(tmp_path / "default_out")
