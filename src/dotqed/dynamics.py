@@ -14,7 +14,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import splu
 
 from . import qops
 from .pulses import sequence_envelopes
@@ -184,17 +186,7 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     if space is not None and dim != space.dim:
         raise ValueError(f"state dim {dim} does not match {space!r}")
 
-    heff, jumps = _jump_form(h_hz, channels)
-    heff_dag = heff.conj().T
-    jumps = [(j, j.conj().T) for j in jumps]
-
-    def rhs(t, rho):
-        # not -i (X - X^dag) with X = Heff rho: that assumes rho exactly
-        # Hermitian, the jump term's rounding breaks it, and the error grows
-        out = -1j * (heff @ rho - rho @ heff_dag)
-        for j, j_dag in jumps:
-            out += j @ rho @ j_dag
-        return out
+    gen = liouvillian(h_hz, channels)
 
     times = grid.times
     n_steps = len(times) - 1
@@ -217,13 +209,14 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     diag = EvolveDiagnostics(min_eigenvalue=np.inf)
     eig_stride = max(1, n_steps // 128)
 
-    if grid.method == "rk4":
-        rho_iter = _rk4_state_iter(rho0, times, rhs)
-    else:
-        rho_iter = _adaptive_state_iter(rho0, times, rhs, dim)
+    def rhs(t, v):
+        return gen @ v
 
-    for k, rho in enumerate(rho_iter):
-        vals[k] = obs @ rho.ravel()
+    state_iter = (_rk4_state_iter if grid.method == "rk4"
+                  else _adaptive_state_iter)
+    for k, v in enumerate(state_iter(rho0.ravel(), times, rhs)):
+        vals[k] = obs @ v
+        rho = v.reshape(dim, dim)
         diag.max_hermiticity_defect = max(
             diag.max_hermiticity_defect, float(np.max(np.abs(rho - rho.conj().T))))
         if k % eig_stride == 0 or k == n_steps:
@@ -249,63 +242,81 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
                       expectations=extra, diagnostics=diag)
 
 
-def _rk4_state_iter(rho0, times, rhs):
-    rho = rho0.copy()
-    yield rho
+def _rk4_state_iter(y0, times, rhs):
+    y = y0.copy()
+    yield y
     for k in range(len(times) - 1):
-        rho = _rk4_step(rho, times[k], times[k + 1] - times[k], rhs)
-        yield rho
+        y = _rk4_step(y, times[k], times[k + 1] - times[k], rhs)
+        yield y
 
 
-def _adaptive_state_iter(rho0, times, rhs, dim):
-    def flat_rhs(t, y):
-        return rhs(t, y.reshape(dim, dim)).ravel()
-
-    sol = solve_ivp(flat_rhs, (times[0], times[-1]), rho0.ravel().astype(complex),
-                    t_eval=times, method="RK45",
-                    rtol=ADAPTIVE_TOL, atol=ADAPTIVE_TOL)
+def _adaptive_state_iter(y0, times, rhs):
+    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times,
+                    method="RK45", rtol=ADAPTIVE_TOL, atol=ADAPTIVE_TOL)
     if not sol.success:
         raise RuntimeError(f"adaptive integration failed: {sol.message}")
-    for k in range(sol.y.shape[1]):
-        yield sol.y[:, k].reshape(dim, dim)
+    yield from sol.y.T
+
+
+def _generator_triplets(h_hz, channels):
+    """(row, col, value) of the Lindblad generator on vec(rho) = rho.ravel().
+
+    vec(A rho B) = (A kron B^T) vec(rho), so the generator is
+    -i Heff kron I + i I kron Heff^* + sum_k J_k kron J_k^*.  Each product is
+    taken from the nonzeros of its two factors; duplicates are left for the
+    sparse constructor to sum.  Also returns the state dimension d.
+    """
+    heff, jumps = _jump_form(h_hz, channels)
+    d = heff.shape[0]
+    ident = np.eye(d)
+    pairs = [(-1j * heff, ident), (ident, 1j * heff.conj())]
+    pairs += [(j, j.conj()) for j in jumps]
+    rows, cols, vals = [], [], []
+    for a, b in pairs:
+        ai, aj = np.nonzero(a)
+        bi, bj = np.nonzero(b)
+        rows.append((ai[:, None] * d + bi).ravel())
+        cols.append((aj[:, None] * d + bj).ravel())
+        vals.append(np.outer(a[ai, aj], b[bi, bj]).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), d
 
 
 def liouvillian(h_hz, channels):
-    """Matrix of the Lindblad generator acting on row-major vectorized states.
+    """Sparse (CSR) matrix of the Lindblad generator on row-major vectorized
+    states.
 
     H is supplied in Hz, channels carry angular rates; the result L satisfies
-    vec(drho/dt) = L @ vec(rho) with vec = ndarray.ravel() (C order), using
-    vec(A rho B) = (A kron B^T) vec(rho).
+    vec(drho/dt) = L @ vec(rho) with vec = ndarray.ravel() (C order).
     """
-    heff, jumps = _jump_form(h_hz, channels)
-    ident = np.eye(heff.shape[0])
-    gen = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
-    for j in jumps:
-        gen += np.kron(j, j.conj())
-    return gen
+    rows, cols, vals, d = _generator_triplets(h_hz, channels)
+    return sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 def steady_state(h_hz, channels, residual_tol=1e-6):
     """Unique stationary state of the Lindblad generator; H in Hz.
 
-    Solves L rho = 0 with the trace condition replacing one row.  Raises
-    when the linear solve fails or the residual is large, both symptoms of
-    a degenerate steady-state manifold (e.g. an undamped conserved quantity).
+    Solves L rho = 0 with the trace condition replacing row 0, by a sparse
+    LU factorization (SuperLU).  Raises when the factor is singular or the
+    residual is large, both symptoms of a degenerate steady-state manifold
+    (e.g. an undamped conserved quantity).
     """
-    gen = liouvillian(h_hz, channels)
-    d2 = gen.shape[0]
-    d = int(round(np.sqrt(d2)))
-    a_mat = gen.copy()
-    a_mat[0, :] = 0.0
-    a_mat[0, ::d + 1] = 1.0       # trace row over vec indices i*d + i
+    rows, cols, vals, d = _generator_triplets(h_hz, channels)
+    d2 = d * d
+    gen = sparse.csr_array((vals, (rows, cols)), shape=(d2, d2))
+    keep = rows != 0                  # row 0 becomes the trace row,
+    diag = np.arange(d) * (d + 1)     # over vec indices i*d + i
+    a_mat = sparse.csc_array(
+        (np.concatenate([vals[keep], np.ones(d)]),
+         (np.concatenate([rows[keep], np.zeros(d, dtype=int)]),
+          np.concatenate([cols[keep], diag]))), shape=(d2, d2))
     b = np.zeros(d2, dtype=complex)
     b[0] = 1.0
     try:
-        x = np.linalg.solve(a_mat, b)
-    except np.linalg.LinAlgError as exc:
+        x = splu(a_mat).solve(b)
+    except RuntimeError as exc:
         raise RuntimeError("steady state is not unique or the generator is "
                            f"singular: {exc}") from None
-    scale = float(np.max(np.abs(gen))) or 1.0
+    scale = float(np.max(np.abs(gen.data), initial=0.0)) or 1.0
     residual = float(np.max(np.abs(gen @ x))) / scale
     if residual > residual_tol:
         raise RuntimeError(f"steady-state residual {residual:.2e} exceeds "

@@ -579,9 +579,22 @@ def _write_csv(path, header, columns):
                fmt="%.12e")
 
 
+def _null_non_finite(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
 def _write_json(path, obj):
+    """Strict JSON (RFC 8259): non-finite floats are written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_null_non_finite(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

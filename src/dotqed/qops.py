@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * composite spaces are ordered qubit (x) cavity, i.e. basis index i*N + n
   for qubit level i and Fock level n with cutoff N;
 * everything is a plain complex numpy array, dense (dimensions stay <= 64
-  in practice, sparse structures buy nothing here).
+  in practice, sparse structures buy nothing here; only the d^2-wide
+  Lindblad generator in `dynamics` is sparse).
 """
 
 import numpy as np

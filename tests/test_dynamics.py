@@ -86,6 +86,31 @@ def test_pulse_area_theorem():
         assert traj.diagnostics.max_trace_deviation < 1e-10
 
 
+def _kron_generator(h_hz, channels):
+    """Dense Lindblad generator on rho.ravel(), from the effective
+    Hamiltonian and jumps: vec(A rho B) = (A kron B^T) vec(rho)."""
+    heff, jumps = dynamics._jump_form(h_hz, channels)
+    ident = np.eye(heff.shape[0])
+    gen = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
+    for j in jumps:
+        gen += np.kron(j, j.conj())
+    return gen
+
+
+def _driven_jc(space):
+    """Driven JC Hamiltonian (Hz) with qubit and cavity channels."""
+    a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
+    sm = qops.qubit_operator(qops.sigma_minus(), space)
+    sz = qops.qubit_operator(qops.sigma_z(), space)
+    h = (12e6 * a.conj().T @ a + 0.5 * 40e6 * sz
+         + 25e6 * (a.conj().T @ sm + sm.conj().T @ a)
+         + 3e6 * (a + a.conj().T))
+    res = device.ResonatorParams(bare_frequency_nu_r=5.07e9, kappa_ext=23e6,
+                                 kappa_int=7e6)
+    return h, dynamics.qubit_channels(DEC, space) + dynamics.cavity_channels(
+        res, space)
+
+
 def test_liouvillian_matches_rhs_elementwise():
     space = qops.HilbertSpace(3)
     rng = np.random.default_rng(11)
@@ -102,13 +127,61 @@ def test_liouvillian_matches_rhs_elementwise():
     tol = 1e-12 * np.abs(direct).max()
     gen = dynamics.liouvillian(h, chans)
     npt.assert_allclose(gen @ rho.ravel(), direct.ravel(), rtol=0, atol=tol)
-    # evolve's right-hand side, built from the same effective Hamiltonian
-    # and jumps
-    heff, jumps = dynamics._jump_form(h, chans)
-    jump_rhs = -1j * (heff @ rho - rho @ heff.conj().T)
-    for j in jumps:
-        jump_rhs += j @ rho @ j.conj().T
-    npt.assert_allclose(jump_rhs, direct, rtol=0, atol=tol)
+    # the sparse generator is the Kronecker form of the effective
+    # Hamiltonian and jumps, entry for entry
+    dense = _kron_generator(h, chans)
+    npt.assert_allclose(gen.toarray(), dense, rtol=0,
+                        atol=1e-15 * np.abs(dense).max())
+    npt.assert_allclose(dense @ rho.ravel(), direct.ravel(), rtol=0, atol=tol)
+
+
+def test_steady_state_matches_dense_bordered_solve():
+    space = qops.HilbertSpace(4)
+    h, (relaxation, _, loss) = _driven_jc(space)
+    chans = [relaxation, loss]
+    gen = _kron_generator(h, chans)
+    d = space.dim
+    gen[0, :] = 0.0
+    gen[0, ::d + 1] = 1.0   # trace row
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    want = np.linalg.solve(gen, b).reshape(d, d)
+    want = 0.5 * (want + want.conj().T)
+    want /= np.trace(want).real
+    npt.assert_allclose(dynamics.steady_state(h, chans), want, rtol=0,
+                        atol=1e-12)
+
+
+def _lindblad_rk4(rho0, h_hz, channels, times):
+    """States of an RK4 loop over lindblad_rhs on the given grid."""
+    def rhs(t, rho):
+        return dynamics.lindblad_rhs(rho, 2.0 * np.pi * h_hz, channels)
+
+    states = [rho0]
+    for k in range(len(times) - 1):
+        states.append(dynamics._rk4_step(states[-1], times[k],
+                                         times[k + 1] - times[k], rhs))
+    return np.array(states)
+
+
+def test_evolve_matches_rk4_over_lindblad_rhs():
+    space = qops.HilbertSpace(5)
+    h, chans = _driven_jc(space)
+    sp = qops.qubit_operator(qops.sigma_plus(), space)
+    c = np.sqrt(0.5)    # qubit to the equator, cavity in vacuum
+    tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
+    rho0 = qops.ket_to_dm(tip @ np.eye(space.dim)[0])
+    grid = dynamics.SimulationGrid(0.0, 5e-9, 1e-11)
+    traj = dynamics.evolve(rho0, h, chans, grid, space=space,
+                           e_ops={"sigma_plus": sp})
+    states = _lindblad_rk4(rho0, h, chans, traj.times)
+    pe = qops.qubit_operator(np.diag([0.0, 1.0]), space)
+    a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
+    for got, op in [(traj.qubit_pe, pe), (traj.cavity_alpha, a),
+                    (traj.expectations["sigma_plus"], sp)]:
+        want = np.einsum("ij,kji->k", op, states)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert traj.diagnostics.max_trace_deviation < 1e-12
 
 
 def test_trace_holds_over_a_long_cavity_run():

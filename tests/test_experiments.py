@@ -311,6 +311,23 @@ def test_config_json_reproduces_the_config_hash(tmp_path, kind):
     assert experiments.config_hash(cfg.effective) == manifest.config_sha256
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def test_artifacts_are_strict_json(tmp_path):
+    # two Stark points leave the slope's standard error undefined; it is
+    # written as null, since NaN is not valid JSON (RFC 8259)
+    raw = dict(_ROUND_TRIP["stark"], experiment="stark", device=_device_dict(),
+               output_dir=str(tmp_path / "run"))
+    experiments.run_experiment(experiments.validate_config(raw, seed=7))
+    for name in ("fits.json", "results.json", "config.json", "manifest.json"):
+        json.loads((tmp_path / "run" / name).read_text(),
+                   parse_constant=_reject_constant)
+    fits = json.loads((tmp_path / "run" / "fits.json").read_text())
+    assert fits["photon_number_shift"]["slope_std_hz_per_photon"] is None
+
+
 def test_run_is_deterministic_across_output_dirs(tmp_path):
     m1 = experiments.run_experiment(
         experiments.validate_config(_s11_config(tmp_path / "one")))
