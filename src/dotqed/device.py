@@ -152,17 +152,15 @@ def dispersive_shift_of(params):
 # ------------------------------------------------------------- Hamiltonian
 
 def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
-                                     qubit_rabi=None, cavity_drive=None,
-                                     space=None):
+                                     cavity_drive=None, space=None):
     """Jaynes-Cummings Hamiltonian H/h (Hz) in the frame of one drive tone.
 
     H/h = (nu_q - nu_dr)/2 sigma_z + (nu_r - nu_dr) a^dag a
-          + g(delta) (sigma_+ a + sigma_- a^dag)
-          + Omega/2 sigma_x + eps (a + a^dag)
+          + g(delta) (sigma_+ a + sigma_- a^dag) + eps (a + a^dag)
 
-    qubit_rabi and cavity_drive are constants in Hz; None or 0 leaves the
-    term out.  Warns when the rotating-wave approximation is strained (g or
-    detunings not << nu_q + nu_r).
+    cavity_drive eps is a constant in Hz; None or 0 leaves the term out.
+    Warns when the rotating-wave approximation is strained (g or detunings
+    not << nu_q + nu_r).
     """
     if space is None:
         space = qops.HilbertSpace(10)
@@ -188,8 +186,6 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
 
     h = (0.5 * (nu_q - drive_frequency) * sz
          + (nu_r - drive_frequency) * num + g * jc)
-    if qubit_rabi:
-        h = h + (0.5 * qubit_rabi) * qops.qubit_operator(qops.sigma_x(), space)
     if cavity_drive:
         h = h + cavity_drive * (a + a.conj().T)
     return h

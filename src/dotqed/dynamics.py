@@ -11,11 +11,10 @@ P_e(t) = exp(-2*pi*gamma1*t).
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
 from . import qops
@@ -26,7 +25,6 @@ TWO_PI = 2.0 * np.pi
 
 TRACE_TOL = 1e-7
 TRUNCATION_POP_TOL = 1e-4
-ADAPTIVE_TOL = 1e-9
 
 DEFAULT_DT_PULSE = 1e-12
 DEFAULT_DT_IDLE = 1e-11
@@ -121,15 +119,12 @@ class SimulationGrid:
     t_start: float
     t_end: float
     dt: float
-    method: str = "rk4"      # "rk4" (fixed step) or "rk45" (adaptive)
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def times(self):
@@ -162,12 +157,13 @@ class Trajectory:
         return True
 
 
-def _rk4_step(rho, t, dt, rhs):
-    k1 = rhs(t, rho)
-    k2 = rhs(t + 0.5 * dt, rho + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, rho + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(y, dt, f):
+    """One classical RK4 step of the autonomous system dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
@@ -209,12 +205,8 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     diag = EvolveDiagnostics(min_eigenvalue=np.inf)
     eig_stride = max(1, n_steps // 128)
 
-    def rhs(t, v):
-        return gen @ v
-
-    state_iter = (_rk4_state_iter if grid.method == "rk4"
-                  else _adaptive_state_iter)
-    for k, v in enumerate(state_iter(rho0.ravel(), times, rhs)):
+    states = _rk4_state_iter(rho0.ravel(), times, lambda v: gen @ v)
+    for k, v in enumerate(states):
         vals[k] = obs @ v
         rho = v.reshape(dim, dim)
         diag.max_hermiticity_defect = max(
@@ -242,20 +234,13 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
                       expectations=extra, diagnostics=diag)
 
 
-def _rk4_state_iter(y0, times, rhs):
+def _rk4_state_iter(y0, times, f):
+    """y0, then the state after each RK4 step of dy/dt = f(y) along times."""
     y = y0.copy()
     yield y
-    for k in range(len(times) - 1):
-        y = _rk4_step(y, times[k], times[k + 1] - times[k], rhs)
+    for dt in np.diff(times):
+        y = _rk4_step(y, dt, f)
         yield y
-
-
-def _adaptive_state_iter(y0, times, rhs):
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, t_eval=times,
-                    method="RK45", rtol=ADAPTIVE_TOL, atol=ADAPTIVE_TOL)
-    if not sol.success:
-        raise RuntimeError(f"adaptive integration failed: {sol.message}")
-    yield from sol.y.T
 
 
 def _generator_triplets(h_hz, channels):
@@ -362,7 +347,7 @@ def semiclassical_cavity_response(qubit_state, res, chi, probe_frequency,
 
     times = grid.times
     alpha = np.fromiter(
-        _rk4_state_iter(np.array(0j), times, lambda t, x: -pole * x + drive),
+        _rk4_state_iter(np.array(0j), times, lambda x: -pole * x + drive),
         dtype=complex, count=len(times))
     pe = np.full(len(times), _STATE_PE[qubit_state])
     return Trajectory(times=times, qubit_pe=pe, cavity_alpha=alpha)
@@ -710,17 +695,14 @@ def _evolve_two_level(compiled, dec, deltas=None):
     return pe_mean, pe_sem, trace_dev
 
 
-def simulate_sequence(sequence, dec, *, extra_detuning=0.0):
+def simulate_sequence(sequence, dec):
     """Deterministic two-level simulation of a control sequence.
 
     Evolves |g><g| through the pulses up to the readout-window start, in the
-    frame rotating at the sequence carrier.  extra_detuning adds a constant
-    offset to the qubit frequency (useful for fringe scans).  The returned
-    Trajectory's final sample is the population handed to the readout chain.
+    frame rotating at the sequence carrier.  The returned Trajectory's final
+    sample is the population handed to the readout chain.
     """
     compiled = compile_sequence(sequence)
-    compiled = replace(compiled,
-                       detuning0=compiled.detuning0 + float(extra_detuning))
     pe, _, trace_dev = _evolve_two_level(compiled, dec)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, diagnostics=diag)

@@ -785,9 +785,9 @@ def _run_readout_trace(cfg, out):
                                                     _noiseless(pipe.noise))
     midpoint = readout.estimate_population(noiseless, pipe.ref_g, pipe.ref_e,
                                            het)
-    # without readout noise, measuring would read this same trace again
+    # without added noise, measuring would read this same trace again
     p_est, est_err, mixture = midpoint, 0.0, noiseless
-    if pipe.noise is not None:
+    if pipe.noise is not None and pipe.noise.noise_temperature > 0.0:
         p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
                                             averages=cfg.averages)
         mixture = readout.synthesize_readout_waveform(

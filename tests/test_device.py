@@ -107,16 +107,6 @@ def test_rotating_frame_hamiltonian_elements(flagship):
     npt.assert_allclose(h[4, 1], 55e6, rtol=1e-12)
 
 
-def test_rotating_frame_drive_terms(flagship):
-    space = qops.HilbertSpace(3)
-    const = device.build_rotating_frame_hamiltonian(
-        flagship.dqd, flagship.resonator, flagship.coupling, 5.6e9,
-        qubit_rabi=20e6, space=space)
-    assert isinstance(const, np.ndarray)
-    # sigma_x/2 coupling: <e,0|H|g,0> gains Omega/2
-    npt.assert_allclose(const[3, 0], 10e6, rtol=1e-12)
-
-
 def test_rwa_warning_for_far_detuned_drive(flagship):
     with pytest.warns(RuntimeWarning, match="rotating-wave"):
         device.build_rotating_frame_hamiltonian(

@@ -1,0 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# scipy subpackages that dotqed does not use; loading them (scipy.signal
+# pulls in the rest) took about 0.6 s of a 1.5-1.8 s `import dotqed.cli`
+UNUSED_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.stats",
+                "scipy.interpolate", "scipy.ndimage")
+
+
+def test_cli_import_leaves_unused_scipy_unloaded():
+    code = ("import sys, dotqed.cli; "
+            f"print(sorted(set(sys.modules) & set({UNUSED_SCIPY!r})))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]", f"import dotqed.cli loaded {out.strip()}"

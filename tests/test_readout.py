@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.signal import firwin, lfilter
 
 from dotqed import device, dynamics, readout
 
@@ -103,6 +104,33 @@ def test_demodulation_loopback_recovers_field():
     settled = trace.envelope[2 * cfg.n_filter_taps:]
     npt.assert_allclose(settled.real, alpha.real, atol=1e-3)
     npt.assert_allclose(settled.imag, alpha.imag, atol=1e-3)
+
+
+@pytest.mark.parametrize("taps, settings", [
+    (127, {}),
+    (3, {}),
+    (63, {"lowpass_cutoff": 40e6}),
+    (255, {"sample_rate": 1e9, "intermediate_frequency": 200e6,
+           "lowpass_cutoff": 77e6}),
+    (31, {"sample_rate": 3.3e9, "intermediate_frequency": 400e6,
+          "lowpass_cutoff": 123.4e6}),
+])
+def test_filter_matches_scipy_signal_bit_for_bit(taps, settings):
+    cfg = readout.HeterodyneConfig(n_filter_taps=taps, **settings)
+    design = firwin(taps, cfg.lowpass_cutoff, fs=cfg.sample_rate)
+    assert np.array_equal(cfg.filter_taps, design)
+
+    # demodulating a noisy record equals scipy's FIR filter of the mixed
+    # record, so the numpy chain keeps every artifact's bits
+    traj = _constant_trajectory(0.6 - 0.3j)
+    times, raw = readout.heterodyne_record(
+        traj, cfg, noise=readout.ReadoutNoiseModel(), rng=taps)
+    mixed = 2.0 * raw * np.exp(
+        -1j * readout.TWO_PI * cfg.intermediate_frequency * times)
+    want = lfilter(design, 1.0, mixed)
+    trace = readout.demodulate(times, raw, cfg)
+    assert np.array_equal(trace.i, want.real)
+    assert np.array_equal(trace.q, want.imag)
 
 
 def _mixture_trace(alpha_g, alpha_e, p, cfg):
