@@ -504,18 +504,42 @@ class StarkPoint:
     max_trace_deviation: float
 
 
+def _displaced_frame(dev, drive_amplitude, probe, space):
+    """H/h (Hz) in the frame of measure_stark_shift, and its field alpha."""
+    res = dev.resonator
+    alpha = -1j * drive_amplitude / (1j * (res.bare_frequency_nu_r - probe)
+                                     + 0.5 * res.kappa_tot)
+    g = device.coupling_at_detuning(dev.coupling, dev.dqd)
+    sp = qops.qubit_operator(qops.sigma_plus(), space)
+    h = device.build_rotating_frame_hamiltonian(
+        dev.dqd, res, dev.coupling, drive_frequency=probe, space=space)
+    return h + g * (alpha * sp + np.conj(alpha) * sp.conj().T), alpha
+
+
 def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
-                        fock_cutoff=18, settle_time=10e-9,
+                        fock_cutoff=8, settle_time=10e-9,
                         precession_time=100e-9, dt=2e-11):
     """Qubit precession frequency with the measurement tone populating the cavity.
 
-    Prepares the driven-cavity steady state, tips the qubit to the equator,
-    and reads the superposition's precession rate off the unwrapped phase of
+    Works in the frame displaced by the empty-cavity steady-state field
+    alpha = -i eps / (i (nu_r - nu_p) + kappa_tot/2), a -> a + alpha
+    (Gambetta et al., PRA 74, 042318, 2006).  There the tone eps (a + a^dag)
+    cancels, the qubit instead sees the classical drive
+    g (alpha sigma_+ + alpha^* sigma_-), and the cavity loss keeps its jump
+    a and its rate.  The cavity ladder only holds the departure from the
+    coherent field, so fock_cutoff, and the TruncationWarning of `evolve`,
+    refer to the displaced ladder, not to the photons in the cavity.
+
+    Prepares the driven steady state, tips the qubit to the equator (the
+    tip acts on the qubit only, so it commutes with the displacement), and
+    reads the superposition's precession rate off the unwrapped phase of
     <sigma+>.  The first settle_time is excluded from the phase fit: after
     the tip the cavity re-rings toward the excited-branch field and the
     transient frequency is not yet stationary.  Probing at the bare resonator
     frequency keeps <n> symmetric between the branches so the photon number
-    is constant during the precession window.
+    is constant during the precession window.  The photon number is
+    <a^dag a> + 2 Re(alpha^* <a>) + |alpha|^2 in the displaced frame,
+    averaged over the fit window.
 
     The fit window also ends once |<sigma+>| falls below
     STARK_COHERENCE_FLOOR of its post-settle value: the bare-basis sigma+
@@ -526,9 +550,7 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     res = dev.resonator
     space = qops.HilbertSpace(fock_cutoff)
     probe = res.bare_frequency_nu_r if probe_frequency is None else probe_frequency
-    h = device.build_rotating_frame_hamiltonian(
-        dev.dqd, res, dev.coupling, drive_frequency=probe,
-        cavity_drive=drive_amplitude, space=space)
+    h, alpha = _displaced_frame(dev, drive_amplitude, probe, space)
     channels = dynamics.cavity_channels(res, space)
 
     rho_ss = dynamics.steady_state(h, channels)
@@ -539,7 +561,7 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     grid = dynamics.SimulationGrid(0.0, precession_time, dt)
     e_ops = {
         "sigma_plus": qops.qubit_operator(qops.sigma_plus(), space),
-        "photons": qops.cavity_operator(
+        "a_dag_a": qops.cavity_operator(
             qops.number_operator(space.fock_cutoff), space),
     }
     traj = dynamics.evolve(rho0, h, channels, grid, space=space, e_ops=e_ops)
@@ -558,8 +580,9 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     phase = np.unwrap(np.angle(coherence[:n_keep]))
     slope = np.polyfit(times[:n_keep], phase, 1)[0]
     nu_q = probe + slope / (2.0 * np.pi)
-    n_bar = float(np.mean(
-        np.real(traj.expectations["photons"][sel][:n_keep])))
+    photons = (traj.expectations["a_dag_a"].real
+               + 2.0 * np.real(np.conj(alpha) * traj.cavity_alpha) + abs(alpha) ** 2)
+    n_bar = float(np.mean(photons[sel][:n_keep]))
     return StarkPoint(drive_amplitude=float(drive_amplitude),
                       photon_number=n_bar, qubit_frequency=float(nu_q),
                       max_trace_deviation=traj.diagnostics.max_trace_deviation)

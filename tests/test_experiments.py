@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dotqed import cli, experiments, readout
+from dotqed import cli, device, dynamics, experiments, qops, readout
 
 
 def _device_dict():
@@ -260,7 +261,7 @@ _HASH_CASES = [
                                           "fit_envelope": "exp"}), True),
     ("echo", lambda c: c.update(params={"echo_phase": np.pi / 2}), True),
     ("stark", lambda c: c.update(params={
-        "fock_cutoff": 18, "settle_time": 10e-9, "precession_time": 100e-9,
+        "fock_cutoff": 8, "settle_time": 10e-9, "precession_time": 100e-9,
         "dt": 2e-11}), True),
     ("spectroscopy", lambda c: c.update(
         params={"extrapolation_mode": "squared"}), True),
@@ -418,6 +419,99 @@ def test_readout_trace_midpoint_at_gain(tmp_path):
     results = json.loads((out / "results.json").read_text())
     npt.assert_allclose(results["midpoint_noiseless"], 0.5, atol=1e-9)
     npt.assert_allclose(results["population_estimate"], 0.5, atol=1e-3)
+
+
+# ac-Stark points: the displaced frame against the lab frame
+
+# the wide-cavity device of the acceptance Stark check
+_STARK_DEVICE = device.DeviceParams.from_dict(
+    dict(_device_dict(), resonator={"bare_frequency_nu_r": 5.07e9,
+                                    "kappa_ext": 80e6, "kappa_int": 20e6}))
+_STARK_DEFAULT_CUTOFF = inspect.signature(
+    experiments.measure_stark_shift).parameters["fock_cutoff"].default
+# the lab frame holds the 4-photon coherent field itself; at cutoff 26 it is
+# converged to ~1e-3 Hz, while cutoff 18 is ~430 Hz and 6e-5 photons off
+_LAB_CUTOFF = 26
+
+
+def _stark_amplitude(n):
+    # holds n steady photons on either branch at the bare resonator frequency
+    chi = device.dispersive_shift_of(_STARK_DEVICE)
+    return float(np.sqrt(n) * np.hypot(chi, 0.5 * _STARK_DEVICE.resonator.kappa_tot))
+
+
+def _lab_frame(eps, probe):
+    res = _STARK_DEVICE.resonator
+    space = qops.HilbertSpace(_LAB_CUTOFF)
+    h = device.build_rotating_frame_hamiltonian(
+        _STARK_DEVICE.dqd, res, _STARK_DEVICE.coupling, drive_frequency=probe,
+        cavity_drive=eps, space=space)
+    return space, h, dynamics.cavity_channels(res, space)
+
+
+@pytest.mark.parametrize("probe_offset", [0.0, -30e6])
+def test_displaced_steady_state_photons_match_the_lab_frame(probe_offset):
+    eps = _stark_amplitude(4)
+    probe = _STARK_DEVICE.resonator.bare_frequency_nu_r + probe_offset
+    space, h, channels = _lab_frame(eps, probe)
+    rho = dynamics.steady_state(h, channels)
+    n_lab = qops.expectation(
+        rho, qops.cavity_operator(qops.number_operator(_LAB_CUTOFF), space)).real
+
+    space = qops.HilbertSpace(_STARK_DEFAULT_CUTOFF)
+    h, alpha = experiments._displaced_frame(_STARK_DEVICE, eps, probe, space)
+    rho = dynamics.steady_state(h, dynamics.cavity_channels(
+        _STARK_DEVICE.resonator, space))
+    a_op = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
+    n_disp = (qops.expectation(rho, a_op.conj().T @ a_op).real
+              + 2.0 * np.real(np.conj(alpha) * qops.expectation(rho, a_op))
+              + abs(alpha) ** 2)
+    assert n_lab > 1.0
+    assert abs(n_disp - n_lab) < 1e-9
+
+
+def test_displaced_stark_point_matches_the_lab_frame():
+    # a 30 ns precession keeps |<sigma+>| above the coherence floor, so the
+    # reference fits the whole window after settle_time, as the measurement
+    # does; tolerances are 100x and 70x the differences seen
+    settle, precession, dt = 10e-9, 30e-9, 2e-11
+    eps = _stark_amplitude(4)
+    probe = _STARK_DEVICE.resonator.bare_frequency_nu_r
+    space, h, channels = _lab_frame(eps, probe)
+    c = np.sqrt(0.5)
+    tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
+    rho0 = tip @ dynamics.steady_state(h, channels) @ tip.conj().T
+    traj = dynamics.evolve(
+        rho0, h, channels, dynamics.SimulationGrid(0.0, precession, dt),
+        space=space, e_ops={
+            "sigma_plus": qops.qubit_operator(qops.sigma_plus(), space),
+            "photons": qops.cavity_operator(
+                qops.number_operator(_LAB_CUTOFF), space)})
+    sel = traj.times >= settle
+    coherence = traj.expectations["sigma_plus"][sel]
+    assert np.all(np.abs(coherence) >= experiments.STARK_COHERENCE_FLOOR
+                  * np.abs(coherence[0]))
+    slope = np.polyfit(traj.times[sel], np.unwrap(np.angle(coherence)), 1)[0]
+    nu_lab = probe + slope / (2.0 * np.pi)
+    n_lab = float(np.mean(traj.expectations["photons"][sel].real))
+
+    point = experiments.measure_stark_shift(
+        _STARK_DEVICE, eps, settle_time=settle, precession_time=precession,
+        dt=dt)
+    assert n_lab > 3.5
+    assert abs(point.qubit_frequency - nu_lab) < 0.1          # Hz
+    assert abs(point.photon_number - n_lab) < 1e-8            # photons
+
+
+def test_stark_default_cutoff_is_converged():
+    # default + 2 Fock levels moves the 4-photon point by < 1 Hz, 1e-7 photons
+    eps = _stark_amplitude(4)
+    at, above = (experiments.measure_stark_shift(_STARK_DEVICE, eps,
+                                                 fock_cutoff=n)
+                 for n in (_STARK_DEFAULT_CUTOFF, _STARK_DEFAULT_CUTOFF + 2))
+    assert at.photon_number > 3.5
+    assert abs(at.qubit_frequency - above.qubit_frequency) < 1.0
+    assert abs(at.photon_number - above.photon_number) < 1e-7
 
 
 def test_manifest_roundtrip_and_check(tmp_path):
