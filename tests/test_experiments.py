@@ -1,4 +1,3 @@
-import inspect
 import json
 import re
 from pathlib import Path
@@ -427,8 +426,8 @@ def test_readout_trace_midpoint_at_gain(tmp_path):
 _STARK_DEVICE = device.DeviceParams.from_dict(
     dict(_device_dict(), resonator={"bare_frequency_nu_r": 5.07e9,
                                     "kappa_ext": 80e6, "kappa_int": 20e6}))
-_STARK_DEFAULT_CUTOFF = inspect.signature(
-    experiments.measure_stark_shift).parameters["fock_cutoff"].default
+_STARK_DEFAULT_CUTOFF = experiments._default(experiments.measure_stark_shift,
+                                             "fock_cutoff")
 # the lab frame holds the 4-photon coherent field itself; at cutoff 26 it is
 # converged to ~1e-3 Hz, while cutoff 18 is ~430 Hz and 6e-5 photons off
 _LAB_CUTOFF = 26
