@@ -205,8 +205,13 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     diag = EvolveDiagnostics(min_eigenvalue=np.inf)
     eig_stride = max(1, n_steps // 128)
 
-    states = _rk4_state_iter(rho0.ravel(), times, lambda v: gen @ v)
-    for k, v in enumerate(states):
+    def rhs(x):
+        return gen @ x
+
+    v = rho0.ravel()
+    for k in range(n_steps + 1):
+        if k:
+            v = _rk4_step(v, times[k] - times[k - 1], rhs)
         vals[k] = obs @ v
         rho = v.reshape(dim, dim)
         diag.max_hermiticity_defect = max(
@@ -232,15 +237,6 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     return Trajectory(times=times, qubit_pe=vals[:, 1].real,
                       cavity_alpha=vals[:, 3] if space is not None else None,
                       expectations=extra, diagnostics=diag)
-
-
-def _rk4_state_iter(y0, times, f):
-    """y0, then the state after each RK4 step of dy/dt = f(y) along times."""
-    y = y0.copy()
-    yield y
-    for dt in np.diff(times):
-        y = _rk4_step(y, dt, f)
-        yield y
 
 
 def _generator_triplets(h_hz, channels):
@@ -315,42 +311,35 @@ def steady_state(h_hz, channels, residual_tol=1e-6):
 
 # ----------------------------------------------------- semiclassical cavity
 
-_STATE_PE = {"g": 0.0, "e": 1.0, "mixed": 0.5}
+def _cavity_pole(qubit_state, res, chi, probe_frequency):
+    """p = i 2 pi (nu_r + shift - nu_p) + pi kappa_tot, with shift = -chi,
+    +chi, 0 for g, e, mixed: the undriven field decays as exp(-p t)."""
+    shift = dressed_resonance_shift(qubit_state, chi)
+    detuning = res.bare_frequency_nu_r + shift - probe_frequency
+    return 1j * TWO_PI * detuning + np.pi * res.kappa_tot
 
 
 def semiclassical_steady_state(qubit_state, res, chi, probe_frequency,
                                probe_amplitude=1.0):
     """alpha_ss = -i sqrt(2 pi kappa_ext) a_in / (i 2 pi Delta + pi kappa_tot)."""
-    shift = dressed_resonance_shift(qubit_state, chi)
-    detuning = res.bare_frequency_nu_r + shift - probe_frequency
     return (-1j * np.sqrt(TWO_PI * res.kappa_ext) * probe_amplitude
-            / (1j * TWO_PI * detuning + np.pi * res.kappa_tot))
+            / _cavity_pole(qubit_state, res, chi, probe_frequency))
 
 
 def semiclassical_cavity_response(qubit_state, res, chi, probe_frequency,
-                                  probe_amplitude, grid):
-    """Ring up the driven-cavity field from vacuum, conditioned on a fixed
-    qubit state.
+                                  probe_amplitude, times):
+    """Complex cavity field at the given times, rung up from vacuum at t = 0
+    under a constant probe, conditioned on a fixed qubit state.
 
-    d alpha/dt = -[i 2 pi (nu_r + shift - nu_p) + pi kappa_tot] alpha
-                 - i sqrt(2 pi kappa_ext) a_in
-
-    with shift = -chi, +chi, 0 for g, e, mixed.  The constant probe_amplitude
-    a_in is normalized so the steady state matches semiclassical_steady_state.
+    d alpha/dt = -p alpha - i sqrt(2 pi kappa_ext) a_in is linear, so
+    alpha(t) = alpha_ss (1 - exp(-p t)) in closed form (Blais et al.,
+    RMP 93, 025005, 2021), with p from `_cavity_pole` and alpha_ss from
+    `semiclassical_steady_state`.
     """
-    if qubit_state not in _STATE_PE:
-        raise ValueError(f"unknown qubit state {qubit_state!r}")
-    shift = dressed_resonance_shift(qubit_state, chi)
-    detuning = res.bare_frequency_nu_r + shift - probe_frequency
-    pole = 1j * TWO_PI * detuning + np.pi * res.kappa_tot
-    drive = -1j * np.sqrt(TWO_PI * res.kappa_ext) * probe_amplitude
-
-    times = grid.times
-    alpha = np.fromiter(
-        _rk4_state_iter(np.array(0j), times, lambda x: -pole * x + drive),
-        dtype=complex, count=len(times))
-    pe = np.full(len(times), _STATE_PE[qubit_state])
-    return Trajectory(times=times, qubit_pe=pe, cavity_alpha=alpha)
+    pole = _cavity_pole(qubit_state, res, chi, probe_frequency)
+    alpha_ss = semiclassical_steady_state(qubit_state, res, chi,
+                                          probe_frequency, probe_amplitude)
+    return alpha_ss * -np.expm1(-pole * np.asarray(times, dtype=float))
 
 
 # -------------------------------------------------- steady-state spectroscopy

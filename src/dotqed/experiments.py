@@ -18,7 +18,7 @@ import hashlib
 import inspect
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -28,9 +28,6 @@ import numpy as np
 from . import device, dynamics, fitting, pulses, qops, readout
 
 DEFAULT_SATURATION_TARGETS = (0.05, 0.1, 0.2, 0.3, 0.4)
-
-# readout pipeline: step of the conditional cavity ring-up, s
-RINGUP_DT = 0.5e-9
 
 # dispersive pull: probe points, Fock cutoff, and the rate (Hz) of the
 # collapse pumps that hold each qubit branch
@@ -344,26 +341,27 @@ def load_config(path, experiment=None, seed=None, output_dir=None):
 
 @dataclass(frozen=True)
 class ReadoutPipeline:
-    """Precomputed conditional cavity responses and demodulated references.
+    """Conditional cavity fields and demodulated references on the ADC grid.
 
     The master equation is linear in the density matrix, so the conditional
-    trajectories for |g> and |e> span every mixture; a sweep only has to
-    blend them, which keeps per-point cost at the synthesis/estimation level.
+    fields for |g> and |e> span every mixture; a sweep only has to blend
+    them, which keeps per-point cost at the synthesis/estimation level.  The
+    fields are at the chain's system_gain, and sigma is the std of the added
+    noise per ADC sample (0 without added noise).
     """
     heterodyne: readout.HeterodyneConfig
-    noise: readout.ReadoutNoiseModel | None
-    traj_g: dynamics.Trajectory
-    traj_e: dynamics.Trajectory
-    ref_g: readout.IqTrace
-    ref_e: readout.IqTrace
+    sigma: float
+    alpha_g: np.ndarray
+    alpha_e: np.ndarray
+    ref_g: np.ndarray
+    ref_e: np.ndarray
     probe_frequency: float
     probe_amplitude: float
     chi: float
 
-
-def _noiseless(noise):
-    """The amplifier chain at its gain, with its added noise switched off."""
-    return None if noise is None else replace(noise, noise_temperature=0.0)
+    def mixture_field(self, p_e):
+        """Cavity field of the mixture with excited population p_e."""
+        return (1.0 - p_e) * self.alpha_g + p_e * self.alpha_e
 
 
 def build_readout_pipeline(dev, heterodyne=None, noise=None,
@@ -372,7 +370,8 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
 
     The probe defaults to the ground-state resonance; the amplitude default
     puts one steady-state photon in the cavity for the ground branch.  The
-    references are recorded at the chain's system_gain, like every shot.
+    fields, and so the references and every shot, are at the chain's
+    system_gain.
     """
     het = heterodyne or readout.HeterodyneConfig()
     res = dev.resonator
@@ -383,40 +382,33 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
     if probe_amplitude is None:
         # |alpha_ss| = 1 on the ground-branch resonance
         probe_amplitude = np.pi * res.kappa_tot / np.sqrt(2.0 * np.pi * res.kappa_ext)
-    grid = dynamics.SimulationGrid(0.0, het.integration_window, RINGUP_DT)
-    traj_g = dynamics.semiclassical_cavity_response(
-        "g", res, chi, probe_frequency, probe_amplitude, grid)
-    traj_e = dynamics.semiclassical_cavity_response(
-        "e", res, chi, probe_frequency, probe_amplitude, grid)
-    ref_g = readout.synthesize_readout_waveform(traj_g, het, _noiseless(noise))
-    ref_e = readout.synthesize_readout_waveform(traj_e, het, _noiseless(noise))
-    return ReadoutPipeline(heterodyne=het, noise=noise, traj_g=traj_g,
-                           traj_e=traj_e, ref_g=ref_g, ref_e=ref_e,
-                           probe_frequency=probe_frequency,
-                           probe_amplitude=probe_amplitude, chi=chi)
-
-
-def _blend_trajectory(pipe, p_e):
-    alpha = (1.0 - p_e) * pipe.traj_g.cavity_alpha \
-        + p_e * pipe.traj_e.cavity_alpha
-    return dynamics.Trajectory(times=pipe.traj_g.times,
-                               qubit_pe=np.full(pipe.traj_g.times.shape,
-                                                float(p_e)),
-                               cavity_alpha=alpha)
+    gain, sigma = 1.0, 0.0
+    if noise is not None:
+        gain = noise.system_gain
+        sigma = noise.sigma_per_sample(probe_frequency)
+    alpha_g, alpha_e = (gain * dynamics.semiclassical_cavity_response(
+        state, res, chi, probe_frequency, probe_amplitude, het.adc_times)
+        for state in ("g", "e"))
+    return ReadoutPipeline(
+        heterodyne=het, sigma=sigma, alpha_g=alpha_g, alpha_e=alpha_e,
+        ref_g=readout.synthesize_readout_waveform(alpha_g, het),
+        ref_e=readout.synthesize_readout_waveform(alpha_e, het),
+        probe_frequency=probe_frequency, probe_amplitude=probe_amplitude,
+        chi=chi)
 
 
 def measure_population(pipe, p_e, rng=None, averages=1):
     """Push a mixture through the noisy readout chain; return (mean, sem)."""
-    traj = _blend_trajectory(pipe, p_e)
+    alpha = pipe.mixture_field(p_e)
     het = pipe.heterodyne
-    if pipe.noise is None or pipe.noise.noise_temperature <= 0.0:
-        trace = readout.synthesize_readout_waveform(traj, het, pipe.noise)
+    if pipe.sigma <= 0.0:
+        trace = readout.synthesize_readout_waveform(alpha, het)
         return readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
                                            het), 0.0
     vals = np.empty(int(averages))
     for k in range(int(averages)):
-        trace = readout.synthesize_readout_waveform(traj, het,
-                                                    noise=pipe.noise, rng=rng)
+        trace = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
+                                                    rng)
         vals[k] = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
                                               het)
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -795,31 +787,29 @@ def _run_readout_trace(cfg, out):
     p_target = cfg.params["population"]
     skip = het.filter_delay_samples
 
-    mean_g = pipe.ref_g.mean_iq(skip=skip)
-    mean_e = pipe.ref_e.mean_iq(skip=skip)
+    mean_g = complex(pipe.ref_g[skip:].mean())
+    mean_e = complex(pipe.ref_e[skip:].mean())
     rotation = float(np.angle(mean_e - mean_g))
-    ref_g_rot = readout.rotate_reference_phase(pipe.ref_g, rotation)
-    ref_e_rot = readout.rotate_reference_phase(pipe.ref_e, rotation)
 
     rng_meas, rng_trace = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    traj = _blend_trajectory(pipe, p_target)
-    noiseless = readout.synthesize_readout_waveform(traj, het,
-                                                    _noiseless(pipe.noise))
+    alpha = pipe.mixture_field(p_target)
+    noiseless = readout.synthesize_readout_waveform(alpha, het)
     midpoint = readout.estimate_population(noiseless, pipe.ref_g, pipe.ref_e,
                                            het)
     # without added noise, measuring would read this same trace again
     p_est, est_err, mixture = midpoint, 0.0, noiseless
-    if pipe.noise is not None and pipe.noise.noise_temperature > 0.0:
+    if pipe.sigma > 0.0:
         p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
                                             averages=cfg.averages)
-        mixture = readout.synthesize_readout_waveform(
-            traj, het, noise=pipe.noise, rng=rng_trace)
-    mix_trace = readout.rotate_reference_phase(mixture, rotation)
+        mixture = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
+                                                      rng_trace)
 
-    readout.iq_trace_to_csv(ref_g_rot, out / "iq_ground.csv")
-    readout.iq_trace_to_csv(ref_e_rot, out / "iq_excited.csv")
-    readout.iq_trace_to_csv(mix_trace, out / "iq_mixture.csv")
+    turn = np.exp(-1j * rotation)       # puts e - g on the +I axis
+    for env, name in ((pipe.ref_g, "iq_ground.csv"),
+                      (pipe.ref_e, "iq_excited.csv"),
+                      (mixture, "iq_mixture.csv")):
+        readout.iq_trace_to_csv(env * turn, het, out / name)
 
     fits = {"population_estimate": {
         "method": "matched",
@@ -1045,6 +1035,8 @@ class RunManifest:
             raise ConfigError(f"run: cannot read manifest {p}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"run: {p} is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ConfigError(f"run: manifest {p} is not a JSON object")
         try:
             return cls(experiment=d["experiment"],
                        config_sha256=d["config_sha256"], seed=d["seed"],
@@ -1119,6 +1111,9 @@ def flagged_fits(report, name=""):
     if not isinstance(report, dict):
         return []
     if "converged" in report:
+        if not isinstance(report.get("flags"), list):
+            raise ConfigError(f"fit {name or '(top level)'} has 'converged' "
+                              "but no 'flags' list")
         problems = list(report["flags"])
         if not report["converged"]:
             problems.insert(0, "not converged")
@@ -1144,10 +1139,20 @@ def compare_to_reference(run, reference_path):
         path = run_dir / name
         if not path.exists():
             raise ConfigError(f"run: {path} not found")
-        with open(path) as fh:
-            return json.load(fh)
+        try:
+            with open(path) as fh:
+                content = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"run: {path} is not valid JSON: {exc}") from exc
+        if not isinstance(content, dict):
+            raise ConfigError(f"run: {path} is not a JSON object")
+        return content
 
     results, fits = read("results.json"), read("fits.json")
+    try:
+        flagged = flagged_fits(fits)
+    except ConfigError as exc:
+        raise ConfigError(f"run: {run_dir / 'fits.json'}: {exc}") from None
 
     try:
         with open(reference_path) as fh:
@@ -1183,7 +1188,7 @@ def compare_to_reference(run, reference_path):
         rows.append(CheckRow(name=name, expected=expected,
                              actual=float(actual), rtol=rtol, atol=atol,
                              passed=bool(ok)))
-    for name, problems in flagged_fits(fits):
+    for name, problems in flagged:
         rows.append(CheckRow(name=f"fit {name}", expected=0.0,
                              actual=float(len(problems)), rtol=0.0, atol=0.0,
                              passed=False, note=", ".join(problems)))

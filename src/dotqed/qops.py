@@ -37,17 +37,9 @@ class HilbertSpace:
     def __repr__(self):
         return f"HilbertSpace(fock_cutoff={self.fock_cutoff})"
 
-    def __eq__(self, other):
-        return (isinstance(other, HilbertSpace)
-                and other.fock_cutoff == self.fock_cutoff)
-
 
 def identity(dim):
     return np.eye(dim, dtype=complex)
-
-
-def sigma_x():
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def sigma_z():

@@ -23,10 +23,6 @@ from scipy.constants import k as BOLTZMANN_K
 
 TWO_PI = 2.0 * np.pi
 
-# Detection band center used to convert amplifier noise temperature into
-# added quanta; matches the resonator band of the default device.
-READOUT_BAND_HZ = 5.07e9
-
 
 # ------------------------------------------------------------- reflection
 
@@ -114,8 +110,23 @@ class HeterodyneConfig:
         taps.flags.writeable = False
         return taps
 
+    @cached_property
+    def adc_times(self):
+        """Sample times of the integration window from 0, read-only."""
+        times = np.arange(self.n_samples) / self.sample_rate
+        times.flags.writeable = False
+        return times
 
-def thermal_occupancy(temperature, frequency=READOUT_BAND_HZ):
+    @cached_property
+    def if_phasor(self):
+        """The carrier exp(i 2 pi f_IF t) on the ADC grid, read-only."""
+        phasor = np.exp(1j * TWO_PI * self.intermediate_frequency
+                        * self.adc_times)
+        phasor.flags.writeable = False
+        return phasor
+
+
+def thermal_occupancy(temperature, frequency):
     """Rayleigh-Jeans occupancy kB T / (h nu) of the detection band."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
@@ -137,82 +148,53 @@ class ReadoutNoiseModel:
         if self.system_gain <= 0:
             raise ValueError("system_gain must be positive")
 
-    def sigma_per_sample(self, frequency=READOUT_BAND_HZ):
-        """Std of the additive Gaussian noise on each raw ADC sample."""
+    def sigma_per_sample(self, frequency):
+        """Std of the additive Gaussian noise on each raw ADC sample, for a
+        detection band at `frequency` (the probe)."""
         n_bar = thermal_occupancy(self.noise_temperature, frequency)
         return self.system_gain * np.sqrt(0.5 * n_bar)
 
 
-@dataclass
-class IqTrace:
-    """Demodulated quadrature record on the ADC grid."""
-    times: np.ndarray
-    i: np.ndarray
-    q: np.ndarray
-
-    @property
-    def envelope(self):
-        return self.i + 1j * self.q
-
-    def mean_iq(self, skip=0):
-        env = self.envelope[skip:]
-        return complex(env.mean())
-
-
-def heterodyne_record(traj, config, noise=None, rng=None):
+def heterodyne_record(alpha, config, sigma=0.0, rng=None):
     """Raw ADC record of the cavity field beat against the local oscillator.
 
-    The trajectory's complex <a> is resampled onto the ADC grid (samples
-    beyond the trajectory hold its endpoint value) and recorded as
-    gain * Re[alpha(t) exp(i 2 pi f_IF t)] plus additive Gaussian noise.
-    Returns (times, samples).
+    alpha is the complex <a>, already at the chain's gain, sampled on the
+    ADC grid config.adc_times; the record is Re[alpha exp(i 2 pi f_IF t)]
+    plus Gaussian noise of std sigma per sample.
     """
-    if traj.cavity_alpha is None:
-        raise ValueError("trajectory carries no cavity field")
-    n = config.n_samples
-    t0 = float(traj.times[0])
-    times = t0 + np.arange(n) / config.sample_rate
-    alpha = (np.interp(times, traj.times, np.real(traj.cavity_alpha))
-             + 1j * np.interp(times, traj.times, np.imag(traj.cavity_alpha)))
-    gain = noise.system_gain if noise is not None else 1.0
-    raw = gain * np.real(alpha * np.exp(1j * TWO_PI
-                                        * config.intermediate_frequency * times))
-    if noise is not None and noise.noise_temperature > 0:
-        raw = raw + np.random.default_rng(rng).normal(
-            0.0, noise.sigma_per_sample(), n)
-    return times, raw
+    alpha = np.asarray(alpha)
+    if alpha.shape != (config.n_samples,):
+        raise ValueError(f"field has shape {alpha.shape}; the ADC grid has "
+                         f"{config.n_samples} samples")
+    raw = np.real(alpha * config.if_phasor)
+    if sigma > 0:
+        raw = raw + np.random.default_rng(rng).normal(0.0, sigma,
+                                                      config.n_samples)
+    return raw
 
 
-def demodulate(times, samples, config):
-    """Digital downconversion: mix to baseband, lowpass, return quadratures.
+def demodulate(samples, config):
+    """Digital downconversion: mix to baseband, lowpass, return the complex
+    envelope on the ADC grid.
 
     The factor 2 restores the envelope amplitude lost in taking the real
     part; the FIR filter is causal (a convolution truncated to the record),
     so the output lags by filter_delay_samples.
     """
-    times = np.asarray(times, dtype=float)
-    mixed = 2.0 * np.asarray(samples, dtype=float) \
-        * np.exp(-1j * TWO_PI * config.intermediate_frequency * times)
-    env = np.convolve(mixed, config.filter_taps)[:len(mixed)]
-    return IqTrace(times=times, i=np.real(env), q=np.imag(env))
+    mixed = 2.0 * np.asarray(samples, dtype=float) * np.conj(config.if_phasor)
+    return np.convolve(mixed, config.filter_taps)[:len(mixed)]
 
 
-def synthesize_readout_waveform(traj, config, noise=None, rng=None):
-    """Full chain: cavity trajectory -> raw IF record -> demodulated IqTrace."""
-    times, raw = heterodyne_record(traj, config, noise=noise, rng=rng)
-    return demodulate(times, raw, config)
-
-
-def rotate_reference_phase(trace, phi):
-    """Rotate the IQ plane by -phi, e.g. to put the ground trace on +I."""
-    env = trace.envelope * np.exp(-1j * phi)
-    return IqTrace(times=trace.times, i=np.real(env), q=np.imag(env))
+def synthesize_readout_waveform(alpha, config, sigma=0.0, rng=None):
+    """Full chain: cavity field -> raw IF record -> demodulated envelope."""
+    return demodulate(heterodyne_record(alpha, config, sigma, rng), config)
 
 
 # ------------------------------------------------- population estimation
 
 def estimate_population(trace, ref_g, ref_e, config):
-    """Project a demodulated trace onto the g/e reference envelopes; return p_e.
+    """Project a demodulated envelope onto the g/e reference envelopes;
+    return p_e.
 
     Matched filter: per-sample weights w = (e - g) and
     p = Re <w, s - g> / <w, w>.  This is affine in the signal envelope, so a
@@ -221,9 +203,7 @@ def estimate_population(trace, ref_g, ref_e, config):
     transient.
     """
     skip = config.n_filter_taps
-    sig = trace.envelope[skip:]
-    g = ref_g.envelope[skip:]
-    e = ref_e.envelope[skip:]
+    sig, g, e = trace[skip:], ref_g[skip:], ref_e[skip:]
     if not (len(sig) == len(g) == len(e)):
         raise ValueError("trace and references must share the ADC grid")
     if len(sig) == 0:
@@ -238,8 +218,9 @@ def estimate_population(trace, ref_g, ref_e, config):
 
 # ------------------------------------------------------------ CSV output
 
-def iq_trace_to_csv(trace, path):
-    np.savetxt(path, np.column_stack([trace.times, trace.i, trace.q]),
+def iq_trace_to_csv(envelope, config, path):
+    np.savetxt(path, np.column_stack([config.adc_times, envelope.real,
+                                      envelope.imag]),
                fmt="%.12e", delimiter=",", header="time_s,i,q", comments="")
     return path
 

@@ -258,12 +258,12 @@ def test_numerical_hygiene_and_cavity_model_agreement(flagship):
                            dynamics.SimulationGrid(0.0, 150e-9, 2e-11),
                            space=space)
     full.validate_populations()
-    semi = dynamics.semiclassical_cavity_response(
-        "g", res, chi, probe, a_in,
-        dynamics.SimulationGrid(0.0, 150e-9, 2e-10))
-    settled = semi.times > 10e-9          # skip the ring-up transient
+    times = full.times[::10]
+    semi = dynamics.semiclassical_cavity_response("g", res, chi, probe, a_in,
+                                                  times)
+    settled = times > 10e-9               # skip the ring-up transient
     model_err = np.max(np.abs(np.abs(full.cavity_alpha[::10][settled])
-                              / np.abs(semi.cavity_alpha[settled]) - 1.0))
+                              / np.abs(semi[settled]) - 1.0))
 
     diag = full.diagnostics
     TRACE_RECORDS["jc-cavity"] = diag.max_trace_deviation

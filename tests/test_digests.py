@@ -12,6 +12,8 @@ Regenerate the table after a change that is meant to move a digest, and
 say in CHANGES.md which runs moved and why:
 
     PYTHONPATH=src python tests/test_digests.py
+
+It prints each run/file whose digest differs from the table it replaces.
 """
 
 import json
@@ -52,18 +54,26 @@ def test_artifacts_match_recorded_digests(tmp_path):
     if table["versions"] != _versions():
         pytest.skip(f"digest table made with {table['versions']}, "
                     f"running {_versions()}; regenerate it to compare")
-    got = _digests(tmp_path)
-    want = table["digests"]
-    differ = [f"{name}/{file}"
-              for name in sorted(want.keys() | got.keys())
-              for file in sorted(want.get(name, {}).keys()
-                                 | got.get(name, {}).keys())
-              if want.get(name, {}).get(file) != got.get(name, {}).get(file)]
+    differ = _differing(table["digests"], _digests(tmp_path))
     assert not differ, f"artifacts differ from {TABLE.name}: {differ}"
 
 
+def _differing(want, got):
+    """run/file names whose digest is in one table only or differs."""
+    return [f"{name}/{file}"
+            for name in sorted(want.keys() | got.keys())
+            for file in sorted(want.get(name, {}).keys()
+                               | got.get(name, {}).keys())
+            if want.get(name, {}).get(file) != got.get(name, {}).get(file)]
+
+
 if __name__ == "__main__":
+    old = json.loads(TABLE.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         table = {"versions": _versions(), "digests": _digests(tmp)}
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {TABLE}")
+    if old["versions"] != table["versions"]:
+        print(f"versions changed: {old['versions']} -> {table['versions']}")
+    for moved in _differing(old["digests"], table["digests"]):
+        print(f"moved {moved}")

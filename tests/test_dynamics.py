@@ -15,6 +15,7 @@ T2_S = 2.3399804910924032e-08
 
 DEC = device.DecoherenceParams(gamma1=GAMMA1, gamma_phi=GAMMA_PHI)
 NO_DEC = device.DecoherenceParams(gamma1=0.0, gamma_phi=0.0)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _excited_dm():
@@ -51,7 +52,7 @@ def test_free_decay_matches_exponential():
 
 def test_adaptive_integrator_agrees_with_rk4():
     chans = dynamics.qubit_channels(DEC)
-    h = 0.5 * 40e6 * qops.sigma_x()
+    h = 0.5 * 40e6 * SIGMA_X
     fixed = dynamics.evolve(_excited_dm(), h, chans,
                             dynamics.SimulationGrid(0.0, 30e-9, 1e-11))
 
@@ -234,16 +235,29 @@ def test_steady_state_rejects_degenerate_kernel():
 
 
 def test_ring_up_matches_closed_form():
+    # the closed form against RK4 steps of the ring-up ODE from vacuum,
+    # d alpha/dt = -p alpha - i sqrt(2 pi kappa_ext) a_in, at a 20 ps step
+    # over 240 ns, 23 field decay times
     res = device.ResonatorParams(bare_frequency_nu_r=5.07e9, kappa_ext=23e6,
                                  kappa_int=7e6)
-    probe = res.bare_frequency_nu_r - 10e6
-    grid = dynamics.SimulationGrid(0.0, 120e-9, 1e-10)
-    traj = dynamics.semiclassical_cavity_response("mixed", res, 0.0, probe,
-                                                  1.0, grid)
-    pole = 1j * 2.0 * np.pi * 10e6 + np.pi * res.kappa_tot
-    a_ss = -1j * np.sqrt(2.0 * np.pi * res.kappa_ext) / pole
-    expected = a_ss * (1.0 - np.exp(-pole * traj.times))
-    npt.assert_allclose(traj.cavity_alpha, expected, atol=1e-8 * abs(a_ss))
+    chi, probe, a_in = 3e6, res.bare_frequency_nu_r - 10e6, 0.7
+    drive = -1j * np.sqrt(2.0 * np.pi * res.kappa_ext) * a_in
+    dt, stride = 2e-11, 40
+    times = dt * np.arange(0, 12001, stride)
+    for state, shift in (("g", -chi), ("e", chi), ("mixed", 0.0)):
+        pole = (1j * 2.0 * np.pi * (res.bare_frequency_nu_r + shift - probe)
+                + np.pi * res.kappa_tot)
+        stepped = [0j]
+        for _ in range(12000):
+            stepped.append(dynamics._rk4_step(stepped[-1], dt,
+                                              lambda x: -pole * x + drive))
+        alpha = dynamics.semiclassical_cavity_response(state, res, chi, probe,
+                                                       a_in, times)
+        npt.assert_allclose(alpha, stepped[::stride],
+                            atol=1e-9 * abs(drive / pole))
+        assert alpha[0] == 0.0
+        npt.assert_allclose(alpha[-1], dynamics.semiclassical_steady_state(
+            state, res, chi, probe, a_in), rtol=1e-6)
 
 
 def test_full_lindblad_tracks_semiclassical_in_dispersive_regime():
@@ -268,13 +282,12 @@ def test_full_lindblad_tracks_semiclassical_in_dispersive_regime():
     full.validate_populations()
     assert full.diagnostics.max_trace_deviation < 1e-7
 
-    semi = dynamics.semiclassical_cavity_response(
-        "g", res, chi, probe, a_in,
-        dynamics.SimulationGrid(0.0, 150e-9, 2e-10))
-    # the semiclassical grid is a stride-10 subset of the full one
-    settled = semi.times > 10e-9
+    times = full.times[::10]
+    semi = dynamics.semiclassical_cavity_response("g", res, chi, probe, a_in,
+                                                  times)
+    settled = times > 10e-9
     err = (np.abs(full.cavity_alpha[::10][settled])
-           / np.abs(semi.cavity_alpha[settled]) - 1.0)
+           / np.abs(semi[settled]) - 1.0)
     assert np.max(np.abs(err)) < 0.02
 
 
@@ -289,7 +302,7 @@ def test_truncation_warning_when_ladder_fills():
 
 
 def test_trace_drift_warning_on_unstable_step():
-    h = 5e8 * qops.sigma_x()
+    h = 5e8 * SIGMA_X
     with pytest.warns(RuntimeWarning, match="trace"):
         dynamics.evolve(_excited_dm(), h, [],
                         dynamics.SimulationGrid(0.0, 40e-9, 2e-9))
@@ -302,7 +315,7 @@ def test_spectroscopy_formula_matches_liouvillian():
     detunings = np.linspace(-60e6, 60e6, 21)
     line = dynamics.steady_state_spectroscopy(detunings, rabi, DEC)
     chans = dynamics.qubit_channels(DEC)
-    sx = qops.sigma_x()
+    sx = SIGMA_X
     sz = qops.sigma_z()
     for k, delta in enumerate(detunings):
         h = 0.5 * delta * sz + 0.5 * rabi * sx

@@ -664,6 +664,30 @@ def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):
     assert "flagged fit reflection_dip: poor-fit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, rewrite", [
+    ("manifest.json", lambda text: f"[{text}]"),
+    ("fits.json", lambda text: '{"reflection_dip": {"converged": true}}'),
+    ("results.json",
+     lambda text: json.dumps(list(json.loads(text).values()))),
+    ("results.json", lambda text: text[:-3]),
+], ids=["manifest-array", "fits-without-flags", "results-array",
+        "results-truncated"])
+def test_check_rejects_malformed_run_files(tmp_path, capsys, name, rewrite):
+    # a run file that is not valid JSON, or parses but is not the shape
+    # dotqed writes, is a config error naming the file, not a traceback
+    out = tmp_path / "run"
+    experiments.run_experiment(experiments.validate_config(_s11_config(out)))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"quantities": {
+        "kappa_tot_hz": {"expected": 30e6, "rtol": 0.02}}}))
+    path = out / name
+    path.write_text(rewrite(path.read_text()))
+    capsys.readouterr()
+    assert cli.main(["check", "--run", str(out),
+                     "--reference", str(ref)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg_path = tmp_path / "s11.json"
     raw = _s11_config(tmp_path / "default_out")

@@ -3,19 +3,15 @@ import numpy.testing as npt
 import pytest
 from scipy.signal import firwin, lfilter
 
-from dotqed import device, dynamics, readout
+from dotqed import device, readout
 
 
 RES = device.ResonatorParams(bare_frequency_nu_r=5.07e9, kappa_ext=23e6,
                              kappa_int=7e6)
 
 
-def _constant_trajectory(alpha, duration=500e-9, dt=4e-10):
-    times = np.arange(0.0, duration, dt)
-    return dynamics.Trajectory(times=times,
-                               qubit_pe=np.zeros_like(times),
-                               cavity_alpha=np.full(len(times), alpha,
-                                                    dtype=complex))
+def _constant_field(alpha, cfg):
+    return np.full(cfg.n_samples, alpha, dtype=complex)
 
 
 def test_dressed_resonance_shift_signs():
@@ -85,12 +81,12 @@ def test_heterodyne_config_guards():
 
 def test_thermal_occupancy_value():
     # kB * 6 K / (h * 5.07 GHz), frozen
-    npt.assert_allclose(readout.thermal_occupancy(6.0), 24.658720856008966,
-                        rtol=1e-12)
+    npt.assert_allclose(readout.thermal_occupancy(6.0, 5.07e9),
+                        24.658720856008966, rtol=1e-12)
     with pytest.raises(ValueError):
-        readout.thermal_occupancy(-1.0)
+        readout.thermal_occupancy(-1.0, 5.07e9)
     noise = readout.ReadoutNoiseModel(noise_temperature=6.0, system_gain=2.0)
-    npt.assert_allclose(noise.sigma_per_sample(),
+    npt.assert_allclose(noise.sigma_per_sample(5.07e9),
                         2.0 * np.sqrt(0.5 * 24.658720856008966), rtol=1e-12)
 
 
@@ -99,9 +95,9 @@ def test_demodulation_loopback_recovers_field():
     # unchanged after the filter transient
     alpha = 0.37 + 0.21j
     cfg = readout.HeterodyneConfig()
-    trace = readout.synthesize_readout_waveform(_constant_trajectory(alpha),
+    trace = readout.synthesize_readout_waveform(_constant_field(alpha, cfg),
                                                 cfg)
-    settled = trace.envelope[2 * cfg.n_filter_taps:]
+    settled = trace[2 * cfg.n_filter_taps:]
     npt.assert_allclose(settled.real, alpha.real, atol=1e-3)
     npt.assert_allclose(settled.imag, alpha.imag, atol=1e-3)
 
@@ -122,31 +118,38 @@ def test_filter_matches_scipy_signal_bit_for_bit(taps, settings):
 
     # demodulating a noisy record equals scipy's FIR filter of the mixed
     # record, so the numpy chain keeps every artifact's bits
-    traj = _constant_trajectory(0.6 - 0.3j)
-    times, raw = readout.heterodyne_record(
-        traj, cfg, noise=readout.ReadoutNoiseModel(), rng=taps)
+    raw = readout.heterodyne_record(_constant_field(0.6 - 0.3j, cfg), cfg,
+                                    sigma=3.5, rng=taps)
+    times = np.arange(cfg.n_samples) / cfg.sample_rate
     mixed = 2.0 * raw * np.exp(
         -1j * readout.TWO_PI * cfg.intermediate_frequency * times)
     want = lfilter(design, 1.0, mixed)
-    trace = readout.demodulate(times, raw, cfg)
-    assert np.array_equal(trace.i, want.real)
-    assert np.array_equal(trace.q, want.imag)
+    assert np.array_equal(readout.demodulate(raw, cfg), want)
+
+
+def test_heterodyne_record_needs_the_adc_grid():
+    cfg = readout.HeterodyneConfig()
+    for n in (cfg.n_samples - 1, cfg.n_samples + 1):
+        with pytest.raises(ValueError, match="ADC grid"):
+            readout.heterodyne_record(np.zeros(n, dtype=complex), cfg)
+    with pytest.raises(ValueError, match="ADC grid"):
+        readout.heterodyne_record(np.zeros((1, cfg.n_samples)), cfg)
 
 
 def _mixture_trace(alpha_g, alpha_e, p, cfg):
     """Readout of the mixture's cavity field (1 - p) alpha_g + p alpha_e,
     synthesised like experiments.measure_population does."""
     return readout.synthesize_readout_waveform(
-        _constant_trajectory((1.0 - p) * alpha_g + p * alpha_e), cfg)
+        _constant_field((1.0 - p) * alpha_g + p * alpha_e, cfg), cfg)
 
 
 def test_estimator_is_affine_exact_on_mixtures():
     cfg = readout.HeterodyneConfig()
     alpha_g, alpha_e = 1.0 + 0.0j, 0.2 - 0.9j
     ref_g = readout.synthesize_readout_waveform(
-        _constant_trajectory(alpha_g), cfg)
+        _constant_field(alpha_g, cfg), cfg)
     ref_e = readout.synthesize_readout_waveform(
-        _constant_trajectory(alpha_e), cfg)
+        _constant_field(alpha_e, cfg), cfg)
     # populations outside [0, 1] extrapolate linearly rather than clipping
     for p in (0.0, 0.37, 1.0, 1.3):
         est = readout.estimate_population(
@@ -158,32 +161,27 @@ def test_estimator_rotation_invariance():
     cfg = readout.HeterodyneConfig()
     alpha_g, alpha_e = 0.8 + 0.1j, -0.3 + 0.6j
     ref_g = readout.synthesize_readout_waveform(
-        _constant_trajectory(alpha_g), cfg)
+        _constant_field(alpha_g, cfg), cfg)
     ref_e = readout.synthesize_readout_waveform(
-        _constant_trajectory(alpha_e), cfg)
+        _constant_field(alpha_e, cfg), cfg)
     blend = _mixture_trace(alpha_g, alpha_e, 0.42, cfg)
-    phi = 1.234
-    est = readout.estimate_population(
-        readout.rotate_reference_phase(blend, phi),
-        readout.rotate_reference_phase(ref_g, phi),
-        readout.rotate_reference_phase(ref_e, phi), cfg)
+    turn = np.exp(-1.234j)
+    est = readout.estimate_population(blend * turn, ref_g * turn,
+                                      ref_e * turn, cfg)
     npt.assert_allclose(est, 0.42, atol=1e-12)
 
 
 def test_estimator_guards():
     cfg = readout.HeterodyneConfig()
-    ref = readout.synthesize_readout_waveform(_constant_trajectory(1.0), cfg)
+    ref = readout.synthesize_readout_waveform(_constant_field(1.0, cfg), cfg)
     with pytest.raises(ValueError, match="identical"):
         readout.estimate_population(ref, ref, ref, cfg)
     short = readout.HeterodyneConfig(integration_window=40e-9)
     with pytest.raises(ValueError, match="filter transient"):
         readout.estimate_population(
-            readout.synthesize_readout_waveform(_constant_trajectory(1.0),
-                                                short),
-            readout.synthesize_readout_waveform(_constant_trajectory(1.0),
-                                                short),
-            readout.synthesize_readout_waveform(_constant_trajectory(0.0),
-                                                short),
+            *(readout.synthesize_readout_waveform(_constant_field(a, short),
+                                                  short)
+              for a in (1.0, 1.0, 0.0)),
             short)
 
 
@@ -191,21 +189,17 @@ def test_matched_filter_is_unbiased_under_noise():
     # references separate only late in the window (ring-up), where the
     # matched filter concentrates its weight
     cfg = readout.HeterodyneConfig(integration_window=300e-9)
-    times = np.arange(0.0, 400e-9, 4e-10)
-    ramp = np.clip((times - 100e-9) / 200e-9, 0.0, 1.0)
-    traj_g = dynamics.Trajectory(times=times, qubit_pe=np.zeros_like(times),
-                                 cavity_alpha=np.ones_like(times).astype(complex))
-    traj_e = dynamics.Trajectory(times=times, qubit_pe=np.ones_like(times),
-                                 cavity_alpha=(1.0 - 0.8 * ramp).astype(complex))
-    ref_g = readout.synthesize_readout_waveform(traj_g, cfg)
-    ref_e = readout.synthesize_readout_waveform(traj_e, cfg)
+    ramp = np.clip((cfg.adc_times - 100e-9) / 200e-9, 0.0, 1.0)
+    alpha_e = (1.0 - 0.8 * ramp).astype(complex)
+    ref_g = readout.synthesize_readout_waveform(_constant_field(1.0, cfg), cfg)
+    ref_e = readout.synthesize_readout_waveform(alpha_e, cfg)
 
-    noise = readout.ReadoutNoiseModel(noise_temperature=6.0)
+    sigma = readout.ReadoutNoiseModel(noise_temperature=6.0).sigma_per_sample(
+        5.07e9)
     rng = np.random.default_rng(99)
     est = []
     for _ in range(300):
-        noisy = readout.synthesize_readout_waveform(traj_e, cfg, noise=noise,
-                                                    rng=rng)
+        noisy = readout.synthesize_readout_waveform(alpha_e, cfg, sigma, rng)
         est.append(readout.estimate_population(noisy, ref_g, ref_e, cfg))
     sd = np.std(est)
     npt.assert_allclose(np.mean(est), 1.0, atol=4 * sd / np.sqrt(300))
@@ -214,15 +208,16 @@ def test_matched_filter_is_unbiased_under_noise():
 def test_averaging_follows_square_root_law():
     cfg = readout.HeterodyneConfig(integration_window=200e-9)
     ref_g = readout.synthesize_readout_waveform(
-        _constant_trajectory(1.0 + 0.0j), cfg)
+        _constant_field(1.0 + 0.0j, cfg), cfg)
     ref_e = readout.synthesize_readout_waveform(
-        _constant_trajectory(-1.0 + 0.0j), cfg)
-    noise = readout.ReadoutNoiseModel(noise_temperature=6.0)
+        _constant_field(-1.0 + 0.0j, cfg), cfg)
+    sigma = readout.ReadoutNoiseModel(noise_temperature=6.0).sigma_per_sample(
+        5.07e9)
     rng = np.random.default_rng(5)
     singles = np.array([
         readout.estimate_population(
-            readout.synthesize_readout_waveform(_constant_trajectory(0.0),
-                                                cfg, noise=noise, rng=rng),
+            readout.synthesize_readout_waveform(_constant_field(0.0, cfg),
+                                                cfg, sigma, rng),
             ref_g, ref_e, cfg)
         for _ in range(1600)])
     sigma1 = singles.std()
@@ -234,12 +229,15 @@ def test_averaging_follows_square_root_law():
 
 def test_csv_writers(tmp_path):
     cfg = readout.HeterodyneConfig(integration_window=80e-9)
-    trace = readout.synthesize_readout_waveform(_constant_trajectory(0.5j),
+    trace = readout.synthesize_readout_waveform(_constant_field(0.5j, cfg),
                                                 cfg)
     p1 = tmp_path / "iq.csv"
-    readout.iq_trace_to_csv(trace, p1)
+    readout.iq_trace_to_csv(trace, cfg, p1)
     data = np.loadtxt(p1, delimiter=",", skiprows=1)
     assert data.shape == (cfg.n_samples, 3)
+    npt.assert_allclose(data[:, 0], np.arange(cfg.n_samples) / cfg.sample_rate,
+                        rtol=1e-12)
+    npt.assert_allclose(data[:, 1] + 1j * data[:, 2], trace, atol=1e-12)
 
     freqs = np.linspace(5.0e9, 5.14e9, 11)
     s11 = readout.reflection_coefficient(freqs, RES)
