@@ -20,7 +20,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,9 @@ PULL_HOLD_RATE = 16e6
 # ac-Stark fit window ends once |<sigma+>| falls below this fraction of its
 # post-settle value
 STARK_COHERENCE_FLOOR = 0.25
+# noisy readout shots drawn at a time: 32 records of 1000 samples are 256 KiB,
+# small enough to leave the process's peak RSS where it was
+SHOT_BLOCK = 32
 
 
 class ConfigError(ValueError):
@@ -363,6 +366,12 @@ class ReadoutPipeline:
         """Cavity field of the mixture with excited population p_e."""
         return (1.0 - p_e) * self.alpha_g + p_e * self.alpha_e
 
+    @cached_property
+    def noise_kernel(self):
+        """Pull of each sample of added noise on a shot (noisy reads only)."""
+        return readout.shot_noise_kernel(self.ref_g, self.ref_e,
+                                         self.heterodyne)
+
 
 def build_readout_pipeline(dev, heterodyne=None, noise=None,
                            probe_frequency=None, probe_amplitude=None):
@@ -397,20 +406,26 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
         chi=chi)
 
 
+def _noisy_shots(pipe, p0, rng, averages):
+    """Shots p0 + pipe.noise_kernel . xi; the record noise xi is drawn
+    SHOT_BLOCK shots at a time, in the order full synthesis draws it."""
+    rng, n = np.random.default_rng(rng), pipe.heterodyne.n_samples
+    return np.concatenate([
+        p0 + rng.normal(0.0, pipe.sigma, (min(SHOT_BLOCK, averages - k), n))
+        @ pipe.noise_kernel for k in range(0, averages, SHOT_BLOCK)])
+
+
 def measure_population(pipe, p_e, rng=None, averages=1):
-    """Push a mixture through the noisy readout chain; return (mean, sem)."""
-    alpha = pipe.mixture_field(p_e)
+    """Read a mixture out `averages` times; return (mean, sem).  The chain is
+    linear in the added noise, so shots are closed-form (_noisy_shots); full
+    synthesis, readout.synthesize_readout_waveform, is their reference."""
+    averages = _as_int(averages, "averages", minimum=1)
     het = pipe.heterodyne
+    trace = readout.synthesize_readout_waveform(pipe.mixture_field(p_e), het)
+    p0 = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e, het)
     if pipe.sigma <= 0.0:
-        trace = readout.synthesize_readout_waveform(alpha, het)
-        return readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
-                                           het), 0.0
-    vals = np.empty(int(averages))
-    for k in range(int(averages)):
-        trace = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
-                                                    rng)
-        vals[k] = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e,
-                                              het)
+        return p0, 0.0
+    vals = _noisy_shots(pipe, p0, rng, averages)
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), sem
 
@@ -797,13 +812,10 @@ def _run_readout_trace(cfg, out):
     noiseless = readout.synthesize_readout_waveform(alpha, het)
     midpoint = readout.estimate_population(noiseless, pipe.ref_g, pipe.ref_e,
                                            het)
-    # without added noise, measuring would read this same trace again
-    p_est, est_err, mixture = midpoint, 0.0, noiseless
-    if pipe.sigma > 0.0:
-        p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
-                                            averages=cfg.averages)
-        mixture = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
-                                                      rng_trace)
+    p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
+                                        averages=cfg.averages)
+    mixture = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
+                                                  rng_trace)
 
     turn = np.exp(-1j * rotation)       # puts e - g on the +I axis
     for env, name in ((pipe.ref_g, "iq_ground.csv"),

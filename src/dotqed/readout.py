@@ -216,6 +216,20 @@ def estimate_population(trace, ref_g, ref_e, config):
     return float(np.real(np.vdot(w, sig - g)) / norm)
 
 
+def shot_noise_kernel(ref_g, ref_e, config):
+    """Weights h, read-only: added record noise xi moves a shot's estimate by
+    exactly h . xi.  They are the matched filter w = e - g (zero on the
+    filter transient) pulled back through the FIR filter and the mixer,
+    h_i = (2 / <w, w>) Re[conj(phasor_i) sum_j taps_j conj(w_{i+j})]."""
+    w = ref_e - ref_g
+    w[:config.n_filter_taps] = 0.0
+    pulled = np.convolve(np.conj(w), config.filter_taps[::-1])
+    h = np.real(np.conj(config.if_phasor) * pulled[config.n_filter_taps - 1:])
+    h *= 2.0 / np.real(np.vdot(w, w))
+    h.flags.writeable = False
+    return h
+
+
 # ------------------------------------------------------------ CSV output
 
 def iq_trace_to_csv(envelope, config, path):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,86 @@ def test_readout_trace_midpoint_at_gain(tmp_path):
     results = json.loads((out / "results.json").read_text())
     npt.assert_allclose(results["midpoint_noiseless"], 0.5, atol=1e-9)
     npt.assert_allclose(results["population_estimate"], 0.5, atol=1e-3)
+
+
+# noisy shots in closed form against full synthesis of every record
+
+_SHOT_COUNTS = (1, experiments.SHOT_BLOCK - 1, experiments.SHOT_BLOCK,
+                experiments.SHOT_BLOCK + 1, 2000)
+
+
+def _noisy_pipeline(dev, gain=1.0, window=400e-9):
+    return experiments.build_readout_pipeline(
+        dev, heterodyne=readout.HeterodyneConfig(integration_window=window),
+        noise=readout.ReadoutNoiseModel(noise_temperature=6.0,
+                                        system_gain=gain))
+
+
+@pytest.mark.parametrize("gain", [1.0, 2.0])
+@pytest.mark.parametrize("window", [200e-9, 400e-9])
+def test_closed_form_shots_match_full_synthesis(flagship, gain, window):
+    pipe = _noisy_pipeline(flagship, gain, window)
+    het = pipe.heterodyne
+    for seed, p_e in enumerate((0.0, 0.3, 1.0)):
+        alpha = pipe.mixture_field(p_e)
+        p0 = readout.estimate_population(
+            readout.synthesize_readout_waveform(alpha, het), pipe.ref_g,
+            pipe.ref_e, het)
+        # the reference: synthesise and estimate every record, keeping the
+        # generator's state after each shot count under test
+        ref_rng = np.random.default_rng(seed)
+        want, states = [], {}
+        for k in range(1, _SHOT_COUNTS[-1] + 1):
+            trace = readout.synthesize_readout_waveform(alpha, het,
+                                                        pipe.sigma, ref_rng)
+            want.append(readout.estimate_population(trace, pipe.ref_g,
+                                                    pipe.ref_e, het))
+            if k in _SHOT_COUNTS:
+                states[k] = ref_rng.bit_generator.state
+        want = np.array(want)
+        for m in _SHOT_COUNTS:
+            shots = experiments._noisy_shots(pipe, p0,
+                                             np.random.default_rng(seed), m)
+            assert shots.shape == (m,)
+            npt.assert_allclose(shots, want[:m], rtol=0, atol=1e-12)
+
+            rng = np.random.default_rng(seed)
+            mean, sem = experiments.measure_population(pipe, p_e, rng=rng,
+                                                       averages=m)
+            npt.assert_allclose(mean, want[:m].mean(), rtol=0, atol=1e-12)
+            want_sem = want[:m].std(ddof=1) / np.sqrt(m) if m > 1 else 0.0
+            npt.assert_allclose(sem, want_sem, rtol=0, atol=1e-12)
+            # the generator has consumed exactly the per-shot draws
+            ref_rng.bit_generator.state = states[m]
+            assert rng.normal() == ref_rng.normal()
+
+
+def test_noisy_shots_are_drawn_in_blocks(flagship):
+    pipe = _noisy_pipeline(flagship)
+    assert pipe.heterodyne.n_samples == 1000
+    # a first noisy read builds the pipeline's noise kernel
+    experiments.measure_population(pipe, 0.5, rng=np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        experiments.measure_population(pipe, 0.5, rng=np.random.default_rng(2),
+                                       averages=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (2000, 1000) noise array would be 16 MB
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("averages, message", [
+    (0, "must be >= 1"), (-1, "must be >= 1"), (2.7, "expected an integer")])
+@pytest.mark.parametrize("temperature", [0.0, 6.0])
+def test_measure_population_rejects_bad_averages(flagship, averages, message,
+                                                 temperature):
+    noise = readout.ReadoutNoiseModel(noise_temperature=temperature)
+    pipe = experiments.build_readout_pipeline(flagship, noise=noise)
+    with pytest.raises(ValueError, match=f"averages: {message}"):
+        experiments.measure_population(pipe, 0.5, rng=np.random.default_rng(0),
+                                       averages=averages)
 
 
 # ac-Stark points: the displaced frame against the lab frame
