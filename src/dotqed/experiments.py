@@ -18,7 +18,7 @@ import hashlib
 import inspect
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
@@ -307,8 +307,8 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
         "averages", minimum=1)
 
     effective = {"experiment": kind, "seed": seed_val, "params": params,
-                 "device": {name: {k: float(v) for k, v in fields.items()}
-                            for name, fields in dev.to_dict().items()}}
+                 "device": {name: {k: float(v) for k, v in section.items()}
+                            for name, section in dev.to_dict().items()}}
     sections = {"sweep": sweep, "noise": noise, "pulse": pulse,
                 "readout": het_values, "averages": averages}
     effective.update((name, value) for name, value in sections.items()
@@ -329,15 +329,8 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
 
 def load_config(path, experiment=None, seed=None, output_dir=None):
     """Read a JSON config file and validate it."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
-    return validate_config(raw, experiment=experiment, seed=seed,
-                           output_dir=output_dir)
+    return validate_config(_read_json(path, "config"), experiment=experiment,
+                           seed=seed, output_dir=output_dir)
 
 
 # --------------------------------------------------- readout pipeline
@@ -359,8 +352,6 @@ class ReadoutPipeline:
     ref_g: np.ndarray
     ref_e: np.ndarray
     probe_frequency: float
-    probe_amplitude: float
-    chi: float
 
     def mixture_field(self, p_e):
         """Cavity field of the mixture with excited population p_e."""
@@ -402,8 +393,7 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
         heterodyne=het, sigma=sigma, alpha_g=alpha_g, alpha_e=alpha_e,
         ref_g=readout.synthesize_readout_waveform(alpha_g, het),
         ref_e=readout.synthesize_readout_waveform(alpha_e, het),
-        probe_frequency=probe_frequency, probe_amplitude=probe_amplitude,
-        chi=chi)
+        probe_frequency=probe_frequency)
 
 
 def _noisy_shots(pipe, p0, rng, averages):
@@ -604,6 +594,7 @@ def _point_rngs(seed, n_points):
 
 
 def _write_csv(path, header, columns):
+    """The one CSV layout: comma-separated %.12e columns, bare header."""
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     np.savetxt(path, data, delimiter=",", header=header, comments="",
                fmt="%.12e")
@@ -626,6 +617,21 @@ def _write_json(path, obj):
         json.dump(_null_non_finite(obj), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
+
+
+def _read_json(path, label):
+    """The JSON object in a UTF-8 file; ConfigError naming `label` and the
+    file if it cannot be read, is not JSON or is not an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{label}: cannot read {path}: {exc}") from exc
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{label}: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label}: {path} is not a JSON object")
+    return obj
 
 
 def _pipeline_from_config(cfg):
@@ -821,7 +827,8 @@ def _run_readout_trace(cfg, out):
     for env, name in ((pipe.ref_g, "iq_ground.csv"),
                       (pipe.ref_e, "iq_excited.csv"),
                       (mixture, "iq_mixture.csv")):
-        readout.iq_trace_to_csv(env * turn, het, out / name)
+        iq = env * turn
+        _write_csv(out / name, "time_s,i,q", [het.adc_times, iq.real, iq.imag])
 
     fits = {"population_estimate": {
         "method": "matched",
@@ -852,7 +859,8 @@ def _run_s11(cfg, out):
         shift = readout.dressed_resonance_shift(
             state, device.dispersive_shift_of(cfg.device))
     s11 = readout.reflection_coefficient(freqs, res, resonance_shift=shift)
-    readout.spectrum_to_csv(freqs, s11, out / "s11.csv")
+    _write_csv(out / "s11.csv", "freq_hz,re_s11,im_s11",
+               [freqs, s11.real, s11.imag])
 
     fit = fitting.fit_lorentzian(freqs, np.abs(s11) ** 2)
     kappa_tot = 2.0 * abs(fit.params["hwhm"])
@@ -1024,36 +1032,17 @@ class RunManifest:
                        timespec="seconds"),
                    files=entries, run_hash=run_hash)
 
-    def to_dict(self):
-        return {"experiment": self.experiment,
-                "config_sha256": self.config_sha256, "seed": self.seed,
-                "versions": dict(self.versions),
-                "created_at": self.created_at,
-                "files": [dict(e) for e in self.files],
-                "run_hash": self.run_hash}
-
     def save(self, path):
-        _write_json(path, self.to_dict())
+        _write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path):
         p = Path(path)
         if p.is_dir():
             p = p / "manifest.json"
+        d = _read_json(p, "run")
         try:
-            with open(p) as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"run: cannot read manifest {p}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"run: {p} is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ConfigError(f"run: manifest {p} is not a JSON object")
-        try:
-            return cls(experiment=d["experiment"],
-                       config_sha256=d["config_sha256"], seed=d["seed"],
-                       versions=d["versions"], created_at=d["created_at"],
-                       files=d["files"], run_hash=d["run_hash"])
+            return cls(**{f.name: d[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise ConfigError(f"run: manifest {p} is missing {exc}") from exc
 
@@ -1147,36 +1136,16 @@ def compare_to_reference(run, reference_path):
     RunManifest.load(run_path)  # reject runs without a readable manifest
     run_dir = run_path if run_path.is_dir() else run_path.parent
 
-    def read(name):
-        path = run_dir / name
-        if not path.exists():
-            raise ConfigError(f"run: {path} not found")
-        try:
-            with open(path) as fh:
-                content = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"run: {path} is not valid JSON: {exc}") from exc
-        if not isinstance(content, dict):
-            raise ConfigError(f"run: {path} is not a JSON object")
-        return content
-
-    results, fits = read("results.json"), read("fits.json")
+    results, fits = (_read_json(run_dir / name, "run")
+                     for name in ("results.json", "fits.json"))
     try:
         flagged = flagged_fits(fits)
     except ConfigError as exc:
         raise ConfigError(f"run: {run_dir / 'fits.json'}: {exc}") from None
 
-    try:
-        with open(reference_path) as fh:
-            ref = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"reference: cannot read {reference_path}: {exc}") \
-            from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"reference: {reference_path} is not valid JSON: "
-                          f"{exc}") from exc
-    if not isinstance(ref, dict) or "quantities" not in ref:
-        raise ConfigError('reference: expected an object with a "quantities" '
+    ref = _read_json(reference_path, "reference")
+    if "quantities" not in ref:
+        raise ConfigError(f'reference: {reference_path} has no "quantities" '
                           "key")
     quantities = ref["quantities"]
     if not isinstance(quantities, dict) or not quantities:

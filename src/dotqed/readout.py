@@ -229,19 +229,3 @@ def shot_noise_kernel(ref_g, ref_e, config):
     h.flags.writeable = False
     return h
 
-
-# ------------------------------------------------------------ CSV output
-
-def iq_trace_to_csv(envelope, config, path):
-    np.savetxt(path, np.column_stack([config.adc_times, envelope.real,
-                                      envelope.imag]),
-               fmt="%.12e", delimiter=",", header="time_s,i,q", comments="")
-    return path
-
-
-def spectrum_to_csv(probe_frequencies, s11, path):
-    s11 = np.asarray(s11)
-    np.savetxt(path, np.column_stack([probe_frequencies, s11.real, s11.imag]),
-               fmt="%.12e", delimiter=",",
-               header="freq_hz,re_s11,im_s11", comments="")
-    return path

@@ -217,13 +217,27 @@ def test_subcommand_must_agree_with_config(tmp_path):
     assert cfg.experiment == "ramsey"
 
 
-def test_load_config_errors(tmp_path):
-    with pytest.raises(experiments.ConfigError, match="cannot read"):
-        experiments.load_config(tmp_path / "absent.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(experiments.ConfigError, match="not valid JSON"):
-        experiments.load_config(bad)
+# each way a JSON file that dotqed reads can be broken, and the message
+# fragment it gives; every one is a config error naming the file (exit 2)
+_JSON_FAULTS = {
+    "missing": (lambda p: p.unlink(), "cannot read"),
+    "directory": (lambda p: (p.unlink(), p.mkdir()), "cannot read"),
+    "not-utf8": (lambda p: p.write_bytes(b"\xff\xfe{}"), "not valid JSON"),
+    "not-json": (lambda p: p.write_text("{not json"), "not valid JSON"),
+    "not-object": (lambda p: p.write_text("[1, 2]"), "not a JSON object"),
+}
+
+
+def test_load_config_errors(tmp_path, capsys):
+    for fault, (damage, fragment) in _JSON_FAULTS.items():
+        path = tmp_path / f"{fault}.json"
+        path.write_text(json.dumps(_s11_config(tmp_path / "run")))
+        damage(path)
+        with pytest.raises(experiments.ConfigError, match=fragment):
+            experiments.load_config(path)
+        assert cli.main(["simulate", "s11-sweep", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_hash_ignores_output_location(tmp_path):
@@ -345,8 +359,8 @@ def test_run_is_deterministic_across_output_dirs(tmp_path):
 
 def test_s11_runner_recovers_linewidth(tmp_path):
     out = tmp_path / "s11"
-    manifest = experiments.run_experiment(
-        experiments.validate_config(_s11_config(out)))
+    cfg = experiments.validate_config(_s11_config(out))
+    manifest = experiments.run_experiment(cfg)
     results = json.loads((out / "results.json").read_text())
     # fitted kappa_tot lands on 30 MHz well within the 2% contract
     npt.assert_allclose(results["kappa_tot_hz"], 30e6, rtol=0.02)
@@ -357,6 +371,14 @@ def test_s11_runner_recovers_linewidth(tmp_path):
     listed = {f["name"] for f in manifest.files}
     assert {"s11.csv", "fits.json", "results.json",
             "config.json"} <= listed
+    # s11.csv round-trips the reflection coefficient
+    assert (out / "s11.csv").read_text().startswith("freq_hz,re_s11,im_s11\n")
+    data = np.loadtxt(out / "s11.csv", delimiter=",", skiprows=1)
+    npt.assert_allclose(data[:, 0], cfg.sweep.values, rtol=1e-12)
+    npt.assert_allclose(data[:, 1] + 1j * data[:, 2],
+                        readout.reflection_coefficient(cfg.sweep.values,
+                                                       cfg.device.resonator),
+                        rtol=1e-12, atol=1e-12)
 
 
 def test_ramsey_runner_fits_fringe_and_decay(tmp_path):
@@ -382,13 +404,26 @@ def test_readout_trace_runner_midpoint(tmp_path):
         "seed": 3,
         "output_dir": str(out),
     }
-    experiments.run_experiment(experiments.validate_config(raw))
+    cfg = experiments.validate_config(raw)
+    experiments.run_experiment(cfg)
     results = json.loads((out / "results.json").read_text())
     npt.assert_allclose(results["midpoint_noiseless"], 0.5, atol=1e-9)
     npt.assert_allclose(results["population_estimate"], 0.5, atol=1e-9)
     assert results["iq_separation"] > 0.1
-    for name in ("iq_ground.csv", "iq_excited.csv", "iq_mixture.csv"):
-        assert (out / name).exists()
+    # each iq_*.csv is time, I, Q of its envelope turned by the rotation
+    pipe = experiments.build_readout_pipeline(cfg.device, cfg.heterodyne)
+    het = pipe.heterodyne
+    mixture = readout.synthesize_readout_waveform(pipe.mixture_field(0.5), het)
+    turn = np.exp(-1j * results["rotation_phase_rad"])
+    for env, name in ((pipe.ref_g, "iq_ground.csv"),
+                      (pipe.ref_e, "iq_excited.csv"),
+                      (mixture, "iq_mixture.csv")):
+        assert (out / name).read_text().startswith("time_s,i,q\n")
+        data = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert data.shape == (het.n_samples, 3)
+        npt.assert_allclose(data[:, 0], het.adc_times, rtol=1e-12)
+        npt.assert_allclose(data[:, 1] + 1j * data[:, 2], env * turn,
+                            rtol=1e-12, atol=1e-12 * abs(env).max())
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1e-6])
@@ -745,24 +780,38 @@ def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):
     assert "flagged fit reflection_dip: poor-fit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name, rewrite", [
-    ("manifest.json", lambda text: f"[{text}]"),
-    ("fits.json", lambda text: '{"reflection_dip": {"converged": true}}'),
-    ("results.json",
-     lambda text: json.dumps(list(json.loads(text).values()))),
-    ("results.json", lambda text: text[:-3]),
-], ids=["manifest-array", "fits-without-flags", "results-array",
-        "results-truncated"])
-def test_check_rejects_malformed_run_files(tmp_path, capsys, name, rewrite):
-    # a run file that is not valid JSON, or parses but is not the shape
-    # dotqed writes, is a config error naming the file, not a traceback
+_MALFORMED_CHECK_FILES = {
+    "manifest-array": (
+        "manifest.json", lambda p: p.write_text(f"[{p.read_text()}]")),
+    "fits-without-flags": (
+        "fits.json",
+        lambda p: p.write_text('{"reflection_dip": {"converged": true}}')),
+    "results-array": (
+        "results.json",
+        lambda p: p.write_text(
+            json.dumps(list(json.loads(p.read_text()).values())))),
+    "results-truncated": (
+        "results.json", lambda p: p.write_text(p.read_text()[:-3])),
+    **{f"{name.removesuffix('.json')}-{fault}": (name, damage)
+       for name in ("manifest.json", "results.json", "fits.json",
+                    "reference.json")
+       for fault, (damage, _) in _JSON_FAULTS.items()},
+}
+
+
+@pytest.mark.parametrize("name, damage", list(_MALFORMED_CHECK_FILES.values()),
+                         ids=list(_MALFORMED_CHECK_FILES))
+def test_check_rejects_malformed_run_files(tmp_path, capsys, name, damage):
+    # a run or reference file that cannot be read, is not UTF-8 JSON, or
+    # parses but is not the shape dotqed writes, is a config error naming
+    # the file, not a traceback
     out = tmp_path / "run"
     experiments.run_experiment(experiments.validate_config(_s11_config(out)))
-    ref = tmp_path / "ref.json"
+    ref = tmp_path / "reference.json"
     ref.write_text(json.dumps({"quantities": {
         "kappa_tot_hz": {"expected": 30e6, "rtol": 0.02}}}))
-    path = out / name
-    path.write_text(rewrite(path.read_text()))
+    path = ref if name == ref.name else out / name
+    damage(path)
     capsys.readouterr()
     assert cli.main(["check", "--run", str(out),
                      "--reference", str(ref)]) == 2

@@ -226,22 +226,3 @@ def test_averaging_follows_square_root_law():
     # 16-shot averages should be 4x tighter
     npt.assert_allclose(ratio, 4.0, rtol=0.25)
 
-
-def test_csv_writers(tmp_path):
-    cfg = readout.HeterodyneConfig(integration_window=80e-9)
-    trace = readout.synthesize_readout_waveform(_constant_field(0.5j, cfg),
-                                                cfg)
-    p1 = tmp_path / "iq.csv"
-    readout.iq_trace_to_csv(trace, cfg, p1)
-    data = np.loadtxt(p1, delimiter=",", skiprows=1)
-    assert data.shape == (cfg.n_samples, 3)
-    npt.assert_allclose(data[:, 0], np.arange(cfg.n_samples) / cfg.sample_rate,
-                        rtol=1e-12)
-    npt.assert_allclose(data[:, 1] + 1j * data[:, 2], trace, atol=1e-12)
-
-    freqs = np.linspace(5.0e9, 5.14e9, 11)
-    s11 = readout.reflection_coefficient(freqs, RES)
-    p2 = tmp_path / "s11.csv"
-    readout.spectrum_to_csv(freqs, s11, p2)
-    data = np.loadtxt(p2, delimiter=",", skiprows=1)
-    npt.assert_allclose(data[:, 1] + 1j * data[:, 2], s11, atol=1e-9)
