@@ -7,9 +7,8 @@ file.  Exit codes: 0 success / all checks pass, 1 run or check failure,
 """
 
 import argparse
-import json
+import os
 import sys
-from pathlib import Path
 
 from . import experiments
 
@@ -45,7 +44,8 @@ def _simulate(args):
     cfg = experiments.load_config(args.config, experiment=args.experiment,
                                   seed=args.seed, output_dir=args.out)
     manifest = experiments.run_experiment(cfg)
-    results, fits = (json.loads((Path(cfg.output_dir) / name).read_text())
+    results, fits = (experiments._read_json(os.path.join(cfg.output_dir, name),
+                                            "run")
                      for name in ("results.json", "fits.json"))
     print(f"{cfg.experiment}: wrote {len(manifest.files)} files "
           f"to {cfg.output_dir}")

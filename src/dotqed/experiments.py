@@ -340,10 +340,10 @@ class ReadoutPipeline:
     """Conditional cavity fields and demodulated references on the ADC grid.
 
     The master equation is linear in the density matrix, so the conditional
-    fields for |g> and |e> span every mixture; a sweep only has to blend
-    them, which keeps per-point cost at the synthesis/estimation level.  The
-    fields are at the chain's system_gain, and sigma is the std of the added
-    noise per ADC sample (0 without added noise).
+    fields for |g> and |e> span every mixture, and the chain is linear in
+    them, so a read needs no synthesis (measure_population).  The fields
+    are at the chain's system_gain, and sigma is the std of the added noise
+    per ADC sample (0 without added noise).
     """
     heterodyne: readout.HeterodyneConfig
     sigma: float
@@ -396,26 +396,23 @@ def build_readout_pipeline(dev, heterodyne=None, noise=None,
         probe_frequency=probe_frequency)
 
 
-def _noisy_shots(pipe, p0, rng, averages):
-    """Shots p0 + pipe.noise_kernel . xi; the record noise xi is drawn
+def _noisy_shots(pipe, p_e, rng, averages):
+    """Shots p_e + pipe.noise_kernel . xi; the record noise xi is drawn
     SHOT_BLOCK shots at a time, in the order full synthesis draws it."""
     rng, n = np.random.default_rng(rng), pipe.heterodyne.n_samples
     return np.concatenate([
-        p0 + rng.normal(0.0, pipe.sigma, (min(SHOT_BLOCK, averages - k), n))
+        p_e + rng.normal(0.0, pipe.sigma, (min(SHOT_BLOCK, averages - k), n))
         @ pipe.noise_kernel for k in range(0, averages, SHOT_BLOCK)])
 
 
 def measure_population(pipe, p_e, rng=None, averages=1):
     """Read a mixture out `averages` times; return (mean, sem).  The chain is
-    linear in the added noise, so shots are closed-form (_noisy_shots); full
-    synthesis, readout.synthesize_readout_waveform, is their reference."""
+    linear, so a noiseless read is p_e and a shot p_e plus its noise
+    (_noisy_shots); full synthesis then estimate_population is the reference."""
     averages = _as_int(averages, "averages", minimum=1)
-    het = pipe.heterodyne
-    trace = readout.synthesize_readout_waveform(pipe.mixture_field(p_e), het)
-    p0 = readout.estimate_population(trace, pipe.ref_g, pipe.ref_e, het)
     if pipe.sigma <= 0.0:
-        return p0, 0.0
-    vals = _noisy_shots(pipe, p0, rng, averages)
+        return float(p_e), 0.0
+    vals = _noisy_shots(pipe, p_e, rng, averages)
     sem = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return float(vals.mean()), sem
 
@@ -820,8 +817,8 @@ def _run_readout_trace(cfg, out):
                                            het)
     p_est, est_err = measure_population(pipe, p_target, rng=rng_meas,
                                         averages=cfg.averages)
-    mixture = readout.synthesize_readout_waveform(alpha, het, pipe.sigma,
-                                                  rng_trace)
+    mixture = noiseless if pipe.sigma <= 0.0 else \
+        readout.synthesize_readout_waveform(alpha, het, pipe.sigma, rng_trace)
 
     turn = np.exp(-1j * rotation)       # puts e - g on the +I axis
     for env, name in ((pipe.ref_g, "iq_ground.csv"),

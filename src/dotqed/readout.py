@@ -84,6 +84,9 @@ class HeterodyneConfig:
             raise ValueError("integration window must be positive")
         if self.n_filter_taps < 3 or self.n_filter_taps % 2 == 0:
             raise ValueError("n_filter_taps must be odd and >= 3")
+        if self.n_samples <= self.n_filter_taps:
+            raise ValueError("integration window must hold more samples than "
+                             "the filter transient (n_filter_taps)")
 
     @property
     def n_samples(self):
@@ -192,40 +195,38 @@ def synthesize_readout_waveform(alpha, config, sigma=0.0, rng=None):
 
 # ------------------------------------------------- population estimation
 
-def estimate_population(trace, ref_g, ref_e, config):
-    """Project a demodulated envelope onto the g/e reference envelopes;
-    return p_e.
-
-    Matched filter: per-sample weights w = (e - g) and
-    p = Re <w, s - g> / <w, w>.  This is affine in the signal envelope, so a
-    noiseless mixture trace returns its population exactly.  The first
-    n_filter_taps samples are excluded to drop the demodulation filter
-    transient.
-    """
+def _matched_filter(ref_g, ref_e, config):
+    """w = e - g past the filter transient (the first n_filter_taps samples)
+    and its norm <w, w>; raises if the references have no contrast."""
     skip = config.n_filter_taps
-    sig, g, e = trace[skip:], ref_g[skip:], ref_e[skip:]
-    if not (len(sig) == len(g) == len(e)):
-        raise ValueError("trace and references must share the ADC grid")
-    if len(sig) == 0:
-        raise ValueError("integration window shorter than the filter transient")
-
-    w = e - g
+    w = ref_e[skip:] - ref_g[skip:]
     norm = np.real(np.vdot(w, w))
     if norm <= 0:
         raise ValueError("reference envelopes are identical; no contrast")
-    return float(np.real(np.vdot(w, sig - g)) / norm)
+    return w, norm
+
+
+def estimate_population(trace, ref_g, ref_e, config):
+    """Project a demodulated envelope s onto the g/e reference envelopes:
+    p_e = Re <w, s - g> / <w, w>, the matched filter w of _matched_filter.
+    It is affine in s, so a noiseless mixture trace returns its population."""
+    if not len(trace) == len(ref_g) == len(ref_e):
+        raise ValueError("trace and references must share the ADC grid")
+    w, norm = _matched_filter(ref_g, ref_e, config)
+    signal = (trace - ref_g)[config.n_filter_taps:]
+    return float(np.real(np.vdot(w, signal)) / norm)
 
 
 def shot_noise_kernel(ref_g, ref_e, config):
     """Weights h, read-only: added record noise xi moves a shot's estimate by
-    exactly h . xi.  They are the matched filter w = e - g (zero on the
-    filter transient) pulled back through the FIR filter and the mixer,
+    exactly h . xi.  They are the matched filter w (zero on the filter
+    transient) pulled back through the FIR filter and the mixer,
     h_i = (2 / <w, w>) Re[conj(phasor_i) sum_j taps_j conj(w_{i+j})]."""
-    w = ref_e - ref_g
-    w[:config.n_filter_taps] = 0.0
-    pulled = np.convolve(np.conj(w), config.filter_taps[::-1])
-    h = np.real(np.conj(config.if_phasor) * pulled[config.n_filter_taps - 1:])
-    h *= 2.0 / np.real(np.vdot(w, w))
+    w, norm = _matched_filter(ref_g, ref_e, config)
+    skip = config.n_filter_taps
+    pulled = np.convolve(np.conj(np.pad(w, (skip, 0))),
+                         config.filter_taps[::-1])
+    h = np.real(np.conj(config.if_phasor) * pulled[skip - 1:])
+    h *= 2.0 / norm
     h.flags.writeable = False
     return h
-

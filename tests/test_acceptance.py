@@ -212,8 +212,13 @@ def test_reflection_linewidth_and_winding(flagship_dict, tmp_path):
 
 
 def test_readout_estimator_and_averaging_law(flagship):
+    # the noiseless midpoint through the full chain, which measure_population
+    # short-cuts: synthesise the mixture's trace, then estimate
     pipe = experiments.build_readout_pipeline(flagship)
-    p_mid, _ = experiments.measure_population(pipe, 0.5)
+    mid = readout.synthesize_readout_waveform(pipe.mixture_field(0.5),
+                                              pipe.heterodyne)
+    p_mid = readout.estimate_population(mid, pipe.ref_g, pipe.ref_e,
+                                        pipe.heterodyne)
     mid_err = abs(p_mid - 0.5)
 
     # shorter window keeps 4e4 single shots affordable; the averaging law

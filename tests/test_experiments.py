@@ -79,6 +79,9 @@ def test_validate_config_happy_path(tmp_path):
      "noise.dephasing.tau_c: required"),
     (lambda c: c.__setitem__("readout", {"intermediate_frequency": 2e9}),
      "readout: "),
+    # 100 samples at 2.5 GS/s, all inside the 127-tap filter transient
+    (lambda c: c.__setitem__("readout", {"integration_window": 40e-9}),
+     "readout: integration window must hold more samples than the filter"),
     (lambda c: c.__setitem__("averages", 0), "averages: must be >= 1"),
     (lambda c: c.__setitem__("seed", -1), "seed: must be >= 0"),
     (lambda c: c.__setitem__("pulse", {"sigma": -1e-9}),
@@ -440,6 +443,67 @@ def test_measure_population_is_unbiased_at_any_gain(flagship, temperature):
         npt.assert_allclose(p_est, p_e, atol=1e-3)
 
 
+@pytest.mark.parametrize("gain", [1.0, 2.0])
+def test_noiseless_read_is_the_full_chain_estimate(flagship, gain):
+    # the shortcut behind measure_population: the chain is linear in the
+    # cavity field, so its estimate of a mixture is the population itself
+    noise = readout.ReadoutNoiseModel(noise_temperature=0.0, system_gain=gain)
+    pipe = experiments.build_readout_pipeline(flagship, noise=noise)
+    het = pipe.heterodyne
+    for p_e in np.linspace(0.0, 1.0, 101):
+        want = readout.estimate_population(
+            readout.synthesize_readout_waveform(pipe.mixture_field(p_e), het),
+            pipe.ref_g, pipe.ref_e, het)
+        p_est, sem = experiments.measure_population(pipe, p_e)
+        assert type(p_est) is float and sem == 0.0
+        npt.assert_allclose(p_est, want, rtol=0, atol=1e-12)
+
+
+def _count_chain_calls(monkeypatch):
+    """Count the calls into the readout chain; each raw record made is
+    logged as noisy (True) or noiseless (False)."""
+    calls = {"records": [], "demodulate": 0, "estimate_population": 0}
+    record = readout.heterodyne_record
+
+    def counted_record(alpha, config, sigma=0.0, rng=None):
+        calls["records"].append(sigma > 0)
+        return record(alpha, config, sigma, rng)
+
+    monkeypatch.setattr(readout, "heterodyne_record", counted_record)
+    for name in ("demodulate", "estimate_population"):
+        def counted(*args, _func=getattr(readout, name), _name=name):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(readout, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("temperature", [0.0, 6.0])
+def test_a_read_synthesises_no_trace(flagship, temperature, monkeypatch):
+    noise = readout.ReadoutNoiseModel(noise_temperature=temperature)
+    pipe = experiments.build_readout_pipeline(flagship, noise=noise)
+    calls = _count_chain_calls(monkeypatch)
+    for p_e in (0.0, 0.3, 1.0):
+        experiments.measure_population(pipe, p_e,
+                                       rng=np.random.default_rng(0),
+                                       averages=40)
+    assert calls == {"records": [], "demodulate": 0, "estimate_population": 0}
+
+
+@pytest.mark.parametrize("noise, n_noisy", [({}, 0), ({"readout": {}}, 1)])
+def test_readout_trace_synthesises_its_noiseless_trace_once(
+        tmp_path, monkeypatch, noise, n_noisy):
+    raw = {"experiment": "readout-trace", "device": _device_dict(),
+           "noise": noise, "seed": 3, "output_dir": str(tmp_path / "trace")}
+    cfg = experiments.validate_config(raw)
+    calls = _count_chain_calls(monkeypatch)
+    experiments.run_experiment(cfg)
+    # the g and e references, the noiseless mixture, and with added noise
+    # the noisy mixture of iq_mixture.csv
+    assert sorted(calls.pop("records")) == [False] * 3 + [True] * n_noisy
+    assert calls == {"demodulate": 3 + n_noisy, "estimate_population": 1}
+
+
 def test_readout_trace_midpoint_at_gain(tmp_path):
     out = tmp_path / "trace"
     raw = {
@@ -714,6 +778,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "NaN" in bad_cfg.read_text()
     assert cli.main(["simulate", "s11-sweep", "--config", str(bad_cfg)]) == 2
     assert "gamma1 must be a finite number" in capsys.readouterr().err
+
+    # a readout window inside the filter transient: a noiseless pulsed run
+    # makes no estimate from a trace, so the config check is what stops it
+    raw = _ramsey_config(tmp_path / "r5")
+    raw["readout"] = {"integration_window": 40e-9}
+    bad_cfg.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "ramsey", "--config", str(bad_cfg)]) == 2
+    assert "config error: readout: integration window" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "r5").exists()
 
     ref_ok = tmp_path / "ref_ok.json"
     ref_ok.write_text(json.dumps({"quantities": {

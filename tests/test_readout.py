@@ -138,7 +138,7 @@ def test_heterodyne_record_needs_the_adc_grid():
 
 def _mixture_trace(alpha_g, alpha_e, p, cfg):
     """Readout of the mixture's cavity field (1 - p) alpha_g + p alpha_e,
-    synthesised like experiments.measure_population does."""
+    synthesised through the full chain."""
     return readout.synthesize_readout_waveform(
         _constant_field((1.0 - p) * alpha_g + p * alpha_e, cfg), cfg)
 
@@ -176,13 +176,16 @@ def test_estimator_guards():
     ref = readout.synthesize_readout_waveform(_constant_field(1.0, cfg), cfg)
     with pytest.raises(ValueError, match="identical"):
         readout.estimate_population(ref, ref, ref, cfg)
-    short = readout.HeterodyneConfig(integration_window=40e-9)
+    with pytest.raises(ValueError, match="identical"):
+        readout.shot_noise_kernel(ref, ref, cfg)
+    # 100 samples at 2.5 GS/s against 127 taps: no sample outlasts the
+    # transient, so the window is rejected with the config
     with pytest.raises(ValueError, match="filter transient"):
-        readout.estimate_population(
-            *(readout.synthesize_readout_waveform(_constant_field(a, short),
-                                                  short)
-              for a in (1.0, 1.0, 0.0)),
-            short)
+        readout.HeterodyneConfig(integration_window=40e-9)
+    with pytest.raises(ValueError, match="filter transient"):
+        readout.HeterodyneConfig(integration_window=127 / 2.5e9)
+    assert readout.HeterodyneConfig(
+        integration_window=128 / 2.5e9).n_samples == 128
 
 
 def test_matched_filter_is_unbiased_under_noise():
