@@ -496,6 +496,8 @@ class StarkPoint:
     photon_number: float
     qubit_frequency: float
     max_trace_deviation: float
+    max_hermiticity_defect: float
+    min_eigenvalue: float
 
 
 def _displaced_frame(dev, drive_amplitude, probe, space):
@@ -577,9 +579,12 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     photons = (traj.expectations["a_dag_a"].real
                + 2.0 * np.real(np.conj(alpha) * traj.cavity_alpha) + abs(alpha) ** 2)
     n_bar = float(np.mean(photons[sel][:n_keep]))
+    diag = traj.diagnostics
     return StarkPoint(drive_amplitude=float(drive_amplitude),
                       photon_number=n_bar, qubit_frequency=float(nu_q),
-                      max_trace_deviation=traj.diagnostics.max_trace_deviation)
+                      max_trace_deviation=diag.max_trace_deviation,
+                      max_hermiticity_defect=diag.max_hermiticity_defect,
+                      min_eigenvalue=diag.min_eigenvalue)
 
 
 # ------------------------------------------------------------ runners
@@ -768,7 +773,6 @@ def _run_stark(cfg, out):
     points = [measure_stark_shift(cfg.device, a, **cfg.params) for a in amps]
     n_bar = np.array([pt.photon_number for pt in points])
     nu_q = np.array([pt.qubit_frequency for pt in points])
-    trace_dev = max(pt.max_trace_deviation for pt in points)
 
     # polyfit only scales a covariance once there are spare points
     if len(amps) >= 4:
@@ -794,7 +798,10 @@ def _run_stark(cfg, out):
         "stark_intercept_hz": float(coef[1]),
         "two_chi_hz": 2.0 * chi,
         "max_photon_number": float(n_bar.max()),
-        "max_trace_deviation": float(trace_dev),
+        "max_trace_deviation": max(pt.max_trace_deviation for pt in points),
+        "max_hermiticity_defect": max(pt.max_hermiticity_defect
+                                      for pt in points),
+        "min_eigenvalue": min(pt.min_eigenvalue for pt in points),
     }
     return ["stark.csv"], fits, results
 

@@ -173,16 +173,27 @@ def _lindblad_rk4(rho0, h_hz, channels, times):
     return np.array(states)
 
 
-def test_evolve_matches_rk4_over_lindblad_rhs():
-    space = qops.HilbertSpace(5)
+# one Fock cutoff on each side of the dense-propagator size rule, each on a
+# single step and on a step count that is no multiple of the block size
+@pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
+@pytest.mark.parametrize("t_end", [1e-11, 5e-9], ids=["1-step", "500-steps"])
+def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
+    space = qops.HilbertSpace(cutoff)
+    assert (space.dim ** 2 <= dynamics.DENSE_MAX_DIM2) == (cutoff == 5)
     h, chans = _driven_jc(space)
     sp = qops.qubit_operator(qops.sigma_plus(), space)
     c = np.sqrt(0.5)    # qubit to the equator, cavity in vacuum
     tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
-    rho0 = qops.ket_to_dm(tip @ np.eye(space.dim)[0])
-    grid = dynamics.SimulationGrid(0.0, 5e-9, 1e-11)
+    # a 1e-5 share of the maximally mixed state makes rho full rank, so the
+    # minimum eigenvalue is a decaying value, not rounding noise about zero
+    d = space.dim
+    rho0 = ((1.0 - 1e-5) * qops.ket_to_dm(tip @ np.eye(d)[0])
+            + 1e-5 * np.eye(d) / d)
+    grid = dynamics.SimulationGrid(0.0, t_end, 1e-11)
     traj = dynamics.evolve(rho0, h, chans, grid, space=space,
                            e_ops={"sigma_plus": sp})
+    n_steps = len(traj.times) - 1
+    assert n_steps == 1 or n_steps % dynamics.EVOLVE_BLOCK
     states = _lindblad_rk4(rho0, h, chans, traj.times)
     pe = qops.qubit_operator(np.diag([0.0, 1.0]), space)
     a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
@@ -190,7 +201,16 @@ def test_evolve_matches_rk4_over_lindblad_rhs():
                     (traj.expectations["sigma_plus"], sp)]:
         want = np.einsum("ij,kji->k", op, states)
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert traj.diagnostics.max_trace_deviation < 1e-12
+    diag = traj.diagnostics
+    assert diag.max_trace_deviation < 1e-12
+    adjoint = states.conj().transpose(0, 2, 1)
+    npt.assert_allclose(diag.max_hermiticity_defect,
+                        np.abs(states - adjoint).max(), rtol=0, atol=1e-12)
+    steps = np.arange(n_steps + 1)
+    picked = (steps % max(1, n_steps // 128) == 0) | (steps == n_steps)
+    herm = 0.5 * (states + adjoint)[picked]
+    npt.assert_allclose(diag.min_eigenvalue, np.linalg.eigvalsh(herm).min(),
+                        rtol=0, atol=1e-12)
 
 
 def test_trace_holds_over_a_long_cavity_run():

@@ -344,6 +344,10 @@ def test_artifacts_are_strict_json(tmp_path):
                    parse_constant=_reject_constant)
     fits = json.loads((tmp_path / "run" / "fits.json").read_text())
     assert fits["photon_number_shift"]["slope_std_hz_per_photon"] is None
+    # evolve's hygiene diagnostics, at the bounds of the acceptance check
+    results = json.loads((tmp_path / "run" / "results.json").read_text())
+    assert results["max_hermiticity_defect"] < 1e-9
+    assert results["min_eigenvalue"] > -1e-8
 
 
 def test_run_is_deterministic_across_output_dirs(tmp_path):
