@@ -421,7 +421,8 @@ def measure_population(pipe, p_e, rng=None, averages=1):
 
 @dataclass(frozen=True)
 class DispersivePull:
-    """Cavity line centers conditioned on the qubit branch."""
+    """Cavity line centers conditioned on the qubit branch; max_residual is
+    the largest relative steady-state residual over all probes."""
     probe_frequencies: np.ndarray
     responses: dict
     centers: dict
@@ -430,6 +431,7 @@ class DispersivePull:
     chi_measured: float
     chi_dispersive: float
     fits: dict
+    max_residual: float
 
 
 def measure_dispersive_pull(dev):
@@ -444,6 +446,10 @@ def measure_dispersive_pull(dev):
     |g> while the probe integrates.  chi_measured is the line pull of the
     mixed branch relative to the ground branch; in the dispersive regime it
     approaches g^2/Delta.
+
+    The probe Hamiltonians are built once and shared by the branches; each
+    branch is one `dynamics.steady_states` call over the whole sweep, which
+    factors STEADY_STATE_BLOCK probes per sparse LU.
     """
     res = dev.resonator
     space = qops.HilbertSpace(PULL_FOCK_CUTOFF)
@@ -465,28 +471,28 @@ def measure_dispersive_pull(dev):
     }
     cavity = dynamics.cavity_channels(res, space)
 
+    hams = np.array([device.build_rotating_frame_hamiltonian(
+        dev.dqd, res, dev.coupling, drive_frequency=f,
+        cavity_drive=probe_amplitude, space=space) for f in freqs])
     responses = {}
     fits = {}
     centers = {}
+    max_residual = 0.0
     for branch, extra in branch_channels.items():
-        resp = np.empty(len(freqs), dtype=complex)
-        for i, f in enumerate(freqs):
-            h = device.build_rotating_frame_hamiltonian(
-                dev.dqd, res, dev.coupling, drive_frequency=f,
-                cavity_drive=probe_amplitude, space=space)
-            rho = dynamics.steady_state(h, cavity + extra)
-            resp[i] = qops.expectation(rho, a_op)
+        solved = dynamics.steady_states(hams, cavity + extra)
+        resp = np.array([qops.expectation(rho, a_op) for rho in solved.states])
         fit = fitting.fit_lorentzian(freqs, np.abs(resp) ** 2)
         responses[branch] = resp
         fits[branch] = fit
         centers[branch] = float(fit.params["center"])
+        max_residual = max(max_residual, float(solved.residuals.max()))
 
     nu_r = res.bare_frequency_nu_r
     return DispersivePull(
         probe_frequencies=freqs, responses=responses, centers=centers,
         pull_g=centers["g"] - nu_r, pull_e=centers["e"] - nu_r,
         chi_measured=centers["mixed"] - centers["g"],
-        chi_dispersive=chi, fits=fits)
+        chi_dispersive=chi, fits=fits, max_residual=max_residual)
 
 
 @dataclass(frozen=True)

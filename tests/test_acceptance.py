@@ -44,6 +44,9 @@ def test_dispersive_pull_recovers_chi(flagship):
     _report("dispersive pull", ok,
             f"chi {pull.chi_measured / 1e6:.3f} MHz vs g^2/Delta "
             f"{chi / 1e6:.3f} MHz ({100 * err:.2f}% off, {elapsed:.1f} s)")
+    # the centers are only read off fits that report themselves healthy
+    for branch, fit in pull.fits.items():
+        assert fit.converged and not fit.flags, (branch, fit.flags)
 
 
 def test_vacuum_rabi_splitting_is_2g():

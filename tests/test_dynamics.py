@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import solve_ivp
 
-from dotqed import device, dynamics, fitting, pulses, qops
+from dotqed import device, dynamics, experiments, fitting, pulses, qops
 
 GAMMA1 = 3.7625e6
 GAMMA_PHI = 4.9203e6
@@ -252,6 +252,76 @@ def test_steady_state_rejects_degenerate_kernel():
     h = np.diag([-0.5e6, 0.5e6]).astype(complex)
     with pytest.raises(RuntimeError):
         dynamics.steady_state(h, [])
+
+
+def _pull_stacks(dev, monkeypatch):
+    """The (Hamiltonian stack, channels) of each branch of a dispersive pull,
+    captured from `steady_states` calls."""
+    calls = []
+    solve = dynamics.steady_states
+
+    def record(h_stack, channels, *args, **kwargs):
+        calls.append((np.array(h_stack), list(channels)))
+        return solve(h_stack, channels, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "steady_states", record)
+    experiments.measure_dispersive_pull(dev)
+    monkeypatch.undo()
+    return calls
+
+
+def test_steady_states_match_per_member_solves(flagship, monkeypatch):
+    # 61 probes: the last factorization holds fewer than STEADY_STATE_BLOCK
+    branches = _pull_stacks(flagship, monkeypatch)
+    assert len(branches) == 3
+    for h_stack, chans in branches:
+        assert len(h_stack) == 61 and 61 % dynamics.STEADY_STATE_BLOCK
+        solved = dynamics.steady_states(h_stack, chans)
+        singles = [dynamics.steady_states(h[None], chans) for h in h_stack]
+        npt.assert_array_equal(solved.states,
+                               [dynamics.steady_state(h, chans)
+                                for h in h_stack])
+        # each residual against its own generator's scale
+        npt.assert_array_equal(solved.residuals,
+                               [s.residuals[0] for s in singles])
+
+
+def test_steady_states_residual_is_relative_to_its_own_generator():
+    # the second member's Hamiltonian, and so its largest generator entry,
+    # is 1e6 times the first's: a scale shared over the stack would shrink
+    # the first member's residual
+    space = qops.HilbertSpace(3)
+    h, chans = _driven_jc(space)
+    solved = dynamics.steady_states(np.stack([h, 1e6 * h]), chans)
+    alone = [dynamics.steady_states(m[None], chans) for m in (h, 1e6 * h)]
+    npt.assert_array_equal(solved.residuals, [a.residuals[0] for a in alone])
+    assert solved.residuals.max() < 1e-12
+
+
+def test_steady_states_stack_of_one_is_steady_state():
+    space = qops.HilbertSpace(4)
+    h, chans = _driven_jc(space)
+    solved = dynamics.steady_states(h[None], chans)
+    assert solved.states.shape == (1, space.dim, space.dim)
+    npt.assert_array_equal(solved.states[0], dynamics.steady_state(h, chans))
+
+
+@pytest.mark.parametrize("bad", [2, dynamics.STEADY_STATE_BLOCK + 1])
+def test_steady_states_name_the_degenerate_member(bad):
+    # decay |1> -> |0>; the drive empties |2> into |1>, and the one member
+    # without it keeps |2> as a second stationary state
+    drive = np.zeros((3, 3), dtype=complex)
+    drive[1, 2] = drive[2, 1] = 2e6
+    stack = np.array([np.diag([0.0, 1e6, 2e6]) + drive * (k != bad)
+                      for k in range(dynamics.STEADY_STATE_BLOCK + 3)])
+    decay = np.zeros((3, 3))
+    decay[0, 1] = 1.0
+    chans = [dynamics.CollapseChannel(decay, 1e7, "decay")]
+    with pytest.raises(RuntimeError, match=rf"^steady state {bad} "):
+        dynamics.steady_states(stack, chans)
+    good = np.delete(stack, bad, axis=0)
+    npt.assert_allclose(dynamics.steady_states(good, chans).states[:, 0, 0],
+                        1.0, rtol=0, atol=1e-12)
 
 
 def test_ring_up_matches_closed_form():

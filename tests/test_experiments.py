@@ -906,3 +906,28 @@ def test_cli_seed_and_out_overrides(tmp_path):
     manifest = experiments.RunManifest.load(out)
     assert manifest.seed == 99
     assert not (tmp_path / "default_out").exists()
+
+
+def test_dispersive_pull_factors_a_block_of_probes_at_a_time(flagship,
+                                                             monkeypatch):
+    # the 61 probe Hamiltonians are built once and shared by the three
+    # branches; each branch factors STEADY_STATE_BLOCK probes per splu
+    counts = {"splu": 0, "hamiltonian": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dynamics, "splu", counted("splu", dynamics.splu))
+    monkeypatch.setattr(device, "build_rotating_frame_hamiltonian",
+                        counted("hamiltonian",
+                                device.build_rotating_frame_hamiltonian))
+    pull = experiments.measure_dispersive_pull(flagship)
+    probes = experiments.PULL_PROBE_POINTS
+    assert probes == len(pull.probe_frequencies) == 61
+    assert counts == {
+        "splu": 3 * -(-probes // dynamics.STEADY_STATE_BLOCK),
+        "hamiltonian": probes}
+    assert 0.0 < pull.max_residual < 1e-9
