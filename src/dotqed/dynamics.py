@@ -109,9 +109,9 @@ def lindblad_rhs(rho, h_angular, channels):
 def _jump_form(h_hz, channels):
     """The Lindblad generator as an effective Hamiltonian plus jumps.
 
-    Returns Heff = 2 pi H - (i/2) sum_k r_k L_k^dag L_k (rad/s) and the jump
-    operators J_k = sqrt(r_k) L_k, so that
-    drho/dt = -i (Heff rho - rho Heff^dag) + sum_k J_k rho J_k^dag: the
+    Returns Heff = 2 pi H - (i/2) sum_k r_k L_k^dag L_k (rad/s) and each
+    channel's (L_k, r_k), not sqrt(r_k) L_k, whose square is not r_k exactly:
+    drho/dt = -i (Heff rho - rho Heff^dag) + sum_k r_k L_k rho L_k^dag, the
     quantum-jump split of Dalibard, Castin and Molmer, PRL 68, 580 (1992).
     A stack of Hamiltonians (m, d, d) gives a stack of Heff.
     """
@@ -124,7 +124,7 @@ def _jump_form(h_hz, channels):
             raise ValueError(f"channel {c.label!r} has shape {l_op.shape}, "
                              f"state is {dim}x{dim}")
         heff -= 0.5j * c.rate * (l_op.conj().T @ l_op)
-        jumps.append(np.sqrt(c.rate) * l_op)
+        jumps.append((l_op, c.rate))
     return heff, jumps
 
 
@@ -326,7 +326,7 @@ def _generator_triplets(h_stack, channels):
     members' vec(rho) = rho.ravel(), member k at offset k d^2.
 
     vec(A rho B) = (A kron B^T) vec(rho), so each block is
-    -i Heff kron I + i I kron Heff^* + sum_k J_k kron J_k^*, the terms in
+    -i Heff kron I + i I kron Heff^* + sum_k r_k L_k kron L_k^*, the terms in
     this order; duplicates are left for the sparse constructor to sum, and
     they meet it in the same order for every member.  Also returns d.
     """
@@ -334,8 +334,8 @@ def _generator_triplets(h_stack, channels):
     shape = heff.shape
     ident = np.broadcast_to(np.eye(shape[-1]), shape)
     pairs = [(-1j * heff, ident), (ident, 1j * heff.conj())]
-    pairs += [(np.broadcast_to(j, shape), np.broadcast_to(j.conj(), shape))
-              for j in jumps]
+    pairs += [(np.broadcast_to(rate * l_op, shape),
+               np.broadcast_to(l_op.conj(), shape)) for l_op, rate in jumps]
     rows, cols, vals = zip(*(_kron_triplets(a, b) for a, b in pairs))
     return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
             shape[-1])
@@ -667,85 +667,56 @@ def _evolve_two_level(compiled, dec, deltas=None):
     the step is linear in that state, so this gives its 4x4 propagator.
     Returns (mean population, sem, max trace deviation) at every grid time.
 
-    deltas is None: one deterministic trajectory.  The basis states are
-    stepped through a block of SCAN_BLOCK steps at once; an inclusive prefix
-    product (P[s:] = P[s:] @ P[:-s] for s = 1, 2, 4, ...) composes the
-    propagators, and applied to the state carried in from the previous block
-    it yields the state after every step of the block.  The trace deviation
-    is checked at every step.
-
     deltas (n_realizations, n_steps): per-step z detunings in Hz, held
-    constant within each step; all realizations advance together, in blocks
-    of MC_BLOCK steps.
-    - Steps under a pulse: the RK4 step is a polynomial of degree 4 in the
-      detuning w, so `_two_level_step` gives each step's propagator P at 5
-      Chebyshev nodes w_m spanning that step's realized w range (half-width
-      at least 1 urad of phase per step, so that one realization or constant
-      noise still has distinct nodes).  Every realization advances by
-      s += sum_m l_m(x) (P(w_m) - I) s, with l_m the Lagrange weights of the
-      nodes at x = (w - centre) / half-width, summed in powers of x:
-      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That
-      is the exact RK4 step up to rounding; interpolating the increments
-      P - I rather than P keeps that rounding relative to the increment.
-    - Idle gaps (no drive) in closed form: each component evolves alone.
-      p_e is multiplied by R(-g1 dt) per step in every realization, with R
-      the RK4 stability polynomial, so the gap's mean and sem are their entry
+    constant within each step; all realizations advance together.  None is
+    one noiseless realization at detuning0.  The state is carried through
+    the grid's runs of idle steps (no drive) and of pulse steps.
+    - Idle runs, with or without deltas, in closed form: each component
+      evolves alone.  p_e is multiplied by R(-g1 dt) per step, with R the
+      RK4 stability polynomial, so the gap's mean and sem are their entry
       values times a cumulative product; rho_01 is multiplied by
-      R(dt (2i w - decay)), one product per block of steps; p_g gains what
-      p_e loses.
-    Mean and sem are reduced per block; the trace deviation is checked at
-    every block end and every gap end.
+      R(dt (2i w - decay)), one product per block of MC_BLOCK steps; p_g
+      gains what p_e loses.  The trace deviation is checked at the gap end.
+    - Pulse runs without deltas, SCAN_BLOCK steps at a time: an inclusive
+      prefix product (P[s:] = P[s:] @ P[:-s] for s = 1, 2, 4, ...) composes
+      the propagators, and applied to the state carried in it yields the
+      state after every step, each checked for trace deviation.
+    - Pulse runs with deltas, MC_BLOCK steps at a time: the RK4 step is a
+      polynomial of degree 4 in the detuning w, so `_two_level_step` gives
+      each step's propagator P at 5 Chebyshev nodes w_m spanning that
+      step's realized w range (half-width at least 1 urad of phase per
+      step, so that one realization or constant noise still has distinct
+      nodes).  Every realization advances by s += sum_m l_m(x) (P(w_m) - I)
+      s, with l_m the Lagrange weights of the nodes at
+      x = (w - centre) / half-width, summed in powers of x: sum_j x^j C_j s
+      with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4
+      step up to rounding; interpolating the increments P - I rather than P
+      keeps that rounding relative to the increment.  Mean and sem are
+      reduced, and the trace deviation checked, per block.
     """
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
     n_steps = len(compiled.dts)
+    n_batch = 1 if deltas is None else deltas.shape[0]
+    root_n = np.sqrt(n_batch)
     pe_mean = np.zeros(n_steps + 1)
     pe_sem = np.zeros(n_steps + 1)
     trace_dev = 0.0
-
-    if deltas is None:
-        w = np.pi * compiled.detuning0
-        state = np.array([1.0, 0.0, 0.0, 0.0])
-        # Two stacks allocated once and ping-ponged, since matmul's out must
-        # not overlap its inputs.  Each is stored basis-major, (in, step,
-        # out), the layout the propagators are built in; matmul picks its
-        # kernel, and so its rounding, by the operands' strides.
-        stacks = np.empty((2, 4, min(SCAN_BLOCK, n_steps), 4))
-        for lo in range(0, n_steps, SCAN_BLOCK):
-            blk = slice(lo, lo + SCAN_BLOCK)
-            a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D,
-                                      compiled.u1[blk], compiled.u2[blk],
-                                      compiled.u4[blk], w, compiled.dts[blk],
-                                      g1, decay)
-            m = a.shape[1]
-            np.stack([a, b.real, b.imag, d], axis=-1, out=stacks[0, :, :m])
-            cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
-            shift = 1
-            while shift < m:
-                nxt[:shift] = cur[:shift]
-                np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
-                cur, nxt = nxt, cur
-                shift *= 2
-            states = cur @ state
-            pe_mean[lo + 1:lo + 1 + m] = states[:, 3]
-            trace_dev = max(trace_dev, float(
-                np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
-            state = states[-1]
-        return pe_mean, pe_sem, trace_dev
-
-    n_batch = deltas.shape[0]
-    root_n = np.sqrt(n_batch)
     state = np.zeros((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
     state[0, 0] = 1.0
     powers = np.ones((5, MC_BLOCK, n_batch))        # x^j per step and realization
     terms = np.empty((5, 4, n_batch))               # x^j s_l of one step
     flat = terms.reshape(20, n_batch)
+    # The scan's two stacks, ping-ponged as matmul's out must not overlap
+    # its inputs; basis-major, (in, step, out), as the propagators are built,
+    # since matmul picks its kernel, and so its rounding, by the strides.
+    stacks = np.empty((2, 4, min(SCAN_BLOCK, n_steps), 4))
     idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
     runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1, [n_steps]])
 
     for lo, hi in zip(runs[:-1], runs[1:]):
+        s = state[0]
         if idle[lo]:
-            s = state[0]
             p0 = s[3].copy()
             relax = np.cumprod(_exp_series(-g1 * compiled.dts[lo:hi]))
             pe_mean[lo + 1:hi + 1] = p0.mean() * relax
@@ -758,7 +729,9 @@ def _evolve_two_level(compiled, dec, deltas=None):
                 # arithmetic: sum_j R^(j)(alpha) (i beta)^j / j!
                 dt = compiled.dts[blo:bhi, None]
                 alpha = -decay * dt
-                beta = TWO_PI * dt * (compiled.detuning0 + deltas[:, blo:bhi].T)
+                detuning = (compiled.detuning0 if deltas is None
+                            else compiled.detuning0 + deltas[:, blo:bhi].T)
+                beta = TWO_PI * dt * detuning
                 q = beta * beta
                 factor = np.empty(beta.shape, dtype=complex)
                 factor.real = _exp_series(alpha) - q * (
@@ -770,49 +743,77 @@ def _evolve_two_level(compiled, dec, deltas=None):
             s[3] = p0 * relax[-1]
             s[0] += p0 - s[3]
             trace_dev = max(trace_dev, float(np.abs(s[0] + s[3] - 1.0).max()))
-            continue
-        for blo in range(lo, hi, MC_BLOCK):
-            bhi = min(blo + MC_BLOCK, hi)
-            m = bhi - blo
-            blk = slice(blo, bhi)
-            w = np.pi * (compiled.detuning0 + deltas[:, blk].T)   # (m, n)
-            w_lo, w_hi = w.min(axis=1), w.max(axis=1)
-            centre = 0.5 * (w_lo + w_hi)
-            half = np.maximum(0.5 * (w_hi - w_lo), 1e-6 / compiled.dts[blk])
-            a, b, d = _two_level_step(
-                _BASIS_A[..., None], _BASIS_B[..., None], _BASIS_D[..., None],
-                compiled.u1[blk, None], compiled.u2[blk, None],
-                compiled.u4[blk, None], centre[:, None] + half[:, None] * _NODES,
-                compiled.dts[blk, None], g1, decay)
-            # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k and node q
-            incr = np.stack([a, b.real, b.imag, d])
-            incr[range(4), range(4)] -= 1.0
-            coef = np.einsum("jq,ilkq->kijl", _LAGRANGE, incr).reshape(m, 4, 20)
-            x = powers[1, :m]
-            np.subtract(w, centre[:, None], out=x)
-            x /= half[:, None]
-            for j in range(2, 5):
-                np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
-            for k in range(m):
-                np.multiply(powers[:, k, None], state[k], out=terms)
-                np.matmul(coef[k], flat, out=state[k + 1])
-                state[k + 1] += state[k]
-            pe = state[1:m + 1, 3]
-            pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
-            if n_batch > 1:
-                pe_sem[blo + 1:bhi + 1] = pe.std(axis=1, ddof=1) / root_n
-            state[0] = state[m]
-            trace_dev = max(trace_dev, float(
-                np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
+        elif deltas is None:
+            w = np.pi * compiled.detuning0
+            for blo in range(lo, hi, SCAN_BLOCK):
+                blk = slice(blo, min(blo + SCAN_BLOCK, hi))
+                a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D,
+                                          compiled.u1[blk], compiled.u2[blk],
+                                          compiled.u4[blk], w,
+                                          compiled.dts[blk], g1, decay)
+                m = a.shape[1]
+                np.stack([a, b.real, b.imag, d], axis=-1,
+                         out=stacks[0, :, :m])
+                cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
+                shift = 1
+                while shift < m:
+                    nxt[:shift] = cur[:shift]
+                    np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
+                    cur, nxt = nxt, cur
+                    shift *= 2
+                states = cur @ s[:, 0]
+                pe_mean[blo + 1:blo + 1 + m] = states[:, 3]
+                trace_dev = max(trace_dev, float(
+                    np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
+                s[:, 0] = states[-1]
+        else:
+            for blo in range(lo, hi, MC_BLOCK):
+                bhi = min(blo + MC_BLOCK, hi)
+                m = bhi - blo
+                blk = slice(blo, bhi)
+                w = np.pi * (compiled.detuning0 + deltas[:, blk].T)   # (m, n)
+                w_lo, w_hi = w.min(axis=1), w.max(axis=1)
+                centre = 0.5 * (w_lo + w_hi)
+                half = np.maximum(0.5 * (w_hi - w_lo),
+                                  1e-6 / compiled.dts[blk])
+                a, b, d = _two_level_step(
+                    _BASIS_A[..., None], _BASIS_B[..., None],
+                    _BASIS_D[..., None], compiled.u1[blk, None],
+                    compiled.u2[blk, None], compiled.u4[blk, None],
+                    centre[:, None] + half[:, None] * _NODES,
+                    compiled.dts[blk, None], g1, decay)
+                # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k and node q
+                incr = np.stack([a, b.real, b.imag, d])
+                incr[range(4), range(4)] -= 1.0
+                coef = np.einsum("jq,ilkq->kijl", _LAGRANGE,
+                                 incr).reshape(m, 4, 20)
+                x = powers[1, :m]
+                np.subtract(w, centre[:, None], out=x)
+                x /= half[:, None]
+                for j in range(2, 5):
+                    np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
+                for k in range(m):
+                    np.multiply(powers[:, k, None], state[k], out=terms)
+                    np.matmul(coef[k], flat, out=state[k + 1])
+                    state[k + 1] += state[k]
+                pe = state[1:m + 1, 3]
+                pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
+                if n_batch > 1:
+                    pe_sem[blo + 1:bhi + 1] = pe.std(axis=1, ddof=1) / root_n
+                state[0] = state[m]
+                trace_dev = max(trace_dev, float(
+                    np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
     return pe_mean, pe_sem, trace_dev
 
 
 def simulate_sequence(sequence, dec):
     """Deterministic two-level simulation of a control sequence.
 
-    Evolves |g><g| through the pulses up to the readout-window start, in the
-    frame rotating at the sequence carrier.  The returned Trajectory's final
-    sample is the population handed to the readout chain.
+    Evolves |g><g| up to the readout-window start, in the frame rotating at
+    the sequence carrier: pulses through the RK4 propagator scan, idle gaps
+    in the closed form that Monte-Carlo uses too (`_evolve_two_level`).  The
+    returned Trajectory's final sample is the population handed to the
+    readout chain.
     """
     compiled = compile_sequence(sequence)
     pe, _, trace_dev = _evolve_two_level(compiled, dec)
@@ -824,14 +825,12 @@ def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
     """Average the sequence simulation over OU detuning realizations.
 
     Every realization rides its own noise path, sampled once per step and
-    held across it (the step grids resolve tau_c in any regime we simulate).
-    All realizations advance together: each step under a pulse through its
-    RK4 propagator interpolated in the detuning from 5 nodes, each idle gap
-    in closed form through the RK4 stability polynomial (see
-    `_evolve_two_level`); both agree with stepping every realization one RK4
+    held across it (the step grids resolve tau_c in any regime we simulate),
+    and all advance together through `_evolve_two_level`: pulse steps by RK4
+    propagators interpolated in the detuning, idle gaps as in
+    simulate_sequence.  Both agree with stepping each realization one RK4
     step at a time to rounding.  Returns the mean population with per-point
-    standard error.  With sigma_delta = 0 this reduces exactly to
-    simulate_sequence: same propagator scan, same grid, no noise term.
+    standard error; with sigma_delta = 0 it is simulate_sequence exactly.
     """
     compiled = compile_sequence(sequence)
 

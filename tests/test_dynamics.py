@@ -102,8 +102,8 @@ def _kron_generator(h_hz, channels):
     heff, jumps = dynamics._jump_form(h_hz, channels)
     ident = np.eye(heff.shape[0])
     gen = -1j * (np.kron(heff, ident) - np.kron(ident, heff.conj()))
-    for j in jumps:
-        gen += np.kron(j, j.conj())
+    for l_op, rate in jumps:
+        gen += rate * np.kron(l_op, l_op.conj())
     return gen
 
 
@@ -250,8 +250,12 @@ def test_steady_state_driven_cavity_matches_input_output():
 
 def test_steady_state_rejects_degenerate_kernel():
     h = np.diag([-0.5e6, 0.5e6]).astype(complex)
-    with pytest.raises(RuntimeError):
-        dynamics.steady_state(h, [])
+    # closed, and under pure dephasing, every diagonal state is stationary;
+    # the dephasing jump cancels its share of Heff exactly, so the factor
+    # is singular rather than nearly so
+    for chans in ([], [dynamics.CollapseChannel(qops.sigma_z(), 1e7)]):
+        with pytest.raises(RuntimeError, match="steady state 0"):
+            dynamics.steady_state(h, chans)
 
 
 def _pull_stacks(dev, monkeypatch):
@@ -507,6 +511,9 @@ def _scan_case(case):
     seq = {
         "rabi-drag": pulses.build_rabi_sequence(1.3 * a_pi, 0.25e-9,
                                                 drag_beta=0.1e-9),
+        "rabi-zero": pulses.build_rabi_sequence(0.0, 0.25e-9),
+        "zero-delay": pulses.build_ramsey_sequence(0.0, 0.0, sigma=0.25e-9,
+                                                   pi_amplitude=a_pi),
         "t1-150ns": pulses.build_t1_sequence(150e-9, sigma=0.25e-9,
                                              pi_amplitude=a_pi),
         "echo": pulses.build_echo_sequence(40e-9, sigma=0.25e-9,
@@ -517,10 +524,18 @@ def _scan_case(case):
 
 @pytest.mark.parametrize("case", ["block-1", "block", "block+1", "10-blocks",
                                   "rabi-drag", "ramsey-detuned", "t1-150ns",
-                                  "echo"])
+                                  "echo", "zero-delay", "rabi-zero"])
 def test_propagator_scan_matches_stepwise_reference(case):
     compiled, seq = _scan_case(case)
     n_steps = len(compiled.dts)
+    if case == "zero-delay":
+        # the back-to-back pulse edges leave one step of rounding length;
+        # the second pulse drives it, so it is not idle
+        assert compiled.dts.min() < 1e-20
+    if case == "rabi-zero":
+        # no pulse run at all: the whole grid is one idle gap
+        assert not (compiled.u1.any() or compiled.u2.any()
+                    or compiled.u4.any())
     ref, _, _ = _stepwise_reference(compiled, DEC, np.zeros((1, n_steps)))
     if seq is None:
         pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC)
@@ -531,6 +546,28 @@ def test_propagator_scan_matches_stepwise_reference(case):
     assert pe.shape == ref.shape == (n_steps + 1,)
     npt.assert_allclose(pe, ref, rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12
+
+
+@pytest.mark.parametrize("case", ["ramsey", "t1", "echo"])
+def test_only_pulse_steps_reach_the_stepper(case, monkeypatch):
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
+    seq = {"ramsey": pulses.build_ramsey_sequence(30e-9, 0.0, **shape),
+           "t1": pulses.build_t1_sequence(50e-9, **shape),
+           "echo": pulses.build_echo_sequence(40e-9, **shape)}[case]
+    compiled = dynamics.compile_sequence(seq)
+    pulse = (compiled.u1 != 0) | (compiled.u2 != 0) | (compiled.u4 != 0)
+    assert 0 < pulse.sum() < len(pulse)
+    stepped = []
+    step = dynamics._two_level_step
+
+    def count(*args):
+        stepped.append(np.broadcast(*args).shape[-1])
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_two_level_step", count)
+    dynamics.simulate_sequence(seq, DEC)
+    assert sum(stepped) == pulse.sum()
 
 
 # sigma = 2 gamma2 with tau_c = 4 us is the quasi-static noise of the echo
@@ -572,7 +609,7 @@ def _mc_case(case):
 def test_monte_carlo_matches_stepwise_reference(case):
     compiled, deltas = _mc_case(case)
     if case == "zero-delay":
-        # the back-to-back pulse edges leave one idle step of rounding length
+        # the back-to-back pulse edges leave one step of rounding length
         assert compiled.dts.min() < 1e-20
     pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC, deltas)
     ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, deltas)
