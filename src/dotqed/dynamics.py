@@ -500,6 +500,13 @@ class OuNoiseModel:
             raise ValueError("n_realizations must be >= 1")
 
 
+def _ou_transition(dts, model):
+    """(decay, kick scale) of the exact OU transition over each step of dts:
+    x(t + dt) = x(t) decay + kick xi, xi standard normal."""
+    decay = np.exp(-dts / model.tau_c)
+    return decay, model.sigma_delta * np.sqrt(np.maximum(0.0, 1.0 - decay ** 2))
+
+
 def sample_ou_detuning(model, times, rng=None):
     """Exact-discretization OU paths at the given times, shape (n, n_times).
 
@@ -511,7 +518,9 @@ def sample_ou_detuning(model, times, rng=None):
     updates one contiguous row of realizations per step.  The kicks xi_k are
     drawn OU_DRAW_ROWS realizations at a time, in the order of one
     (n, n_times - 1) draw, straight into that buffer; the values equal those
-    of the step-by-step loop bit for bit.
+    of the step-by-step loop bit for bit.  `monte_carlo_dephasing` draws its
+    noise in its own order, while it steps (`_evolve_two_level`); this is
+    the whole-path reference its statistics are checked against.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
@@ -519,8 +528,7 @@ def sample_ou_detuning(model, times, rng=None):
     out = np.empty((len(times), n))
     out[0] = model.sigma_delta * rng.standard_normal(n)
     if len(times) > 1:
-        decay = np.exp(-np.diff(times) / model.tau_c)
-        kick = model.sigma_delta * np.sqrt(np.maximum(0.0, 1.0 - decay ** 2))
+        decay, kick = _ou_transition(np.diff(times), model)
         draws = np.empty((min(OU_DRAW_ROWS, n), len(times) - 1))
         for lo in range(0, n, OU_DRAW_ROWS):
             rows = draws[:min(OU_DRAW_ROWS, n - lo)]
@@ -529,6 +537,45 @@ def sample_ou_detuning(model, times, rng=None):
         for k in range(len(decay)):
             out[k + 1] += out[k] * decay[k]
     return out.T
+
+
+def _ou_block(path, dts, model, rng):
+    """Fill path[1:m + 1] with the OU values after each step of dts, from
+    the value in path[0]; the m kicks are one (m, n) draw, row k the kicks
+    of step k, and the update is `sample_ou_detuning`'s."""
+    m = len(dts)
+    decay, kick = _ou_transition(dts, model)
+    rng.standard_normal(out=path[1:m + 1])
+    path[1:m + 1] *= kick[:, None]
+    for k in range(m):
+        path[k + 1] += path[k] * decay[k]
+
+
+def _ou_gap(x, duration, model, rng):
+    """(OU value at the end of a gap, integral of the path over the gap) for
+    paths at x at its start, drawn jointly and exactly (Gillespie, Phys. Rev.
+    E 54, 2084, 1996) from one (2, n) draw: row 0 gives the end value by the
+    transition `_ou_block` uses, row 1 the integral given both ends.  With
+    u = duration / tau_c that integral has mean tau_c tanh(u/2) (x + x_end)
+    and variance 2 sigma^2 tau_c^2 (u - 2 tanh(u/2)).  That difference is
+    u^3 / 12 to leading order; below u = 0.05 its Taylor series (to u^9)
+    replaces the cancelling subtraction, which keeps it to about 1e-13
+    relative.
+    """
+    u = duration / model.tau_c
+    decay, kick = _ou_transition(duration, model)
+    xi = rng.standard_normal((2, len(x)))
+    x_end = decay * x + kick * xi[0]
+    tanh = np.tanh(0.5 * u)
+    if u < 0.05:
+        u2 = u * u
+        v = u * u2 / 12.0 * (1.0 - u2 / 10.0 * (1.0 - 17.0 * u2 / 168.0
+                                                 * (1.0 - 31.0 * u2 / 306.0)))
+    else:
+        v = u - 2.0 * tanh
+    integral = model.tau_c * (tanh * (x + x_end)
+                              + model.sigma_delta * np.sqrt(2.0 * v) * xi[1])
+    return x_end, integral
 
 
 # ------------------------------------------------------- sequence simulation
@@ -657,7 +704,7 @@ def _exp_series(z, degree=4):
     return out
 
 
-def _evolve_two_level(compiled, dec, deltas=None):
+def _evolve_two_level(compiled, dec, noise=None, rng=None):
     """Fixed-RK4 integration of the 2x2 Lindblad state from |g><g|.
 
     Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
@@ -667,21 +714,24 @@ def _evolve_two_level(compiled, dec, deltas=None):
     the step is linear in that state, so this gives its 4x4 propagator.
     Returns (mean population, sem, max trace deviation) at every grid time.
 
-    deltas (n_realizations, n_steps): per-step z detunings in Hz, held
-    constant within each step; all realizations advance together.  None is
-    one noiseless realization at detuning0.  The state is carried through
-    the grid's runs of idle steps (no drive) and of pulse steps.
-    - Idle runs, with or without deltas, in closed form: each component
-      evolves alone.  p_e is multiplied by R(-g1 dt) per step, with R the
-      RK4 stability polynomial, so the gap's mean and sem are their entry
-      values times a cumulative product; rho_01 is multiplied by
-      R(dt (2i w - decay)), one product per block of MC_BLOCK steps; p_g
-      gains what p_e loses.  The trace deviation is checked at the gap end.
-    - Pulse runs without deltas, SCAN_BLOCK steps at a time: an inclusive
+    noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
+    realization, drawn while the realizations advance together; None is one
+    noiseless realization at detuning0.  The state is carried through the
+    grid's runs of idle steps (no drive) and of pulse steps.
+    - Idle runs in closed form: each component evolves alone.  p_e is
+      multiplied by R(-g1 dt) per step, with R the RK4 stability
+      polynomial, so the gap's mean and sem are their entry values times a
+      cumulative product; rho_01 is multiplied by R(dt (2i w0 - decay)) per
+      step at w0 = pi detuning0, one product per block of MC_BLOCK steps,
+      and with noise by exp(2 pi i I), I the integral of the path over the
+      gap; p_g gains what p_e loses.  The trace deviation is checked at the
+      gap end.
+    - Pulse runs without noise, SCAN_BLOCK steps at a time: an inclusive
       prefix product (P[s:] = P[s:] @ P[:-s] for s = 1, 2, 4, ...) composes
       the propagators, and applied to the state carried in it yields the
       state after every step, each checked for trace deviation.
-    - Pulse runs with deltas, MC_BLOCK steps at a time: the RK4 step is a
+    - Pulse runs with noise, MC_BLOCK steps at a time, each step at the
+      path's value at its start, held across it: the RK4 step is a
       polynomial of degree 4 in the detuning w, so `_two_level_step` gives
       each step's propagator P at 5 Chebyshev nodes w_m spanning that
       step's realized w range (half-width at least 1 urad of phase per
@@ -693,11 +743,19 @@ def _evolve_two_level(compiled, dec, deltas=None):
       step up to rounding; interpolating the increments P - I rather than P
       keeps that rounding relative to the increment.  Mean and sem are
       reduced, and the trace deviation checked, per block.
+
+    Draw order from rng (np.random.default_rng(rng)), which fixes the bytes
+    of a seeded run: first the path's stationary values at t = 0,
+    sigma * standard_normal(n); then, run by run in time order, for each
+    block of m pulse steps one (m, n) block of kicks, row k those of step k
+    (`_ou_block`; a pulse run's kicks are thus those of one (steps, n)
+    draw), and for each idle run one (2, n) block (`_ou_gap`).  No array of
+    n realizations by n steps is built.
     """
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
     n_steps = len(compiled.dts)
-    n_batch = 1 if deltas is None else deltas.shape[0]
+    n_batch = 1 if noise is None else noise.n_realizations
     root_n = np.sqrt(n_batch)
     pe_mean = np.zeros(n_steps + 1)
     pe_sem = np.zeros(n_steps + 1)
@@ -707,6 +765,12 @@ def _evolve_two_level(compiled, dec, deltas=None):
     powers = np.ones((5, MC_BLOCK, n_batch))        # x^j per step and realization
     terms = np.empty((5, 4, n_batch))               # x^j s_l of one step
     flat = terms.reshape(20, n_batch)
+    # The OU path at each step boundary of a block; row 0 carries its value
+    # from one block or gap to the next.
+    path = np.empty((MC_BLOCK + 1, n_batch))
+    if noise is not None:
+        rng = np.random.default_rng(rng)
+        path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
     # The scan's two stacks, ping-ponged as matmul's out must not overlap
     # its inputs; basis-major, (in, step, out), as the propagators are built,
     # since matmul picks its kernel, and so its rounding, by the strides.
@@ -725,13 +789,11 @@ def _evolve_two_level(compiled, dec, deltas=None):
             coh = s[1] + 1j * s[2]
             for blo in range(lo, hi, MC_BLOCK):
                 bhi = min(blo + MC_BLOCK, hi)
-                # R(alpha + i beta) for z = dt (2i w - decay), in real
+                # R(alpha + i beta) for z = dt (2i w0 - decay), in real
                 # arithmetic: sum_j R^(j)(alpha) (i beta)^j / j!
                 dt = compiled.dts[blo:bhi, None]
                 alpha = -decay * dt
-                detuning = (compiled.detuning0 if deltas is None
-                            else compiled.detuning0 + deltas[:, blo:bhi].T)
-                beta = TWO_PI * dt * detuning
+                beta = TWO_PI * dt * compiled.detuning0
                 q = beta * beta
                 factor = np.empty(beta.shape, dtype=complex)
                 factor.real = _exp_series(alpha) - q * (
@@ -739,11 +801,16 @@ def _evolve_two_level(compiled, dec, deltas=None):
                 factor.imag = beta * (_exp_series(alpha, 3)
                                       - q * _exp_series(alpha, 1) / 6.0)
                 coh *= np.prod(factor, axis=0)
+            if noise is not None:
+                path[0], integral = _ou_gap(
+                    path[0], compiled.times[hi] - compiled.times[lo], noise,
+                    rng)
+                coh *= np.exp(1j * TWO_PI * integral)
             s[1], s[2] = coh.real, coh.imag
             s[3] = p0 * relax[-1]
             s[0] += p0 - s[3]
             trace_dev = max(trace_dev, float(np.abs(s[0] + s[3] - 1.0).max()))
-        elif deltas is None:
+        elif noise is None:
             w = np.pi * compiled.detuning0
             for blo in range(lo, hi, SCAN_BLOCK):
                 blk = slice(blo, min(blo + SCAN_BLOCK, hi))
@@ -771,7 +838,9 @@ def _evolve_two_level(compiled, dec, deltas=None):
                 bhi = min(blo + MC_BLOCK, hi)
                 m = bhi - blo
                 blk = slice(blo, bhi)
-                w = np.pi * (compiled.detuning0 + deltas[:, blk].T)   # (m, n)
+                _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
+                w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
+                path[0] = path[m]
                 w_lo, w_hi = w.min(axis=1), w.max(axis=1)
                 centre = 0.5 * (w_lo + w_hi)
                 half = np.maximum(0.5 * (w_hi - w_lo),
@@ -824,21 +893,19 @@ def simulate_sequence(sequence, dec):
 def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
     """Average the sequence simulation over OU detuning realizations.
 
-    Every realization rides its own noise path, sampled once per step and
-    held across it (the step grids resolve tau_c in any regime we simulate),
-    and all advance together through `_evolve_two_level`: pulse steps by RK4
-    propagators interpolated in the detuning, idle gaps as in
-    simulate_sequence.  Both agree with stepping each realization one RK4
-    step at a time to rounding.  Returns the mean population with per-point
-    standard error; with sigma_delta = 0 it is simulate_sequence exactly.
+    Every realization rides its own noise path, and all advance together
+    through `_evolve_two_level`, which draws the paths from rng as it steps
+    (the draw order is in its docstring): each pulse step sees the path at
+    its start, held across it (the pulse grid resolves tau_c in any regime
+    we simulate), by RK4 propagators interpolated in the detuning; each idle
+    gap is simulate_sequence's closed form times the phase of the path's
+    exact integral over the gap.  Returns the mean population with
+    per-point standard error; with sigma_delta = 0 it is simulate_sequence
+    exactly.
     """
     compiled = compile_sequence(sequence)
-
-    deltas = None
-    if noise.sigma_delta != 0.0:
-        deltas = sample_ou_detuning(noise, compiled.times[:-1], rng=rng)
-    pe, sem, trace_dev = _evolve_two_level(compiled, dec, deltas=deltas)
+    pe, sem, trace_dev = _evolve_two_level(
+        compiled, dec, noise if noise.sigma_delta != 0.0 else None, rng)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, pe_stderr=sem,
                       diagnostics=diag)
-

@@ -74,3 +74,19 @@ def test_summary_reproduces_a_checked_in_bench_file():
     summary = bench_pairs.summarize(runs["parent"], runs["change"], END_TO_END)
     assert summary == doc["summary"]
     assert bench_pairs.claim(summary, "jc-master", "wall_s") == doc["claim"]
+
+
+def test_claim_outside_the_run_workload_is_refused_before_any_run(
+        monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("ran before refusing the claim")
+
+    monkeypatch.setattr(bench_pairs, "_export", no_run)
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    monkeypatch.setattr(bench_pairs, "_git", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--label", "x", "--seed", "1",
+                          "--workload", "jc-master",
+                          "--claim", "mc-dephasing.wall_s"])
+    assert exit_info.value.code == 2
+    assert "does not run mc-dephasing" in capsys.readouterr().err

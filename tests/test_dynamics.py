@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -468,20 +470,50 @@ def test_monte_carlo_zero_sigma_reduces_to_deterministic():
     assert np.all(mc.pe_stderr == 0.0)
 
 
-def _stepwise_reference(compiled, dec, deltas):
-    """Mean P_e, its sem and the trace deviation, one RK4 step at a time."""
+def _runs(compiled):
+    """(lo, hi, idle) of each run of idle or pulse steps, in time order."""
+    idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
+    edges = [0, *(np.flatnonzero(np.diff(idle)) + 1), len(idle)]
+    return [(lo, hi, bool(idle[lo])) for lo, hi in zip(edges, edges[1:])]
+
+
+def _stepwise_reference(compiled, dec, noise=None, seed=None):
+    """Mean P_e, its sem and the trace deviation, one RK4 step at a time.
+
+    With noise, the OU paths are drawn from seed in the order documented by
+    `_evolve_two_level`: the stationary start, then per run a (2, n) gap
+    draw or one (steps, n) block of kicks.  A pulse step runs at the path's
+    value at its start; an idle step at detuning0, with the coherence
+    turned by exp(2 pi i I) at the gap's end, I the path's integral over
+    the gap.
+    """
     g1 = 2.0 * np.pi * dec.gamma1
     decay = 0.5 * g1 + 2.0 * np.pi * dec.gamma_phi
-    n = deltas.shape[0]
+    n = 1 if noise is None else noise.n_realizations
     a, b, d = np.ones(n), np.zeros(n, dtype=complex), np.zeros(n)
+    x = np.zeros(n)
+    if noise is not None:
+        rng = np.random.default_rng(seed)
+        x = noise.sigma_delta * rng.standard_normal(n)
     pe, sem = [0.0], [0.0]
-    for k in range(len(compiled.dts)):
-        w = np.pi * (compiled.detuning0 + deltas[:, k])
-        a, b, d = dynamics._two_level_step(
-            a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k], w,
-            compiled.dts[k], g1, decay)
-        pe.append(d.mean())
-        sem.append(d.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0)
+    for lo, hi, idle in _runs(compiled):
+        if noise is not None and not idle:
+            kicks = rng.standard_normal((hi - lo, n))
+        for k in range(lo, hi):
+            w = np.pi * (compiled.detuning0 + (0.0 if idle else x))
+            a, b, d = dynamics._two_level_step(
+                a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k], w,
+                compiled.dts[k], g1, decay)
+            if noise is not None and not idle:
+                e = np.exp(-compiled.dts[k] / noise.tau_c)
+                x = x * e + noise.sigma_delta * np.sqrt(
+                    max(0.0, 1.0 - e ** 2)) * kicks[k - lo]
+            pe.append(d.mean())
+            sem.append(d.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0)
+        if noise is not None and idle:
+            x, integral = dynamics._ou_gap(
+                x, compiled.times[hi] - compiled.times[lo], noise, rng)
+            b = b * np.exp(2j * np.pi * integral)
     return np.array(pe), np.array(sem), float(np.abs(a + d - 1.0).max())
 
 
@@ -536,7 +568,7 @@ def test_propagator_scan_matches_stepwise_reference(case):
         # no pulse run at all: the whole grid is one idle gap
         assert not (compiled.u1.any() or compiled.u2.any()
                     or compiled.u4.any())
-    ref, _, _ = _stepwise_reference(compiled, DEC, np.zeros((1, n_steps)))
+    ref, _, _ = _stepwise_reference(compiled, DEC)
     if seq is None:
         pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC)
         assert np.all(sem == 0.0)
@@ -577,16 +609,19 @@ _OU_WHITE = dict(sigma_delta=193e6, tau_c=1e-10)
 
 
 def _mc_case(case):
-    """(compiled tables, deltas) of one Monte-Carlo case."""
+    """(compiled tables, noise model) of one Monte-Carlo case; its seed is
+    its number of realizations."""
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
     echo = pulses.build_echo_sequence(10e-9, **shape)
+    # a 4 MHz offset with the noise frozen far below the nodes' 1 urad floor
+    constant = dict(sigma_delta=1e-3, tau_c=1.0)
     seq, noise, n = {
         "ou-n1": (echo, _OU_SLOW, 1),
         "ou-n2": (echo, _OU_SLOW, 2),
         "ou-n500": (pulses.build_ramsey_sequence(5e-9, 0.0, **shape),
                     _OU_SLOW, 500),
-        "constant": (echo, None, 3),
+        "constant": (echo, constant, 3),
         "white": (echo, _OU_WHITE, 200),
         "drag": (pulses.build_echo_sequence(10e-9, drag_beta=0.1e-9, **shape),
                  _OU_SLOW, 200),
@@ -596,26 +631,107 @@ def _mc_case(case):
                        _OU_WHITE, 200),
     }[case]
     compiled = dynamics.compile_sequence(seq)
-    if noise is None:
-        return compiled, np.full((n, len(compiled.dts)), 4e6)
-    model = dynamics.OuNoiseModel(n_realizations=n, **noise)
-    return compiled, dynamics.sample_ou_detuning(model, compiled.times[:-1],
-                                                 rng=n)
+    if case == "constant":
+        compiled = replace(compiled, detuning0=4e6)
+    return compiled, dynamics.OuNoiseModel(n_realizations=n, **noise)
 
 
 @pytest.mark.parametrize("case", ["ou-n1", "ou-n2", "ou-n500", "constant",
                                   "white", "drag", "ramsey-100MHz",
                                   "zero-delay"])
 def test_monte_carlo_matches_stepwise_reference(case):
-    compiled, deltas = _mc_case(case)
+    compiled, noise = _mc_case(case)
+    seed = noise.n_realizations
     if case == "zero-delay":
         # the back-to-back pulse edges leave one step of rounding length
         assert compiled.dts.min() < 1e-20
-    pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC, deltas)
-    ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, deltas)
+    pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC, noise,
+                                                    seed)
+    ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, noise,
+                                                     seed)
     npt.assert_allclose(pe, ref_pe, rtol=0.0, atol=1e-12)
     npt.assert_allclose(sem, ref_sem, rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12 and ref_trace < 1e-12
+    # the same seed gives the same bytes
+    again = dynamics._evolve_two_level(compiled, DEC, noise, seed)
+    assert pe.tobytes() == again[0].tobytes()
+    assert sem.tobytes() == again[1].tobytes()
+
+
+def _gap_moments(u, model, x0=0.0, var0=0.0):
+    """Means, variances and covariance of (x_end, integral) over a gap of
+    u tau_c, not conditioned on the end value, from starts of mean x0 and
+    variance var0."""
+    sigma, tau = model.sigma_delta, model.tau_c
+    if u < 1.0:
+        # 2u - 3 + 4 e^-u - e^-2u, summed without its cancellation
+        g = sum((-1) ** k * (4.0 - 2.0 ** k) * u ** k / math.factorial(k)
+                for k in range(3, 30))
+    else:
+        g = 2.0 * u - 3.0 + 4.0 * np.exp(-u) - np.exp(-2.0 * u)
+    a, b = np.exp(-u), -np.expm1(-u)
+    return (x0 * a, x0 * tau * b,
+            var0 * a ** 2 + sigma ** 2 * -np.expm1(-2.0 * u),
+            var0 * (tau * b) ** 2 + sigma ** 2 * tau ** 2 * g,
+            var0 * a * tau * b + sigma ** 2 * tau * b ** 2)
+
+
+def _assert_moments(x_end, integral, expected, n_se=5.0):
+    """Sample moments of (x_end, integral) within n_se standard errors of
+    the expected ones."""
+    mean_x, mean_i, var_x, var_i, cov = expected
+    n = len(x_end)
+    assert abs(x_end.mean() - mean_x) < n_se * np.sqrt(var_x / n)
+    assert abs(integral.mean() - mean_i) < n_se * np.sqrt(var_i / n)
+    npt.assert_allclose(x_end.var(), var_x, rtol=n_se * np.sqrt(2.0 / n))
+    npt.assert_allclose(integral.var(), var_i, rtol=n_se * np.sqrt(2.0 / n))
+    corr = np.cov(x_end, integral)[0, 1] / np.sqrt(x_end.var(ddof=1)
+                                                  * integral.var(ddof=1))
+    assert abs(corr - cov / np.sqrt(var_x * var_i)) < n_se / np.sqrt(n)
+
+
+@pytest.mark.parametrize("u", [1e-6, 1e-2, 1.0, 30.0])
+def test_ou_gap_draw_has_the_closed_form_moments(u, rng):
+    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=20e-9)
+    x0 = np.full(200_000, 0.8 * model.sigma_delta)
+    x_end, integral = dynamics._ou_gap(x0, u * model.tau_c, model, rng)
+    _assert_moments(x_end, integral, _gap_moments(u, model, x0=x0[0]))
+
+
+def test_ou_gap_draw_matches_riemann_sums_of_sampled_paths(rng):
+    # stationary starts: the fine-grid reference draws its own
+    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=20e-9,
+                                  n_realizations=10_000)
+    times = np.linspace(0.0, model.tau_c, 201)
+    paths = dynamics.sample_ou_detuning(model, times, rng=rng)
+    riemann = np.diff(times)[0] * (paths[:, :-1] + paths[:, 1:]).sum(1) / 2
+    x0 = model.sigma_delta * rng.standard_normal(4 * model.n_realizations)
+    x_end, integral = dynamics._ou_gap(x0, model.tau_c, model, rng)
+    moments = _gap_moments(1.0, model, var0=model.sigma_delta ** 2)
+    _assert_moments(x_end, integral, moments)
+    _assert_moments(paths[:, -1], riemann, moments)
+    # two-sample: the variances agree to the spread of both samples
+    for ours, ref in ((x_end, paths[:, -1]), (integral, riemann)):
+        se = np.sqrt(2.0 / len(ours) + 2.0 / len(ref))
+        npt.assert_allclose(ours.var(), ref.var(), rtol=5.0 * se)
+
+
+def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    noise = dynamics.OuNoiseModel(n_realizations=500, **_OU_SLOW)
+    peak = {}
+    for tau in (10e-9, 40e-9, 160e-9):
+        seq = pulses.build_echo_sequence(tau, sigma=0.25e-9,
+                                         pi_amplitude=a_pi)
+        tracemalloc.start()
+        try:
+            dynamics.monte_carlo_dephasing(seq, noise, DEC, rng=1)
+            peak[tau] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    # no buffer of realizations by steps: the paths are drawn per block
+    assert peak[40e-9] < 12.0, peak
+    assert peak[160e-9] - peak[10e-9] < 3.0, peak
 
 
 def test_ou_sampler_matches_loop_reference():

@@ -155,6 +155,9 @@ def main(argv=None):
                 or metric not in {m["name"] for m in bench["end_to_end"]}):
             ap.error(f"--claim {args.claim}: not a workload.metric of "
                      "BENCHMARK.json")
+        if args.workload not in ("all", workload):
+            ap.error(f"--claim {args.claim}: --workload {args.workload} "
+                     f"does not run {workload}")
     seconds = str(bench["run_seconds"])
     seeds = [args.seed + i for i in range(args.pairs)]
     parent_commit = _git("rev-parse", "--verify", args.parent + "^{commit}")
