@@ -35,8 +35,6 @@ SCAN_BLOCK = 1024
 # Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
 # the stepper; its trace check runs at least this often.
 MC_BLOCK = 128
-# Realizations per block of OU kicks: bounds the sampler's draw buffer.
-OU_DRAW_ROWS = 32
 # Largest d^2 that `evolve` steps with a dense one-step propagator: the
 # measured crossover against sparse RK4 is near d^2 = 324 with one BLAS
 # thread and 460 with two, so up to 256 the dense step wins on either.
@@ -514,28 +512,21 @@ def sample_ou_detuning(model, times, rng=None):
     first sample drawn from the stationary distribution.  The update uses the
     exact transition density, so non-uniform spacing costs nothing.
 
-    The paths are a transposed view of a time-major buffer, so the recurrence
-    updates one contiguous row of realizations per step.  The kicks xi_k are
-    drawn OU_DRAW_ROWS realizations at a time, in the order of one
-    (n, n_times - 1) draw, straight into that buffer; the values equal those
-    of the step-by-step loop bit for bit.  `monte_carlo_dephasing` draws its
-    noise in its own order, while it steps (`_evolve_two_level`); this is
-    the whole-path reference its statistics are checked against.
+    The kicks xi are one (n, n_times - 1) draw, and the paths are a
+    transposed view of a time-major buffer, so the recurrence updates one
+    contiguous row of realizations per step.  `monte_carlo_dephasing` draws
+    its noise in its own order, while it steps (`_evolve_two_level`); this
+    is the whole-path reference its statistics are checked against.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
     n = model.n_realizations
     out = np.empty((len(times), n))
     out[0] = model.sigma_delta * rng.standard_normal(n)
-    if len(times) > 1:
-        decay, kick = _ou_transition(np.diff(times), model)
-        draws = np.empty((min(OU_DRAW_ROWS, n), len(times) - 1))
-        for lo in range(0, n, OU_DRAW_ROWS):
-            rows = draws[:min(OU_DRAW_ROWS, n - lo)]
-            rng.standard_normal(out=rows)
-            np.multiply(rows.T, kick[:, None], out=out[1:, lo:lo + len(rows)])
-        for k in range(len(decay)):
-            out[k + 1] += out[k] * decay[k]
+    decay, kick = _ou_transition(np.diff(times), model)
+    out[1:] = (rng.standard_normal((n, len(times) - 1)) * kick).T
+    for k in range(len(decay)):
+        out[k + 1] += out[k] * decay[k]
     return out.T
 
 
@@ -607,7 +598,9 @@ def compile_sequence(sequence):
 
     The grid runs from t = 0 to the readout-window start, split at every
     pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, idle
-    gaps DEFAULT_DT_IDLE.  All entries must share one carrier, given as a
+    gaps DEFAULT_DT_IDLE.  Idle gaps are exact exponentials
+    (`_evolve_two_level`), so DEFAULT_DT_IDLE only places the trajectory's
+    samples in them.  All entries must share one carrier, given as a
     detuning from the qubit frequency; the frame rotates at that carrier, so
     the static z coefficient is -carrier.
     """
@@ -693,19 +686,30 @@ _LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
                       for m, xm in enumerate(_NODES)]).T
 
 
-def _exp_series(z, degree=4):
-    """1 + z + z^2/2 + ... + z^degree/degree!, the exponential series cut at
-    `degree`.  Degree 4 is R, the RK4 stability polynomial: one RK4 step of
-    dy/dt = (z/dt) y multiplies y by R(z); its j-th derivative is degree 4 - j.
-    """
-    out = 1.0
-    for k in range(degree, 0, -1):
-        out = 1.0 + z / k * out
-    return out
+def _scan_block(tables, w, g1, decay, stacks):
+    """Inclusive prefix products of the propagators of one block of pulse
+    steps, tables = (u1, u2, u4, dts): P[s:] = P[s:] @ P[:-s] for
+    s = 1, 2, 4, ..., ping-ponged through `stacks` (2, 4, >= m, 4), as
+    matmul's out must not overlap its inputs.  Returns a view of one of
+    them, (m, 4, 4), its k-th matrix the map from the state before the
+    block to the state after step k."""
+    a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D, *tables[:3], w,
+                              tables[3], g1, decay)
+    m = a.shape[1]
+    np.stack([a, b.real, b.imag, d], axis=-1, out=stacks[0, :, :m])
+    cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
+    shift = 1
+    while shift < m:
+        nxt[:shift] = cur[:shift]
+        np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
+        cur, nxt = nxt, cur
+        shift *= 2
+    return cur
 
 
-def _evolve_two_level(compiled, dec, noise=None, rng=None):
-    """Fixed-RK4 integration of the 2x2 Lindblad state from |g><g|.
+def _evolve_two_level(compiled, dec, noise=None, rng=None, scans=None):
+    """Integration of the 2x2 Lindblad state from |g><g|: fixed RK4 under
+    the pulses, exact exponentials over the idle gaps.
 
     Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
     so Hermiticity is exact and the trace is preserved to rounding.  Every
@@ -718,18 +722,20 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None):
     realization, drawn while the realizations advance together; None is one
     noiseless realization at detuning0.  The state is carried through the
     grid's runs of idle steps (no drive) and of pulse steps.
-    - Idle runs in closed form: each component evolves alone.  p_e is
-      multiplied by R(-g1 dt) per step, with R the RK4 stability
-      polynomial, so the gap's mean and sem are their entry values times a
-      cumulative product; rho_01 is multiplied by R(dt (2i w0 - decay)) per
-      step at w0 = pi detuning0, one product per block of MC_BLOCK steps,
-      and with noise by exp(2 pi i I), I the integral of the path over the
-      gap; p_g gains what p_e loses.  The trace deviation is checked at the
-      gap end.
+    - Idle runs [lo, hi] in closed form, each component alone, with
+      elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean and sem are
+      their entry values times exp(-g1 elapsed); rho_01 is multiplied once
+      by exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
+      exp(2 pi i I), I the integral of the path over the gap; p_g gains
+      what p_e loses.  So the idle grid only places the samples.  The
+      trace deviation is checked at the gap end.
     - Pulse runs without noise, SCAN_BLOCK steps at a time: an inclusive
-      prefix product (P[s:] = P[s:] @ P[:-s] for s = 1, 2, 4, ...) composes
-      the propagators, and applied to the state carried in it yields the
-      state after every step, each checked for trace deviation.
+      prefix product (`_scan_block`) composes the propagators, and applied
+      to the state carried in it yields the state after every step, each
+      checked for trace deviation.  With scans (a dict), a block whose
+      tables, steps, detuning and rates are byte-equal to one scanned
+      earlier with the same dict reuses its stack; a new stack is stored
+      with its strides, so its products round as the scan's own.
     - Pulse runs with noise, MC_BLOCK steps at a time, each step at the
       path's value at its start, held across it: the RK4 step is a
       polynomial of degree 4 in the detuning w, so `_two_level_step` gives
@@ -771,9 +777,9 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None):
     if noise is not None:
         rng = np.random.default_rng(rng)
         path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
-    # The scan's two stacks, ping-ponged as matmul's out must not overlap
-    # its inputs; basis-major, (in, step, out), as the propagators are built,
-    # since matmul picks its kernel, and so its rounding, by the strides.
+    # The scan's two stacks, basis-major, (in, step, out), as the
+    # propagators are built, since matmul picks its kernel, and so its
+    # rounding, by the strides.
     stacks = np.empty((2, 4, min(SCAN_BLOCK, n_steps), 4))
     idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
     runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1, [n_steps]])
@@ -782,29 +788,15 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None):
         s = state[0]
         if idle[lo]:
             p0 = s[3].copy()
-            relax = np.cumprod(_exp_series(-g1 * compiled.dts[lo:hi]))
+            elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
+            relax = np.exp(-g1 * elapsed)
             pe_mean[lo + 1:hi + 1] = p0.mean() * relax
             if n_batch > 1:
                 pe_sem[lo + 1:hi + 1] = p0.std(ddof=1) / root_n * relax
-            coh = s[1] + 1j * s[2]
-            for blo in range(lo, hi, MC_BLOCK):
-                bhi = min(blo + MC_BLOCK, hi)
-                # R(alpha + i beta) for z = dt (2i w0 - decay), in real
-                # arithmetic: sum_j R^(j)(alpha) (i beta)^j / j!
-                dt = compiled.dts[blo:bhi, None]
-                alpha = -decay * dt
-                beta = TWO_PI * dt * compiled.detuning0
-                q = beta * beta
-                factor = np.empty(beta.shape, dtype=complex)
-                factor.real = _exp_series(alpha) - q * (
-                    _exp_series(alpha, 2) / 2.0 - q / 24.0)
-                factor.imag = beta * (_exp_series(alpha, 3)
-                                      - q * _exp_series(alpha, 1) / 6.0)
-                coh *= np.prod(factor, axis=0)
+            coh = (s[1] + 1j * s[2]) * np.exp(
+                elapsed[-1] * (1j * TWO_PI * compiled.detuning0 - decay))
             if noise is not None:
-                path[0], integral = _ou_gap(
-                    path[0], compiled.times[hi] - compiled.times[lo], noise,
-                    rng)
+                path[0], integral = _ou_gap(path[0], elapsed[-1], noise, rng)
                 coh *= np.exp(1j * TWO_PI * integral)
             s[1], s[2] = coh.real, coh.imag
             s[3] = p0 * relax[-1]
@@ -814,22 +806,19 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None):
             w = np.pi * compiled.detuning0
             for blo in range(lo, hi, SCAN_BLOCK):
                 blk = slice(blo, min(blo + SCAN_BLOCK, hi))
-                a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D,
-                                          compiled.u1[blk], compiled.u2[blk],
-                                          compiled.u4[blk], w,
-                                          compiled.dts[blk], g1, decay)
-                m = a.shape[1]
-                np.stack([a, b.real, b.imag, d], axis=-1,
-                         out=stacks[0, :, :m])
-                cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
-                shift = 1
-                while shift < m:
-                    nxt[:shift] = cur[:shift]
-                    np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
-                    cur, nxt = nxt, cur
-                    shift *= 2
-                states = cur @ s[:, 0]
-                pe_mean[blo + 1:blo + 1 + m] = states[:, 3]
+                tables = (compiled.u1[blk], compiled.u2[blk],
+                          compiled.u4[blk], compiled.dts[blk])
+                key = None if scans is None else b"".join(
+                    [t.tobytes() for t in tables]
+                    + [np.array([w, g1, decay]).tobytes()])
+                prefix = None if key is None else scans.get(key)
+                if prefix is None:
+                    prefix = _scan_block(tables, w, g1, decay, stacks)
+                    if key is not None:
+                        # order "K" keeps the basis-major strides
+                        scans[key] = prefix.copy(order="K")
+                states = prefix @ s[:, 0]
+                pe_mean[blo + 1:blk.stop + 1] = states[:, 3]
                 trace_dev = max(trace_dev, float(
                     np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
                 s[:, 0] = states[-1]
@@ -880,12 +869,34 @@ def simulate_sequence(sequence, dec):
 
     Evolves |g><g| up to the readout-window start, in the frame rotating at
     the sequence carrier: pulses through the RK4 propagator scan, idle gaps
-    in the closed form that Monte-Carlo uses too (`_evolve_two_level`).  The
-    returned Trajectory's final sample is the population handed to the
-    readout chain.
+    as the exact exponentials that Monte-Carlo uses too
+    (`_evolve_two_level`).  The returned Trajectory's final sample is the
+    population handed to the readout chain.  `simulate_sweep` gives the
+    same bits for many sequences, sharing the scans of equal pulses.
     """
+    return _simulate_one(sequence, dec)
+
+
+def simulate_sweep(sequences, dec):
+    """`simulate_sequence` of each sequence, one Trajectory per sequence,
+    bit for bit.
+
+    A block of pulse steps whose drive tables, steps, detuning and rates
+    are byte-equal to one already scanned in this call reuses that scan's
+    propagator stack (`_evolve_two_level`).  In a Ramsey, T1 or echo sweep
+    the first pulse of every point with a nonzero delay is such a block.
+    The stacks are kept for the call only, and each sequence is compiled
+    when it is simulated.
+    """
+    scans = {}
+    return [_simulate_one(seq, dec, scans) for seq in sequences]
+
+
+def _simulate_one(sequence, dec, scans=None):
+    """The deterministic Trajectory of one sequence; scans as in
+    `_evolve_two_level`."""
     compiled = compile_sequence(sequence)
-    pe, _, trace_dev = _evolve_two_level(compiled, dec)
+    pe, _, trace_dev = _evolve_two_level(compiled, dec, scans=scans)
     diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
     return Trajectory(times=compiled.times, qubit_pe=pe, diagnostics=diag)
 
@@ -898,8 +909,8 @@ def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
     (the draw order is in its docstring): each pulse step sees the path at
     its start, held across it (the pulse grid resolves tau_c in any regime
     we simulate), by RK4 propagators interpolated in the detuning; each idle
-    gap is simulate_sequence's closed form times the phase of the path's
-    exact integral over the gap.  Returns the mean population with
+    gap is simulate_sequence's exact exponential times the phase of the
+    path's exact integral over the gap.  Returns the mean population with
     per-point standard error; with sigma_delta = 0 it is simulate_sequence
     exactly.
     """

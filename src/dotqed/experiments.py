@@ -708,16 +708,17 @@ def _run_pulsed(kind, cfg, out):
     dec = cfg.device.decoherence
     use_mc = cfg.dephasing is not None and cfg.dephasing.sigma_delta > 0
 
+    seqs = [kind.sequence(x, cfg, pi_amp, shape) for x in values]
+    if use_mc:
+        # one point at a time, each read out before the next is simulated
+        trajs = (dynamics.monte_carlo_dephasing(seq, cfg.dephasing, dec,
+                                                rng=rng_dynamics)
+                 for seq, (rng_dynamics, _) in zip(seqs, rngs))
+    else:
+        trajs = dynamics.simulate_sweep(seqs, dec)
     rows = []
-    for x, (rng_dynamics, rng_readout) in zip(values, rngs):
-        seq = kind.sequence(x, cfg, pi_amp, shape)
-        if use_mc:
-            traj = dynamics.monte_carlo_dephasing(seq, cfg.dephasing, dec,
-                                                  rng=rng_dynamics)
-            true_err = float(traj.pe_stderr[-1])
-        else:
-            traj = dynamics.simulate_sequence(seq, dec)
-            true_err = 0.0
+    for traj, (_, rng_readout) in zip(trajs, rngs):
+        true_err = float(traj.pe_stderr[-1]) if use_mc else 0.0
         traj.validate_populations()
         pe_true = float(traj.qubit_pe[-1])
         p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,

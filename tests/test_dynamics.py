@@ -477,8 +477,10 @@ def _runs(compiled):
     return [(lo, hi, bool(idle[lo])) for lo, hi in zip(edges, edges[1:])]
 
 
-def _stepwise_reference(compiled, dec, noise=None, seed=None):
-    """Mean P_e, its sem and the trace deviation, one RK4 step at a time.
+def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
+    """Mean P_e, its sem and the trace deviation, one step at a time: an
+    RK4 step under a pulse, the exact decay and rotation over an idle step
+    (or an RK4 step, with rk4_idle).
 
     With noise, the OU paths are drawn from seed in the order documented by
     `_evolve_two_level`: the stationary start, then per run a (2, n) gap
@@ -501,9 +503,14 @@ def _stepwise_reference(compiled, dec, noise=None, seed=None):
             kicks = rng.standard_normal((hi - lo, n))
         for k in range(lo, hi):
             w = np.pi * (compiled.detuning0 + (0.0 if idle else x))
-            a, b, d = dynamics._two_level_step(
-                a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k], w,
-                compiled.dts[k], g1, decay)
+            dt = compiled.dts[k]
+            if idle and not rk4_idle:
+                lost = d * -np.expm1(-g1 * dt)
+                a, b, d = a + lost, b * np.exp(dt * (2j * w - decay)), d - lost
+            else:
+                a, b, d = dynamics._two_level_step(
+                    a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k],
+                    w, dt, g1, decay)
             if noise is not None and not idle:
                 e = np.exp(-compiled.dts[k] / noise.tau_c)
                 x = x * e + noise.sigma_delta * np.sqrt(
@@ -580,6 +587,39 @@ def test_propagator_scan_matches_stepwise_reference(case):
     assert trace_dev < 1e-12
 
 
+def _count_steps(monkeypatch):
+    """Wrap `_two_level_step`; returns the list of (steps, u1 bytes) of
+    its calls."""
+    calls = []
+    step = dynamics._two_level_step
+
+    def count(*args):
+        calls.append((np.broadcast(*args).shape[-1], args[3].tobytes()))
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "_two_level_step", count)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["ramsey-100MHz", "t1"])
+def test_exact_idle_gaps_match_rk4_on_a_fine_grid(case, monkeypatch):
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
+    seq = {"ramsey-100MHz": pulses.build_ramsey_sequence(5e-9, 100e6, **shape),
+           "t1": pulses.build_t1_sequence(5e-9, **shape)}[case]
+    coarse = dynamics._evolve_two_level(dynamics.compile_sequence(seq), DEC)
+    monkeypatch.setattr(dynamics, "DEFAULT_DT_IDLE", 1e-12)
+    compiled = dynamics.compile_sequence(seq)
+    pe = dynamics._evolve_two_level(compiled, DEC)[0]
+    rk4 = _stepwise_reference(compiled, DEC, rk4_idle=True)[0]
+    # RK4's own error at 1 ps idle steps is below 1e-14 here: 100 MHz turns
+    # the coherence by 6e-4 rad per step, and the error per step goes as
+    # that to the fifth power over 120
+    npt.assert_allclose(pe, rk4, rtol=0.0, atol=1e-13)
+    # a gap is one exponential, so the idle grid only places the samples
+    npt.assert_allclose(pe[-1], coarse[0][-1], rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("case", ["ramsey", "t1", "echo"])
 def test_only_pulse_steps_reach_the_stepper(case, monkeypatch):
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
@@ -590,16 +630,66 @@ def test_only_pulse_steps_reach_the_stepper(case, monkeypatch):
     compiled = dynamics.compile_sequence(seq)
     pulse = (compiled.u1 != 0) | (compiled.u2 != 0) | (compiled.u4 != 0)
     assert 0 < pulse.sum() < len(pulse)
-    stepped = []
-    step = dynamics._two_level_step
-
-    def count(*args):
-        stepped.append(np.broadcast(*args).shape[-1])
-        return step(*args)
-
-    monkeypatch.setattr(dynamics, "_two_level_step", count)
+    calls = _count_steps(monkeypatch)
     dynamics.simulate_sequence(seq, DEC)
-    assert sum(stepped) == pulse.sum()
+    assert sum(n for n, _ in calls) == pulse.sum()
+
+
+def _sweep_sequences(case, delays):
+    """One sequence of the kind named by case per delay."""
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
+    build = {
+        "ramsey-100MHz": lambda t: pulses.build_ramsey_sequence(t, 100e6,
+                                                                **shape),
+        "ramsey-0Hz": lambda t: pulses.build_ramsey_sequence(t, 0.0, **shape),
+        "t1": lambda t: pulses.build_t1_sequence(t, **shape),
+        "echo": lambda t: pulses.build_echo_sequence(t, **shape),
+        "drag": lambda t: pulses.build_ramsey_sequence(
+            t, 50e6, drag_beta=0.1e-9, **shape),
+    }
+    if case == "mixed-detuning":
+        # the carrier does not enter the drive tables, only the detuning
+        return [build["ramsey-0Hz" if i % 2 else "ramsey-100MHz"](t)
+                for i, t in enumerate(delays)]
+    return [build[case](t) for t in delays]
+
+
+@pytest.mark.parametrize("case", ["ramsey-100MHz", "ramsey-0Hz", "t1", "echo",
+                                  "drag", "mixed-detuning"])
+def test_sweep_is_per_sequence_simulation_bit_for_bit(case, monkeypatch):
+    # zero delay first: its pulses run back to back
+    seqs = _sweep_sequences(case, np.linspace(0.0, 20e-9, 6))
+    calls = _count_steps(monkeypatch)
+    sweep = dynamics.simulate_sweep(seqs, DEC)
+    shared = sum(n for n, _ in calls)
+    calls.clear()
+    alone = [dynamics.simulate_sequence(seq, DEC) for seq in seqs]
+    # some scans are shared, so some points read a stored stack
+    assert shared < sum(n for n, _ in calls)
+    assert len(sweep) == len(seqs)
+    for got, want in zip(sweep, alone):
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.qubit_pe.tobytes() == want.qubit_pe.tobytes()
+        assert (np.float64(got.diagnostics.max_trace_deviation).tobytes()
+                == np.float64(want.diagnostics.max_trace_deviation).tobytes())
+
+
+def test_sweep_scans_the_first_pulse_once(monkeypatch):
+    n_points = 7
+    seqs = _sweep_sequences("ramsey-100MHz",
+                            np.linspace(2e-9, 20e-9, n_points))
+    compiled = dynamics.compile_sequence(seqs[0])
+    lo, hi, idle = _runs(compiled)[0]
+    assert lo == 0 and not idle and hi <= dynamics.SCAN_BLOCK
+    first = compiled.u1[:hi].tobytes()
+    calls = _count_steps(monkeypatch)
+    dynamics.simulate_sweep(seqs, DEC)
+    assert [n for n, u1 in calls if u1 == first] == [hi]
+    calls.clear()
+    for seq in seqs:
+        dynamics.simulate_sequence(seq, DEC)
+    assert [n for n, u1 in calls if u1 == first] == [hi] * n_points
 
 
 # sigma = 2 gamma2 with tau_c = 4 us is the quasi-static noise of the echo
@@ -735,8 +825,7 @@ def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
 
 
 def test_ou_sampler_matches_loop_reference():
-    # more realizations than one block of draws
-    n = 2 * dynamics.OU_DRAW_ROWS + 5
+    n = 69
     model = dynamics.OuNoiseModel(sigma_delta=193e6, tau_c=1e-10,
                                   n_realizations=n)
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
