@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from digest_matrix import run_matrix
 from dotqed import device
 
 
@@ -29,3 +30,10 @@ def flagship_dict(flagship):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+@pytest.fixture(scope="session")
+def digest_runs(tmp_path_factory):
+    """(root, {run name: manifest}) of the digest matrix, run once."""
+    root = tmp_path_factory.mktemp("digest-matrix")
+    return root, run_matrix(root)
