@@ -6,10 +6,10 @@ outside that support, which is what the sequence assembly relies on.  The
 rotation angle of a pulse is theta = 2*pi * integral(Omega(t) dt).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_TRUNCATION_K = 2.0
 DEFAULT_READOUT_DURATION = 400e-9
@@ -68,7 +68,7 @@ def calibrate_pi_amplitude(sigma, truncation_k=DEFAULT_TRUNCATION_K):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return 1.0 / (2.0 * sigma * np.sqrt(2.0 * np.pi)
-                  * float(erf(truncation_k / np.sqrt(2.0))))
+                  * math.erf(truncation_k / np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import h as PLANCK_H
-from scipy.constants import k as BOLTZMANN_K
 
 TWO_PI = 2.0 * np.pi
+PLANCK_H = 6.62607015e-34       # J s, exact in the SI since 2019
+BOLTZMANN_K = 1.380649e-23      # J / K, exact in the SI since 2019
 
 
 # ------------------------------------------------------------- reflection

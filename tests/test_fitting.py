@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.optimize import least_squares
 
 from dotqed import fitting
 
@@ -176,7 +177,8 @@ AXIS_POWER = {"amplitude": 0, "offset": 0, "phase": 0, "frequency": -1,
               "time_constant": 1, "decay_time": 1, "center": 1, "hwhm": 1}
 
 
-@pytest.mark.parametrize("fit_fn, x, y", [
+# each public fit on noiseless data of its model
+FIT_CASES = [
     (fitting.fit_exponential_decay, np.linspace(0.0, 200e-9, 60),
      lambda t: 0.93 * np.exp(-t / 42.3e-9) + 0.04),
     (lambda t, y: fitting.fit_damped_cosine(t, y, envelope="exp"),
@@ -194,8 +196,12 @@ AXIS_POWER = {"amplitude": 0, "offset": 0, "phase": 0, "frequency": -1,
      lambda f: 0.4 / (1.0 + ((f - 5.07e9) / 8e6) ** 2) + 0.05),
     (fitting.fit_rabi_sweep, np.linspace(0.0, 2.0e9, 81),
      lambda a: 0.5 * (1.0 - np.cos(2 * np.pi * a / 1.6718382e9))),
-], ids=["exp-decay", "cosine-exp", "cosine-gauss", "cosine-none",
-        "lorentzian", "rabi"])
+]
+FIT_IDS = ["exp-decay", "cosine-exp", "cosine-gauss", "cosine-none",
+           "lorentzian", "rabi"]
+
+
+@pytest.mark.parametrize("fit_fn, x, y", FIT_CASES, ids=FIT_IDS)
 def test_fits_are_invariant_under_axis_scaling(fit_fn, x, y):
     data = y(x)
     ref = fit_fn(x, data)
@@ -211,3 +217,111 @@ def test_fits_are_invariant_under_axis_scaling(fit_fn, x, y):
             npt.assert_allclose(fit.params[name] / c ** power, value,
                                 rtol=1e-9, atol=1e-12 if power == 0 else 0,
                                 err_msg=f"{name} at c = {c:g}")
+
+
+# MINPACK's info from least_squares' status, which renumbers it
+_MINPACK_INFO = {0: 5, 1: 4, 2: 1, 3: 2, 4: 3}
+
+
+def _scipy_lmder(fun, x0, *, ftol, xtol, max_nfev):
+    res = least_squares(fun, x0, method="lm", ftol=ftol, xtol=xtol,
+                        max_nfev=max_nfev)
+    return fitting._LMResult(res.x, res.fun, res.jac,
+                             _MINPACK_INFO[res.status], res.nfev)
+
+
+def _fit_with(monkeypatch, engine, fit):
+    """fit() with engine in place of _lmder; (FitResult, engine results)."""
+    seen = []
+
+    def spy(fun, x0, **kw):
+        seen.append(engine(fun, x0, **kw))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "_lmder", spy)
+        return fit(), seen
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("fit_fn, x, y", FIT_CASES + [
+    (fitting.fit_exponential_decay, np.linspace(0.0, 150e-9, 200),
+     lambda t: np.exp(-t / 23.4e-9)
+     + np.random.default_rng(5).normal(0.0, 0.01, len(t)))],
+    ids=FIT_IDS + ["exp-decay-noisy"])
+def test_lm_port_takes_scipys_steps(monkeypatch, fit_fn, x, y, c):
+    # the port against scipy's least_squares(method="lm"), whose MINPACK
+    # lmder it follows: same evaluations, exit, and solution to rounding
+    ours, [got] = _fit_with(monkeypatch, fitting._lmder,
+                            lambda: fit_fn(c * x, y(x)))
+    ref, [want] = _fit_with(monkeypatch, _scipy_lmder,
+                            lambda: fit_fn(c * x, y(x)))
+    assert got.nfev == want.nfev
+    assert got.info < 5 and want.info < 5
+    assert (ours.converged, ours.flags) == (ref.converged, ref.flags)
+    npt.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+
+
+_T_POOR = np.linspace(0.0, 100e-9, 101)
+_T_FRINGE = np.linspace(0.0, 120e-9, 241)
+_F_LINE = np.linspace(5.0e9, 5.14e9, 141)
+_FRINGE_NAMES = {"amplitude": fitting._AS_Y, "decay_time": fitting._LOG_X,
+                 "frequency": fitting._PER_X, "phase": fitting._DIMENSIONLESS,
+                 "offset": fitting._AS_Y}
+_LINE_NAMES = {"amplitude": fitting._AS_Y, "center": fitting._AS_X,
+               "hwhm": fitting._AS_X, "offset": fitting._AS_Y}
+
+
+@pytest.mark.parametrize("fit", [
+    # an exponential on a cosine: 27 evaluations, ending on ftol
+    lambda: fitting.fit_exponential_decay(
+        _T_POOR, 0.5 + 0.5 * np.cos(2 * np.pi * 20e6 * _T_POOR)),
+    # a fringe from a 4% frequency miss and a wrong phase
+    lambda: fitting._run_fit(
+        fitting._damped_cosine_factory("exp"), _FRINGE_NAMES,
+        [0.3, 60e-9, 1.04e8, -0.5, 0.4], _T_FRINGE,
+        0.45 * np.exp(-_T_FRINGE / 30e-9)
+        * np.cos(2 * np.pi * 1e8 * _T_FRINGE + 0.3) + 0.5),
+    # a line from two widths off its center: 41 evaluations
+    lambda: fitting._run_fit(
+        fitting._lorentzian, _LINE_NAMES, [0.3, 5.085e9, 3e6, 0.0], _F_LINE,
+        0.4 / (1.0 + ((_F_LINE - 5.07e9) / 8e6) ** 2) + 0.05),
+], ids=["poor-fit", "fringe-off", "line-off"])
+def test_lm_port_takes_scipys_steps_far_from_the_solution(monkeypatch, fit):
+    # rejected steps, trust-radius updates and lmpar iterations; sums in
+    # another order than MINPACK's round differently, which an
+    # ill-determined end point (poor-fit) moves by up to ~1e-7
+    ours, [got] = _fit_with(monkeypatch, fitting._lmder, fit)
+    ref, [want] = _fit_with(monkeypatch, _scipy_lmder, fit)
+    assert (got.nfev, got.info) == (want.nfev, want.info)
+    assert (ours.converged, ours.flags) == (ref.converged, ref.flags)
+    npt.assert_allclose(got.x, want.x, rtol=0, atol=1e-6)
+
+
+def test_evaluation_cap_is_max_iterations(monkeypatch):
+    t = np.linspace(0.0, 120e-9, 241)
+    y = 0.45 * np.exp(-t / 30e-9) * np.cos(2 * np.pi * 1e8 * t + 0.3) + 0.5
+    for engine in (fitting._lmder, _scipy_lmder):
+        def capped(fun, x0, **kw):
+            return engine(fun, x0, **dict(kw, max_nfev=2))
+        fit, [res] = _fit_with(monkeypatch, capped,
+                               lambda: fitting.fit_damped_cosine(t, y))
+        assert res.info == 5 and res.nfev == 2
+        assert not fit.converged
+        assert "max-iterations" in fit.flags
+
+
+def test_parameter_outside_the_model_is_ill_conditioned():
+    # c never enters the model: its Jacobian column is exactly zero
+    def line(x, a, b, c):
+        return a * x + b
+
+    x = np.linspace(0.0, 1.0, 20)
+    fit = fitting._run_fit(line, ("a", "b", "c"), [1.0, 0.5, 0.25], x,
+                           2.0 * x + 1.0)
+    assert fit.converged
+    assert "ill-conditioned" in fit.flags
+    npt.assert_allclose([fit.params["a"], fit.params["b"]], [2.0, 1.0],
+                        rtol=1e-9)
+    assert fit.params["c"] == 0.25
+    assert all(np.isfinite(v) for v in fit.std_errors.values())

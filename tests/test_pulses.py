@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import erf
 
 from dotqed import pulses
+
+DIGEST_CONFIGS = Path(__file__).with_name("digest_configs.json")
 
 
 def test_envelope_peak_and_truncation():
@@ -33,6 +39,22 @@ def test_pi_amplitude_pulse_area_by_quadrature():
         p = pulses.GaussianPulse(amplitude=amp, t0=k * sigma, sigma=sigma,
                                  truncation_k=k)
         npt.assert_allclose(_area(p), 0.5, rtol=1e-10)
+
+
+def _truncations_in_use():
+    """The default, every value the digest matrix sets, and the tests'."""
+    configs = json.loads(DIGEST_CONFIGS.read_text())["configs"].values()
+    return sorted({pulses.DEFAULT_TRUNCATION_K, 1.5, 3.0}
+                  | {c["pulse"]["truncation_k"] for c in configs
+                     if "truncation_k" in c.get("pulse", {})})
+
+
+@pytest.mark.parametrize("k", _truncations_in_use())
+@pytest.mark.parametrize("sigma", [0.25e-9, 0.4e-9, 1.1e-9])
+def test_pi_amplitude_math_erf_is_scipy_erf_bit_for_bit(sigma, k):
+    want = 1.0 / (2.0 * sigma * np.sqrt(2.0 * np.pi)
+                  * float(erf(k / np.sqrt(2.0))))
+    assert pulses.calibrate_pi_amplitude(sigma, truncation_k=k) == want
 
 
 def test_pi_amplitude_frozen_value():

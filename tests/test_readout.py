@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.constants
 from scipy.signal import firwin, lfilter
 
 from dotqed import device, readout
@@ -77,6 +78,11 @@ def test_heterodyne_config_guards():
     cfg = readout.HeterodyneConfig()
     assert cfg.n_samples == 1000
     assert cfg.filter_delay_samples == 63
+
+
+def test_constants_are_scipys():
+    assert readout.PLANCK_H == scipy.constants.h
+    assert readout.BOLTZMANN_K == scipy.constants.k
 
 
 def test_thermal_occupancy_value():
