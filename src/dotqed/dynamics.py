@@ -514,9 +514,9 @@ def sample_ou_detuning(model, times, rng=None):
 
     The kicks xi are one (n, n_times - 1) draw, and the paths are a
     transposed view of a time-major buffer, so the recurrence updates one
-    contiguous row of realizations per step.  `monte_carlo_dephasing` draws
-    its noise in its own order, while it steps (`_evolve_two_level`); this
-    is the whole-path reference its statistics are checked against.
+    contiguous row of realizations per step.  A noisy `simulate_sweep`
+    draws its noise in its own order, while it steps (`_two_level_engine`);
+    this is the whole-path reference its statistics are checked against.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
@@ -599,7 +599,7 @@ def compile_sequence(sequence):
     The grid runs from t = 0 to the readout-window start, split at every
     pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, idle
     gaps DEFAULT_DT_IDLE.  Idle gaps are exact exponentials
-    (`_evolve_two_level`), so DEFAULT_DT_IDLE only places the trajectory's
+    (`_two_level_engine`), so DEFAULT_DT_IDLE only places the trajectory's
     samples in them.  All entries must share one carrier, given as a
     detuning from the qubit frequency; the frame rotates at that carrier, so
     the static z coefficient is -carrier.
@@ -707,21 +707,24 @@ def _scan_block(tables, w, g1, decay, stacks):
     return cur
 
 
-def _evolve_two_level(compiled, dec, noise=None, rng=None, scans=None):
-    """Integration of the 2x2 Lindblad state from |g><g|: fixed RK4 under
-    the pulses, exact exponentials over the idle gaps.
+def _two_level_engine(dec, noise=None):
+    """The two-level engine of one sweep: returns run(compiled, rng=None),
+    the Trajectory of a compiled sequence from |g><g|, fixed RK4 under the
+    pulses and exact exponentials over the idle gaps, with its mean
+    population, sem and max trace deviation at every grid time.
 
     Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
     so Hermiticity is exact and the trace is preserved to rounding.  Every
     step under a pulse comes from the one RK4 formula, `_two_level_step`,
     applied to the four real basis states (p_g, Re rho_01, Im rho_01, p_e):
     the step is linear in that state, so this gives its 4x4 propagator.
-    Returns (mean population, sem, max trace deviation) at every grid time.
 
     noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
-    realization, drawn while the realizations advance together; None is one
-    noiseless realization at detuning0.  The state is carried through the
-    grid's runs of idle steps (no drive) and of pulse steps.
+    realization, drawn while the realizations advance together; None, or
+    sigma_delta = 0, is one noiseless realization at detuning0 with zero
+    sem.  The block buffers, the scan stacks and the dict of stored scans
+    are made once here and reused by every run.  The state is carried
+    through the grid's runs of idle steps (no drive) and of pulse steps.
     - Idle runs [lo, hi] in closed form, each component alone, with
       elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean and sem are
       their entry values times exp(-g1 elapsed); rho_01 is multiplied once
@@ -732,10 +735,11 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None, scans=None):
     - Pulse runs without noise, SCAN_BLOCK steps at a time: an inclusive
       prefix product (`_scan_block`) composes the propagators, and applied
       to the state carried in it yields the state after every step, each
-      checked for trace deviation.  With scans (a dict), a block whose
-      tables, steps, detuning and rates are byte-equal to one scanned
-      earlier with the same dict reuses its stack; a new stack is stored
-      with its strides, so its products round as the scan's own.
+      checked for trace deviation.  A block whose tables, steps, detuning
+      and rates are byte-equal to one scanned earlier by this engine reuses
+      its stack; a new stack is stored with its strides, so its products
+      round as the scan's own.  In a Ramsey, T1 or echo sweep the first
+      pulse of every point with a nonzero delay is such a block.
     - Pulse runs with noise, MC_BLOCK steps at a time, each step at the
       path's value at its start, held across it: the RK4 step is a
       polynomial of degree 4 in the detuning w, so `_two_level_step` gives
@@ -758,110 +762,122 @@ def _evolve_two_level(compiled, dec, noise=None, rng=None, scans=None):
     draw), and for each idle run one (2, n) block (`_ou_gap`).  No array of
     n realizations by n steps is built.
     """
+    if noise is not None and noise.sigma_delta == 0.0:
+        noise = None
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
-    n_steps = len(compiled.dts)
     n_batch = 1 if noise is None else noise.n_realizations
     root_n = np.sqrt(n_batch)
-    pe_mean = np.zeros(n_steps + 1)
-    pe_sem = np.zeros(n_steps + 1)
-    trace_dev = 0.0
-    state = np.zeros((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
-    state[0, 0] = 1.0
+    state = np.empty((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
     powers = np.ones((5, MC_BLOCK, n_batch))        # x^j per step and realization
     terms = np.empty((5, 4, n_batch))               # x^j s_l of one step
     flat = terms.reshape(20, n_batch)
     # The OU path at each step boundary of a block; row 0 carries its value
     # from one block or gap to the next.
     path = np.empty((MC_BLOCK + 1, n_batch))
-    if noise is not None:
-        rng = np.random.default_rng(rng)
-        path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
     # The scan's two stacks, basis-major, (in, step, out), as the
     # propagators are built, since matmul picks its kernel, and so its
     # rounding, by the strides.
-    stacks = np.empty((2, 4, min(SCAN_BLOCK, n_steps), 4))
-    idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
-    runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1, [n_steps]])
+    stacks = np.empty((2, 4, SCAN_BLOCK, 4))
+    scans = {}
 
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        s = state[0]
-        if idle[lo]:
-            p0 = s[3].copy()
-            elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
-            relax = np.exp(-g1 * elapsed)
-            pe_mean[lo + 1:hi + 1] = p0.mean() * relax
-            if n_batch > 1:
-                pe_sem[lo + 1:hi + 1] = p0.std(ddof=1) / root_n * relax
-            coh = (s[1] + 1j * s[2]) * np.exp(
-                elapsed[-1] * (1j * TWO_PI * compiled.detuning0 - decay))
-            if noise is not None:
-                path[0], integral = _ou_gap(path[0], elapsed[-1], noise, rng)
-                coh *= np.exp(1j * TWO_PI * integral)
-            s[1], s[2] = coh.real, coh.imag
-            s[3] = p0 * relax[-1]
-            s[0] += p0 - s[3]
-            trace_dev = max(trace_dev, float(np.abs(s[0] + s[3] - 1.0).max()))
-        elif noise is None:
-            w = np.pi * compiled.detuning0
-            for blo in range(lo, hi, SCAN_BLOCK):
-                blk = slice(blo, min(blo + SCAN_BLOCK, hi))
-                tables = (compiled.u1[blk], compiled.u2[blk],
-                          compiled.u4[blk], compiled.dts[blk])
-                key = None if scans is None else b"".join(
-                    [t.tobytes() for t in tables]
-                    + [np.array([w, g1, decay]).tobytes()])
-                prefix = None if key is None else scans.get(key)
-                if prefix is None:
-                    prefix = _scan_block(tables, w, g1, decay, stacks)
-                    if key is not None:
+    def run(compiled, rng=None):
+        n_steps = len(compiled.dts)
+        pe_mean = np.zeros(n_steps + 1)
+        pe_sem = np.zeros(n_steps + 1)
+        trace_dev = 0.0
+        state[0] = 0.0
+        state[0, 0] = 1.0
+        if noise is not None:
+            rng = np.random.default_rng(rng)
+            path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
+        idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
+        runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1,
+                               [n_steps]])
+
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            s = state[0]
+            if idle[lo]:
+                p0 = s[3].copy()
+                elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
+                relax = np.exp(-g1 * elapsed)
+                pe_mean[lo + 1:hi + 1] = p0.mean() * relax
+                if n_batch > 1:
+                    pe_sem[lo + 1:hi + 1] = p0.std(ddof=1) / root_n * relax
+                coh = (s[1] + 1j * s[2]) * np.exp(
+                    elapsed[-1] * (1j * TWO_PI * compiled.detuning0 - decay))
+                if noise is not None:
+                    path[0], integral = _ou_gap(path[0], elapsed[-1], noise,
+                                                rng)
+                    coh *= np.exp(1j * TWO_PI * integral)
+                s[1], s[2] = coh.real, coh.imag
+                s[3] = p0 * relax[-1]
+                s[0] += p0 - s[3]
+                trace_dev = max(trace_dev,
+                                float(np.abs(s[0] + s[3] - 1.0).max()))
+            elif noise is None:
+                w = np.pi * compiled.detuning0
+                for blo in range(lo, hi, SCAN_BLOCK):
+                    blk = slice(blo, min(blo + SCAN_BLOCK, hi))
+                    tables = (compiled.u1[blk], compiled.u2[blk],
+                              compiled.u4[blk], compiled.dts[blk])
+                    key = b"".join([t.tobytes() for t in tables]
+                                   + [np.array([w, g1, decay]).tobytes()])
+                    prefix = scans.get(key)
+                    if prefix is None:
+                        prefix = _scan_block(tables, w, g1, decay, stacks)
                         # order "K" keeps the basis-major strides
                         scans[key] = prefix.copy(order="K")
-                states = prefix @ s[:, 0]
-                pe_mean[blo + 1:blk.stop + 1] = states[:, 3]
-                trace_dev = max(trace_dev, float(
-                    np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
-                s[:, 0] = states[-1]
-        else:
-            for blo in range(lo, hi, MC_BLOCK):
-                bhi = min(blo + MC_BLOCK, hi)
-                m = bhi - blo
-                blk = slice(blo, bhi)
-                _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
-                w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
-                path[0] = path[m]
-                w_lo, w_hi = w.min(axis=1), w.max(axis=1)
-                centre = 0.5 * (w_lo + w_hi)
-                half = np.maximum(0.5 * (w_hi - w_lo),
-                                  1e-6 / compiled.dts[blk])
-                a, b, d = _two_level_step(
-                    _BASIS_A[..., None], _BASIS_B[..., None],
-                    _BASIS_D[..., None], compiled.u1[blk, None],
-                    compiled.u2[blk, None], compiled.u4[blk, None],
-                    centre[:, None] + half[:, None] * _NODES,
-                    compiled.dts[blk, None], g1, decay)
-                # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k and node q
-                incr = np.stack([a, b.real, b.imag, d])
-                incr[range(4), range(4)] -= 1.0
-                coef = np.einsum("jq,ilkq->kijl", _LAGRANGE,
-                                 incr).reshape(m, 4, 20)
-                x = powers[1, :m]
-                np.subtract(w, centre[:, None], out=x)
-                x /= half[:, None]
-                for j in range(2, 5):
-                    np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
-                for k in range(m):
-                    np.multiply(powers[:, k, None], state[k], out=terms)
-                    np.matmul(coef[k], flat, out=state[k + 1])
-                    state[k + 1] += state[k]
-                pe = state[1:m + 1, 3]
-                pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
-                if n_batch > 1:
-                    pe_sem[blo + 1:bhi + 1] = pe.std(axis=1, ddof=1) / root_n
-                state[0] = state[m]
-                trace_dev = max(trace_dev, float(
-                    np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
-    return pe_mean, pe_sem, trace_dev
+                    states = prefix @ s[:, 0]
+                    pe_mean[blo + 1:blk.stop + 1] = states[:, 3]
+                    trace_dev = max(trace_dev, float(
+                        np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
+                    s[:, 0] = states[-1]
+            else:
+                for blo in range(lo, hi, MC_BLOCK):
+                    bhi = min(blo + MC_BLOCK, hi)
+                    m = bhi - blo
+                    blk = slice(blo, bhi)
+                    _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
+                    w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
+                    path[0] = path[m]
+                    w_lo, w_hi = w.min(axis=1), w.max(axis=1)
+                    centre = 0.5 * (w_lo + w_hi)
+                    half = np.maximum(0.5 * (w_hi - w_lo),
+                                      1e-6 / compiled.dts[blk])
+                    a, b, d = _two_level_step(
+                        _BASIS_A[..., None], _BASIS_B[..., None],
+                        _BASIS_D[..., None], compiled.u1[blk, None],
+                        compiled.u2[blk, None], compiled.u4[blk, None],
+                        centre[:, None] + half[:, None] * _NODES,
+                        compiled.dts[blk, None], g1, decay)
+                    # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k, node q
+                    incr = np.stack([a, b.real, b.imag, d])
+                    incr[range(4), range(4)] -= 1.0
+                    coef = np.einsum("jq,ilkq->kijl", _LAGRANGE,
+                                     incr).reshape(m, 4, 20)
+                    x = powers[1, :m]
+                    np.subtract(w, centre[:, None], out=x)
+                    x /= half[:, None]
+                    for j in range(2, 5):
+                        np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
+                    for k in range(m):
+                        np.multiply(powers[:, k, None], state[k], out=terms)
+                        np.matmul(coef[k], flat, out=state[k + 1])
+                        state[k + 1] += state[k]
+                    pe = state[1:m + 1, 3]
+                    pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
+                    if n_batch > 1:
+                        pe_sem[blo + 1:bhi + 1] = (pe.std(axis=1, ddof=1)
+                                                   / root_n)
+                    state[0] = state[m]
+                    trace_dev = max(trace_dev, float(
+                        np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
+        return Trajectory(
+            times=compiled.times, qubit_pe=pe_mean, pe_stderr=pe_sem,
+            diagnostics=EvolveDiagnostics(max_trace_deviation=trace_dev))
+
+    return run
 
 
 def simulate_sequence(sequence, dec):
@@ -869,54 +885,33 @@ def simulate_sequence(sequence, dec):
 
     Evolves |g><g| up to the readout-window start, in the frame rotating at
     the sequence carrier: pulses through the RK4 propagator scan, idle gaps
-    as the exact exponentials that Monte-Carlo uses too
-    (`_evolve_two_level`).  The returned Trajectory's final sample is the
-    population handed to the readout chain.  `simulate_sweep` gives the
-    same bits for many sequences, sharing the scans of equal pulses.
+    as exact exponentials (`_two_level_engine`).  The returned Trajectory's
+    final sample is the population handed to the readout chain.
+    `simulate_sweep` gives the same bits for each of many sequences.
     """
-    return _simulate_one(sequence, dec)
+    return _two_level_engine(dec)(compile_sequence(sequence))
 
 
-def simulate_sweep(sequences, dec):
-    """`simulate_sequence` of each sequence, one Trajectory per sequence,
-    bit for bit.
+def simulate_sweep(sequences, dec, noise=None, rngs=None):
+    """One Trajectory per sequence, in order, all from one two-level engine
+    (`_two_level_engine`), so its buffers, and the propagator scans of
+    byte-equal pulse blocks, are shared by the whole sweep.
 
-    A block of pulse steps whose drive tables, steps, detuning and rates
-    are byte-equal to one already scanned in this call reuses that scan's
-    propagator stack (`_evolve_two_level`).  In a Ramsey, T1 or echo sweep
-    the first pulse of every point with a nonzero delay is such a block.
-    The stacks are kept for the call only, and each sequence is compiled
-    when it is simulated.
+    Without noise (or with sigma_delta = 0) each Trajectory is
+    `simulate_sequence`'s, bit for bit, with a zero `pe_stderr`.  With an
+    OuNoiseModel the population is averaged over its realizations, and
+    `pe_stderr` is the standard error of that mean.  Every realization
+    rides its own OU detuning path, drawn from the sequence's entry of rngs
+    (seeds or Generators, one per sequence; None draws fresh entropy) as
+    the realizations step together: each pulse step sees the path at its
+    start, held across it (the pulse grid resolves tau_c in any regime we
+    simulate), and each idle gap is the noiseless exponential times the
+    phase of the path's exact integral over the gap.  A sequence's result
+    depends only on it, dec, noise and its rng, not on the other points.
+    Each sequence is compiled when it is simulated.
     """
-    scans = {}
-    return [_simulate_one(seq, dec, scans) for seq in sequences]
-
-
-def _simulate_one(sequence, dec, scans=None):
-    """The deterministic Trajectory of one sequence; scans as in
-    `_evolve_two_level`."""
-    compiled = compile_sequence(sequence)
-    pe, _, trace_dev = _evolve_two_level(compiled, dec, scans=scans)
-    diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
-    return Trajectory(times=compiled.times, qubit_pe=pe, diagnostics=diag)
-
-
-def monte_carlo_dephasing(sequence, noise, dec, *, rng=None):
-    """Average the sequence simulation over OU detuning realizations.
-
-    Every realization rides its own noise path, and all advance together
-    through `_evolve_two_level`, which draws the paths from rng as it steps
-    (the draw order is in its docstring): each pulse step sees the path at
-    its start, held across it (the pulse grid resolves tau_c in any regime
-    we simulate), by RK4 propagators interpolated in the detuning; each idle
-    gap is simulate_sequence's exact exponential times the phase of the
-    path's exact integral over the gap.  Returns the mean population with
-    per-point standard error; with sigma_delta = 0 it is simulate_sequence
-    exactly.
-    """
-    compiled = compile_sequence(sequence)
-    pe, sem, trace_dev = _evolve_two_level(
-        compiled, dec, noise if noise.sigma_delta != 0.0 else None, rng)
-    diag = EvolveDiagnostics(max_trace_deviation=trace_dev)
-    return Trajectory(times=compiled.times, qubit_pe=pe, pe_stderr=sem,
-                      diagnostics=diag)
+    run = _two_level_engine(dec, noise)
+    if rngs is None:
+        rngs = [None] * len(sequences)
+    return [run(compile_sequence(seq), rng)
+            for seq, rng in zip(sequences, rngs, strict=True)]

@@ -705,25 +705,17 @@ def _run_pulsed(kind, cfg, out):
     values = cfg.sweep.values
     pipe = _pipeline_from_config(cfg)
     rngs = _point_rngs(cfg.seed, len(values))
-    dec = cfg.device.decoherence
-    use_mc = cfg.dephasing is not None and cfg.dephasing.sigma_delta > 0
 
     seqs = [kind.sequence(x, cfg, pi_amp, shape) for x in values]
-    if use_mc:
-        # one point at a time, each read out before the next is simulated
-        trajs = (dynamics.monte_carlo_dephasing(seq, cfg.dephasing, dec,
-                                                rng=rng_dynamics)
-                 for seq, (rng_dynamics, _) in zip(seqs, rngs))
-    else:
-        trajs = dynamics.simulate_sweep(seqs, dec)
+    trajs = dynamics.simulate_sweep(seqs, cfg.device.decoherence,
+                                    cfg.dephasing, [r for r, _ in rngs])
     rows = []
     for traj, (_, rng_readout) in zip(trajs, rngs):
-        true_err = float(traj.pe_stderr[-1]) if use_mc else 0.0
         traj.validate_populations()
         pe_true = float(traj.qubit_pe[-1])
         p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,
                                             averages=cfg.averages)
-        rows.append((pe_true, true_err, p_est, est_err,
+        rows.append((pe_true, float(traj.pe_stderr[-1]), p_est, est_err,
                      traj.diagnostics.max_trace_deviation))
     pe_true, true_err, p_est, est_err, trace_dev = map(np.array, zip(*rows))
     table = {"x": values, "pe_true": pe_true, "pe_true_err": true_err,

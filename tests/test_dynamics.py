@@ -465,9 +465,16 @@ def test_monte_carlo_zero_sigma_reduces_to_deterministic():
     det = dynamics.simulate_sequence(seq, DEC)
     noise = dynamics.OuNoiseModel(sigma_delta=0.0, tau_c=1e-6,
                                   n_realizations=17)
-    mc = dynamics.monte_carlo_dephasing(seq, noise, DEC, rng=3)
+    mc = dynamics.simulate_sweep([seq], DEC, noise, [3])[0]
     npt.assert_array_equal(det.qubit_pe, mc.qubit_pe)
     assert np.all(mc.pe_stderr == 0.0)
+
+
+def _evolve(compiled, dec, noise=None, rng=None):
+    """(mean P_e, sem, max trace deviation) of compiled tables, run alone
+    in a fresh two-level engine."""
+    traj = dynamics._two_level_engine(dec, noise)(compiled, rng)
+    return traj.qubit_pe, traj.pe_stderr, traj.diagnostics.max_trace_deviation
 
 
 def _runs(compiled):
@@ -483,7 +490,7 @@ def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
     (or an RK4 step, with rk4_idle).
 
     With noise, the OU paths are drawn from seed in the order documented by
-    `_evolve_two_level`: the stationary start, then per run a (2, n) gap
+    `_two_level_engine`: the stationary start, then per run a (2, n) gap
     draw or one (steps, n) block of kicks.  A pulse step runs at the path's
     value at its start; an idle step at detuning0, with the coherence
     turned by exp(2 pi i I) at the gap's end, I the path's integral over
@@ -577,7 +584,7 @@ def test_propagator_scan_matches_stepwise_reference(case):
                     or compiled.u4.any())
     ref, _, _ = _stepwise_reference(compiled, DEC)
     if seq is None:
-        pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC)
+        pe, sem, trace_dev = _evolve(compiled, DEC)
         assert np.all(sem == 0.0)
     else:
         traj = dynamics.simulate_sequence(seq, DEC)
@@ -607,10 +614,10 @@ def test_exact_idle_gaps_match_rk4_on_a_fine_grid(case, monkeypatch):
     shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
     seq = {"ramsey-100MHz": pulses.build_ramsey_sequence(5e-9, 100e6, **shape),
            "t1": pulses.build_t1_sequence(5e-9, **shape)}[case]
-    coarse = dynamics._evolve_two_level(dynamics.compile_sequence(seq), DEC)
+    coarse = _evolve(dynamics.compile_sequence(seq), DEC)
     monkeypatch.setattr(dynamics, "DEFAULT_DT_IDLE", 1e-12)
     compiled = dynamics.compile_sequence(seq)
-    pe = dynamics._evolve_two_level(compiled, DEC)[0]
+    pe = _evolve(compiled, DEC)[0]
     rk4 = _stepwise_reference(compiled, DEC, rk4_idle=True)[0]
     # RK4's own error at 1 ps idle steps is below 1e-14 here: 100 MHz turns
     # the coherence by 6e-4 rad per step, and the error per step goes as
@@ -655,22 +662,55 @@ def _sweep_sequences(case, delays):
     return [build[case](t) for t in delays]
 
 
-@pytest.mark.parametrize("case", ["ramsey-100MHz", "ramsey-0Hz", "t1", "echo",
-                                  "drag", "mixed-detuning"])
-def test_sweep_is_per_sequence_simulation_bit_for_bit(case, monkeypatch):
-    # zero delay first: its pulses run back to back
-    seqs = _sweep_sequences(case, np.linspace(0.0, 20e-9, 6))
+# sigma = 2 gamma2 with tau_c = 4 us is the quasi-static noise of the echo
+# acceptance check; 193 MHz at 0.1 ns is its white noise
+_OU_SLOW = dict(sigma_delta=2.0 * 6.80155e6, tau_c=4e-6)
+_OU_WHITE = dict(sigma_delta=193e6, tau_c=1e-10)
+
+_SWEEP_NOISE = {
+    "noiseless": None,
+    "sigma-0": dict(sigma_delta=0.0, tau_c=1e-6, n_realizations=5),
+    "ou-n1": dict(_OU_SLOW, n_realizations=1),
+    "ou-n2": dict(_OU_WHITE, n_realizations=2),
+}
+
+
+@pytest.mark.parametrize("case, noise", [
+    pytest.param(case, noise,
+                 id=case if noise == "noiseless" else f"{case}-{noise}")
+    for noise in _SWEEP_NOISE
+    for case in ("ramsey-100MHz", "ramsey-0Hz", "t1", "echo", "drag",
+                 "mixed-detuning")])
+def test_sweep_is_per_sequence_simulation_bit_for_bit(case, noise,
+                                                       monkeypatch):
+    spec = _SWEEP_NOISE[noise]
+    model = None if spec is None else dynamics.OuNoiseModel(**spec)
+    noisy = model is not None and model.sigma_delta > 0
+    delays = np.linspace(0.0, 20e-9, 6)
+    # zero delay first: its pulses run back to back; with noise the longest
+    # first, so later points reuse the engine's buffers for shorter blocks
+    seqs = _sweep_sequences(case, delays[::-1] if noisy else delays)
+    seeds = list(range(10, 10 + len(seqs)))
     calls = _count_steps(monkeypatch)
-    sweep = dynamics.simulate_sweep(seqs, DEC)
+    sweep = dynamics.simulate_sweep(seqs, DEC, model, seeds)
     shared = sum(n for n, _ in calls)
     calls.clear()
-    alone = [dynamics.simulate_sequence(seq, DEC) for seq in seqs]
-    # some scans are shared, so some points read a stored stack
-    assert shared < sum(n for n, _ in calls)
+    if noisy:
+        # each point alone, in a fresh engine, with its own seed
+        alone = [dynamics.simulate_sweep([seq], DEC, model, [seed])[0]
+                 for seq, seed in zip(seqs, seeds)]
+        # every point draws its own paths, so no step is shared
+        assert shared == sum(n for n, _ in calls)
+    else:
+        alone = [dynamics.simulate_sequence(seq, DEC) for seq in seqs]
+        # some scans are shared, so some points read a stored stack
+        assert shared < sum(n for n, _ in calls)
+        assert all(not traj.pe_stderr.any() for traj in sweep + alone)
     assert len(sweep) == len(seqs)
     for got, want in zip(sweep, alone):
         assert got.times.tobytes() == want.times.tobytes()
         assert got.qubit_pe.tobytes() == want.qubit_pe.tobytes()
+        assert got.pe_stderr.tobytes() == want.pe_stderr.tobytes()
         assert (np.float64(got.diagnostics.max_trace_deviation).tobytes()
                 == np.float64(want.diagnostics.max_trace_deviation).tobytes())
 
@@ -690,12 +730,6 @@ def test_sweep_scans_the_first_pulse_once(monkeypatch):
     for seq in seqs:
         dynamics.simulate_sequence(seq, DEC)
     assert [n for n, u1 in calls if u1 == first] == [hi] * n_points
-
-
-# sigma = 2 gamma2 with tau_c = 4 us is the quasi-static noise of the echo
-# acceptance check; 193 MHz at 0.1 ns is its white noise
-_OU_SLOW = dict(sigma_delta=2.0 * 6.80155e6, tau_c=4e-6)
-_OU_WHITE = dict(sigma_delta=193e6, tau_c=1e-10)
 
 
 def _mc_case(case):
@@ -735,15 +769,14 @@ def test_monte_carlo_matches_stepwise_reference(case):
     if case == "zero-delay":
         # the back-to-back pulse edges leave one step of rounding length
         assert compiled.dts.min() < 1e-20
-    pe, sem, trace_dev = dynamics._evolve_two_level(compiled, DEC, noise,
-                                                    seed)
+    pe, sem, trace_dev = _evolve(compiled, DEC, noise, seed)
     ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, noise,
                                                      seed)
     npt.assert_allclose(pe, ref_pe, rtol=0.0, atol=1e-12)
     npt.assert_allclose(sem, ref_sem, rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12 and ref_trace < 1e-12
     # the same seed gives the same bytes
-    again = dynamics._evolve_two_level(compiled, DEC, noise, seed)
+    again = _evolve(compiled, DEC, noise, seed)
     assert pe.tobytes() == again[0].tobytes()
     assert sem.tobytes() == again[1].tobytes()
 
@@ -815,13 +848,38 @@ def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
                                          pi_amplitude=a_pi)
         tracemalloc.start()
         try:
-            dynamics.monte_carlo_dephasing(seq, noise, DEC, rng=1)
+            dynamics.simulate_sweep([seq], DEC, noise, [1])
             peak[tau] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
     # no buffer of realizations by steps: the paths are drawn per block
     assert peak[40e-9] < 12.0, peak
     assert peak[160e-9] - peak[10e-9] < 3.0, peak
+
+
+def test_sweep_peak_memory_is_one_points():
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    seqs = [pulses.build_t1_sequence(t, sigma=0.25e-9, pi_amplitude=a_pi)
+            for t in np.linspace(0.0, 150e-9, 4)]
+
+    def excess(batch):
+        """tracemalloc peak of a sweep, less the bytes it returns (KiB)."""
+        tracemalloc.start()
+        try:
+            trajs = dynamics.simulate_sweep(batch, DEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - sum(a.nbytes for t in trajs
+                           for a in (t.times, t.qubit_pe, t.pe_stderr))) / 1024
+
+    excess(seqs[:1])
+    longest = excess(seqs[-1:])
+    # each point's compiled tables die before the next point compiles: an
+    # engine that kept them (say, in a suspended generator's locals) measured
+    # 716 KiB over the longest point, and this one 141 KiB under it
+    sweep = excess(seqs)
+    assert sweep < longest + 256, (sweep, longest)
 
 
 def test_ou_sampler_matches_loop_reference():
@@ -847,7 +905,7 @@ def _final_pe_detuned(seq, detuning):
     """P_e at the readout of a sequence run with the qubit offset by
     `detuning` (Hz) from its carrier frame, without dephasing."""
     compiled = replace(dynamics.compile_sequence(seq), detuning0=detuning)
-    return dynamics._evolve_two_level(compiled, NO_DEC)[0][-1]
+    return _evolve(compiled, NO_DEC)[0][-1]
 
 
 def test_echo_refocuses_static_detuning():
