@@ -28,7 +28,6 @@ TRACE_TOL = 1e-7
 TRUNCATION_POP_TOL = 1e-4
 
 DEFAULT_DT_PULSE = 1e-12
-DEFAULT_DT_IDLE = 1e-11
 
 # Steps per prefix-scan block: bounds the (block, 4, 4) propagator stacks.
 SCAN_BLOCK = 1024
@@ -508,32 +507,26 @@ def _ou_transition(dts, model):
 def sample_ou_detuning(model, times, rng=None):
     """Exact-discretization OU paths at the given times, shape (n, n_times).
 
-    x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k, with the
-    first sample drawn from the stationary distribution.  The update uses the
-    exact transition density, so non-uniform spacing costs nothing.
-
-    The kicks xi are one (n, n_times - 1) draw, and the paths are a
-    transposed view of a time-major buffer, so the recurrence updates one
-    contiguous row of realizations per step.  A noisy `simulate_sweep`
-    draws its noise in its own order, while it steps (`_two_level_engine`);
-    this is the whole-path reference its statistics are checked against.
+    x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k from the
+    stationary draw sigma * standard_normal(n) at times[0], as one
+    `_ou_block` over every step: the kicks are one (n_times - 1, n) draw,
+    row k those of step k.  The exact transition makes non-uniform spacing
+    free.  A noisy `simulate_sweep` draws the same recurrence block by block
+    while it steps; this is the whole-path reference its statistics are
+    checked against.
     """
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(rng)
-    n = model.n_realizations
-    out = np.empty((len(times), n))
-    out[0] = model.sigma_delta * rng.standard_normal(n)
-    decay, kick = _ou_transition(np.diff(times), model)
-    out[1:] = (rng.standard_normal((n, len(times) - 1)) * kick).T
-    for k in range(len(decay)):
-        out[k + 1] += out[k] * decay[k]
+    out = np.empty((len(times), model.n_realizations))
+    out[0] = model.sigma_delta * rng.standard_normal(model.n_realizations)
+    _ou_block(out, np.diff(times), model, rng)
     return out.T
 
 
 def _ou_block(path, dts, model, rng):
     """Fill path[1:m + 1] with the OU values after each step of dts, from
-    the value in path[0]; the m kicks are one (m, n) draw, row k the kicks
-    of step k, and the update is `sample_ou_detuning`'s."""
+    the value in path[0] (`_ou_transition`); the m kicks are one (m, n)
+    draw, row k the kicks of step k."""
     m = len(dts)
     decay, kick = _ou_transition(dts, model)
     rng.standard_normal(out=path[1:m + 1])
@@ -597,12 +590,12 @@ def compile_sequence(sequence):
     """Build the step grid and drive tables for a pulse sequence.
 
     The grid runs from t = 0 to the readout-window start, split at every
-    pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, idle
-    gaps DEFAULT_DT_IDLE.  Idle gaps are exact exponentials
-    (`_two_level_engine`), so DEFAULT_DT_IDLE only places the trajectory's
-    samples in them.  All entries must share one carrier, given as a
-    detuning from the qubit frequency; the frame rotates at that carrier, so
-    the static z coefficient is -carrier.
+    pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, and an
+    idle gap is one step, taken whole as an exact exponential
+    (`_two_level_engine`): its p_e = p0 e^(-g1 t) and sem are monotone, so
+    its two samples bound it.  All entries must share one carrier, given as
+    a detuning from the qubit frequency; the frame rotates at that carrier,
+    so the static z coefficient is -carrier.
     """
     carriers = sequence.carrier_frequencies
     if len(carriers) > 1:
@@ -630,8 +623,8 @@ def compile_sequence(sequence):
         mid = 0.5 * (a + b)
         active = [e for e in sequence.entries
                   if e.pulse.start <= mid <= e.pulse.end]
-        dt = DEFAULT_DT_PULSE if active else DEFAULT_DT_IDLE
-        n = max(1, int(np.ceil((b - a) / dt - 1e-9)))
+        n = (max(1, int(np.ceil((b - a) / DEFAULT_DT_PULSE - 1e-9)))
+             if active else 1)
         seg = np.linspace(a, b, n + 1)
         all_times.append(seg[1:])
         u1_parts.append(_field_table(active, seg[:-1]))
@@ -722,16 +715,18 @@ def _two_level_engine(dec, noise=None):
     noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
     realization, drawn while the realizations advance together; None, or
     sigma_delta = 0, is one noiseless realization at detuning0 with zero
-    sem.  The block buffers, the scan stacks and the dict of stored scans
-    are made once here and reused by every run.  The state is carried
-    through the grid's runs of idle steps (no drive) and of pulse steps.
+    sem.  Its path's buffers are made once here and reused by every run:
+    the scan stacks and stored scans without noise, block buffers with it.
+    The state is carried through the grid's runs of idle (undriven) steps
+    and of pulse steps.
     - Idle runs [lo, hi] in closed form, each component alone, with
       elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean and sem are
       their entry values times exp(-g1 elapsed); rho_01 is multiplied once
       by exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
       exp(2 pi i I), I the integral of the path over the gap; p_g gains
-      what p_e loses.  So the idle grid only places the samples.  The
-      trace deviation is checked at the gap end.
+      what p_e loses.  A gap is one step (`compile_sequence`); zero-drive
+      pulse steps, as of a Rabi point at amplitude 0, make longer runs.
+      The trace deviation is checked at the run's end.
     - Pulse runs without noise, SCAN_BLOCK steps at a time: an inclusive
       prefix product (`_scan_block`) composes the propagators, and applied
       to the state carried in it yields the state after every step, each
@@ -769,17 +764,19 @@ def _two_level_engine(dec, noise=None):
     n_batch = 1 if noise is None else noise.n_realizations
     root_n = np.sqrt(n_batch)
     state = np.empty((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
-    powers = np.ones((5, MC_BLOCK, n_batch))        # x^j per step and realization
-    terms = np.empty((5, 4, n_batch))               # x^j s_l of one step
-    flat = terms.reshape(20, n_batch)
-    # The OU path at each step boundary of a block; row 0 carries its value
-    # from one block or gap to the next.
-    path = np.empty((MC_BLOCK + 1, n_batch))
-    # The scan's two stacks, basis-major, (in, step, out), as the
-    # propagators are built, since matmul picks its kernel, and so its
-    # rounding, by the strides.
-    stacks = np.empty((2, 4, SCAN_BLOCK, 4))
-    scans = {}
+    if noise is None:
+        # The scan's two stacks, basis-major, (in, step, out), as the
+        # propagators are built, since matmul picks its kernel, and so its
+        # rounding, by the strides.
+        stacks = np.empty((2, 4, SCAN_BLOCK, 4))
+        scans = {}
+    else:
+        powers = np.ones((5, MC_BLOCK, n_batch))    # x^j per step, realization
+        terms = np.empty((5, 4, n_batch))           # x^j s_l of one step
+        flat = terms.reshape(20, n_batch)
+        # The OU path at each step boundary of a block; row 0 carries its
+        # value from one block or gap to the next.
+        path = np.empty((MC_BLOCK + 1, n_batch))
 
     def run(compiled, rng=None):
         n_steps = len(compiled.dts)

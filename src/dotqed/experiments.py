@@ -302,6 +302,10 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
     except ValueError as exc:
         raise ConfigError(f"readout: {exc}") from exc
     params = _parse_section(m.get("params", {}), "params", _KINDS[kind].params)
+    fewest = _KINDS[kind].min_points(params)
+    if sweep and sweep["points"] < fewest:
+        raise ConfigError(f"sweep.points: must be >= {fewest} for experiment "
+                          f"'{kind}'")
     averages = _as_int(
         m.get("averages", _default(measure_population, "averages")),
         "averages", minimum=1)
@@ -886,15 +890,26 @@ class _Kind:
     reads names the optional config sections the runner uses: "sweep",
     "pulse", "readout", "averages", "noise.readout" and "noise.dephasing";
     validate_config rejects the others.  params is the schema of "params" in
-    the _SECTIONS form, key -> (validator, default).
+    the _SECTIONS form, key -> (validator, default).  min_points(params) is
+    the fewest sweep points the kind's fit takes: one more than its
+    parameters, as `fitting` needs a spare point, or the two of a line.
     """
     run: Callable
     reads: tuple
     params: dict
+    min_points: Callable = lambda params: 2
 
 
 def _pulsed(**kind):
     return partial(_run_pulsed, _PulsedKind(**kind))
+
+
+def _ramsey_points(params):
+    """A fringe's damped cosine has 5 parameters, 4 without an envelope; at
+    zero detuning the exponential decay has 3."""
+    if params["drive_detuning"] == 0.0:
+        return 4
+    return 5 if params["fit_envelope"] == "none" else 6
 
 
 _PULSED_READS = ("sweep", "pulse", "readout", "averages", "noise.readout",
@@ -913,7 +928,8 @@ _KINDS = {
         params={"rabi_amplitudes": (_drive_amplitudes, None),
                 "extrapolation_mode": (
                     _choice("squared", "linear"),
-                    _default(fitting.extrapolate_zero_power_linewidth, "mode"))}),
+                    _default(fitting.extrapolate_zero_power_linewidth, "mode"))},
+        min_points=lambda params: 5),         # Lorentzian: 4 parameters
     "stark": _Kind(
         run=_run_stark, reads=("sweep",),
         params={"probe_frequency": (_number(positive=True), None),
@@ -929,7 +945,8 @@ _KINDS = {
             columns=(("drive_amplitude_hz", "x"), ("pe_simulated", "pe_true"),
                      ("pe_estimated", "pe_est"), ("pe_stderr", "pe_est_err")),
             fit_key="rabi_oscillation", analyse=_analyse_rabi),
-        reads=_PULSED_READS, params={}),
+        reads=_PULSED_READS, params={},
+        min_points=lambda params: 5),         # cosine: 4 parameters
     "ramsey": _Kind(
         run=_pulsed(
             sequence=lambda tau, cfg, pi_amp, shape:
@@ -942,14 +959,16 @@ _KINDS = {
         params={"drive_detuning": (_number(), 100e6),
                 "fit_envelope": (_choice("exp", "gauss", "none"),
                                  _default(fitting.fit_damped_cosine,
-                                          "envelope"))}),
+                                          "envelope"))},
+        min_points=_ramsey_points),
     "t1": _Kind(
         run=_pulsed(
             sequence=lambda tau, cfg, pi_amp, shape:
                 pulses.build_t1_sequence(tau, pi_amplitude=pi_amp, **shape),
             columns=_DELAY_COLUMNS, fit_key="population_decay",
             analyse=_analyse_decay("t1_s")),
-        reads=_PULSED_READS, params={}),
+        reads=_PULSED_READS, params={},
+        min_points=lambda params: 4),         # exponential: 3 parameters
     "echo": _Kind(
         run=_pulsed(
             sequence=lambda tau, cfg, pi_amp, shape:
@@ -958,13 +977,15 @@ _KINDS = {
             columns=_DELAY_COLUMNS, fit_key="echo_decay",
             analyse=_analyse_decay("t2_echo_s")),
         reads=_PULSED_READS,
-        params=_fields(pulses.build_echo_sequence, echo_phase=_number())),
+        params=_fields(pulses.build_echo_sequence, echo_phase=_number()),
+        min_points=lambda params: 4),         # exponential: 3 parameters
     "readout-trace": _Kind(
         run=_run_readout_trace, reads=("readout", "averages", "noise.readout"),
         params={"population": (_population, 0.5)}),
     "s11-sweep": _Kind(
         run=_run_s11, reads=("sweep",),
-        params={"qubit_state": (_choice("bare", "g", "e"), "bare")}),
+        params={"qubit_state": (_choice("bare", "g", "e"), "bare")},
+        min_points=lambda params: 5),         # Lorentzian: 4 parameters
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)

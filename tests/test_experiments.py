@@ -108,7 +108,7 @@ _READS = {
     "s11-sweep": {"sweep"},
 }
 _SECTION_VALUES = {
-    "sweep": {"start": 0.0, "stop": 25e-9, "points": 3},
+    "sweep": {"start": 0.0, "stop": 25e-9, "points": 6},
     "pulse": {"sigma": 0.3e-9, "drag_beta": 0.1e-9},
     "readout": {"integration_window": 300e-9},
     "averages": 4,
@@ -253,7 +253,7 @@ def test_config_hash_ignores_output_location(tmp_path):
 def _bare_config(kind):
     raw = {"experiment": kind, "device": _device_dict()}
     if kind != "readout-trace":
-        raw["sweep"] = {"start": 0.0, "stop": 25e-9, "points": 3}
+        raw["sweep"] = {"start": 0.0, "stop": 25e-9, "points": 6}
     return raw
 
 
@@ -748,6 +748,43 @@ def test_readme_example_prints_its_results(tmp_path, capsys):
         return re.findall(r"^  \w+ = .+$", text, re.M)
 
     assert results(capsys.readouterr().out) == results(shown) != []
+
+
+# each kind with a sweep, at its fewest points: the fit's parameters plus
+# one, or the two of a line.  case -> (kind, config, fewest points)
+_FEWEST_POINTS = {
+    "spectroscopy": ("spectroscopy", {"sweep": {"start": -50e6,
+                                                "stop": 50e6}}, 5),
+    "stark": ("stark", {"sweep": {"start": 0.5e6, "stop": 1e6},
+                        "params": {"fock_cutoff": 6,
+                                   "precession_time": 30e-9}}, 2),
+    "rabi": ("rabi", {"sweep": {"start": 0.0, "stop": 2e9}}, 5),
+    "ramsey": ("ramsey", {"sweep": {"start": 0.0, "stop": 10e-9}}, 6),
+    "ramsey-no-envelope": ("ramsey", {"sweep": {"start": 0.0, "stop": 10e-9},
+                                      "params": {"fit_envelope": "none"}}, 5),
+    "ramsey-0Hz": ("ramsey", {"sweep": {"start": 0.0, "stop": 25e-9},
+                              "params": {"drive_detuning": 0.0}}, 4),
+    "t1": ("t1", {"sweep": {"start": 0.0, "stop": 100e-9}}, 4),
+    "echo": ("echo", {"sweep": {"start": 0.0, "stop": 20e-9}}, 4),
+    "s11-sweep": ("s11-sweep", {"sweep": {"start": 4.47e9,
+                                          "stop": 5.67e9}}, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(_FEWEST_POINTS))
+def test_each_kind_runs_at_its_fewest_sweep_points(tmp_path, capsys, case):
+    kind, raw, fewest = _FEWEST_POINTS[case]
+    cfg_path = tmp_path / "cfg.json"
+    # one point fewer stops at the config check, before anything is written
+    for points, code in ((fewest - 1, 2), (fewest, 0)):
+        cfg_path.write_text(json.dumps(dict(
+            raw, experiment=kind, device=_device_dict(),
+            sweep=dict(raw["sweep"], points=points))))
+        out = tmp_path / f"run{points}"
+        assert cli.main(["simulate", kind, "--config", str(cfg_path),
+                         "--out", str(out)]) == code, capsys.readouterr()
+        assert out.exists() == (code == 0)
+    assert f"sweep.points: must be >= {fewest}" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
