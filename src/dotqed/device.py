@@ -21,6 +21,7 @@ from . import qops
 # drive detunings and couplings above this fraction of nu_q + nu_r make the
 # rotating-wave form unreliable
 RWA_RATIO = 0.1
+SPLITTING_SPACE = qops.HilbertSpace(4)  # the space vacuum_rabi_splitting uses
 
 
 def _require_finite(name, value):
@@ -191,23 +192,20 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
     return h
 
 
-def vacuum_rabi_splitting(dqd, res, coupling, space=None):
+def vacuum_rabi_splitting(dqd, res, coupling):
     """Frequency gap of the single-excitation doublet, from diagonalization.
 
     Identifies the two eigenstates with the largest weight in
     span{|e,0>, |g,1>} and returns their energy difference (Hz).  At
     resonance (nu_q = nu_r) this is the vacuum Rabi splitting 2 g.
     """
-    if space is None:
-        space = qops.HilbertSpace(4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         h = build_rotating_frame_hamiltonian(
             dqd, res, coupling, drive_frequency=res.bare_frequency_nu_r,
-            space=space)
+            space=SPLITTING_SPACE)
     evals, evecs = np.linalg.eigh(h)
-    n = space.fock_cutoff
-    idx_e0 = n          # |e, 0>
+    idx_e0 = SPLITTING_SPACE.fock_cutoff    # |e, 0>
     idx_g1 = 1          # |g, 1>
     weight = np.abs(evecs[idx_e0, :]) ** 2 + np.abs(evecs[idx_g1, :]) ** 2
     pair = np.argsort(weight)[-2:]

@@ -26,6 +26,8 @@ TWO_PI = 2.0 * np.pi
 
 TRACE_TOL = 1e-7
 TRUNCATION_POP_TOL = 1e-4
+POPULATION_TOL = 1e-6       # slack outside [0, 1] of validate_populations
+RESIDUAL_TOL = 1e-6         # largest relative steady-state residual
 
 DEFAULT_DT_PULSE = 1e-12
 
@@ -125,6 +127,11 @@ def _jump_form(h_hz, channels):
     return heff, jumps
 
 
+def _step_count(length, dt):
+    """The fewest steps of at most dt that span length, and at least one."""
+    return max(1, int(np.ceil(length / dt - 1e-9)))
+
+
 @dataclass(frozen=True)
 class SimulationGrid:
     """Uniform grid of n + 1 points, n the fewest steps of at most dt; it
@@ -141,8 +148,8 @@ class SimulationGrid:
 
     @property
     def times(self):
-        n = max(1, int(np.ceil((self.t_end - self.t_start) / self.dt - 1e-9)))
-        return np.linspace(self.t_start, self.t_end, n + 1)
+        return np.linspace(self.t_start, self.t_end,
+                           _step_count(self.t_end - self.t_start, self.dt) + 1)
 
 
 @dataclass
@@ -154,17 +161,18 @@ class EvolveDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Observables sampled on the integration grid."""
+    """Observables sampled on the integration grid; pe_stderr is the final
+    sample's standard error (0.0 without noise, None from `evolve`)."""
     times: np.ndarray
     qubit_pe: np.ndarray
     cavity_alpha: np.ndarray | None = None
-    pe_stderr: np.ndarray | None = None
+    pe_stderr: float | None = None
     expectations: dict | None = None
     diagnostics: EvolveDiagnostics | None = None
 
-    def validate_populations(self, tol=1e-6):
+    def validate_populations(self):
         pe = np.asarray(self.qubit_pe)
-        if pe.min() < -tol or pe.max() > 1.0 + tol:
+        if pe.min() < -POPULATION_TOL or pe.max() > 1.0 + POPULATION_TOL:
             raise ValueError(
                 f"populations leave [0, 1]: min {pe.min():.3e}, max {pe.max():.3e}")
         return True
@@ -356,14 +364,13 @@ class SteadyStates(NamedTuple):
     residuals: np.ndarray
 
 
-def steady_state(h_hz, channels, residual_tol=1e-6):
+def steady_state(h_hz, channels):
     """Unique stationary state of the Lindblad generator; H in Hz.  A stack
     of one for `steady_states`."""
-    return steady_states(np.asarray(h_hz)[None], channels,
-                         residual_tol).states[0]
+    return steady_states(np.asarray(h_hz)[None], channels).states[0]
 
 
-def steady_states(h_stack, channels, residual_tol=1e-6):
+def steady_states(h_stack, channels):
     """Unique stationary states of a stack of Lindblad generators, H in Hz.
 
     h_stack is (m, d, d); every member shares `channels`.  Each member
@@ -372,7 +379,7 @@ def steady_states(h_stack, channels, residual_tol=1e-6):
     time, and each stack is one sparse LU factorization (SuperLU).  A
     member's residual max |L x| is relative to its own largest generator
     entry.  Raises, naming the member, when its factor is singular or its
-    residual exceeds residual_tol, both symptoms of a degenerate
+    residual exceeds RESIDUAL_TOL, both symptoms of a degenerate
     steady-state manifold (e.g. an undamped conserved quantity).  Returns
     SteadyStates: the Hermitized, unit-trace states and their residuals.
     """
@@ -381,13 +388,12 @@ def steady_states(h_stack, channels, residual_tol=1e-6):
             or not len(h_stack)):
         raise ValueError("expected a non-empty (m, d, d) stack, got shape "
                          f"{h_stack.shape}")
-    blocks = [_steady_block(h_stack[lo:lo + STEADY_STATE_BLOCK], channels,
-                            residual_tol, lo)
+    blocks = [_steady_block(h_stack[lo:lo + STEADY_STATE_BLOCK], channels, lo)
               for lo in range(0, len(h_stack), STEADY_STATE_BLOCK)]
     return SteadyStates(*map(np.concatenate, zip(*blocks)))
 
 
-def _steady_block(h_stack, channels, residual_tol, first):
+def _steady_block(h_stack, channels, first):
     """States and residuals of the members first, first + 1, ... of one
     block-diagonal factorization; on a singular factor each member is
     solved alone, so the error names the member."""
@@ -411,18 +417,18 @@ def _steady_block(h_stack, channels, residual_tol, first):
             raise RuntimeError(f"steady state {first} is not unique or its "
                                f"generator is singular: {exc}") from None
         return tuple(map(np.concatenate, zip(*(
-            _steady_block(h_stack[i:i + 1], channels, residual_tol, first + i)
+            _steady_block(h_stack[i:i + 1], channels, first + i)
             for i in range(n)))))
     scale = np.zeros(n)
     np.maximum.at(scale, np.repeat(np.arange(n), np.diff(gen.indptr[::d2])),
                   np.abs(gen.data))
     scale[scale == 0.0] = 1.0
     residuals = np.abs(gen @ x).reshape(n, d2).max(axis=1) / scale
-    bad = np.flatnonzero(residuals > residual_tol)
+    bad = np.flatnonzero(residuals > RESIDUAL_TOL)
     if bad.size:
         raise RuntimeError(f"steady state {first + bad[0]}: residual "
-                           f"{residuals[bad[0]]:.2e} exceeds {residual_tol:g}; "
-                           "generator likely has a degenerate kernel")
+                           f"{residuals[bad[0]]:.2e} exceeds {RESIDUAL_TOL:g}"
+                           "; generator likely has a degenerate kernel")
     rho = x.reshape(n, d, d)
     rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
@@ -592,8 +598,8 @@ def compile_sequence(sequence):
     The grid runs from t = 0 to the readout-window start, split at every
     pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, and an
     idle gap is one step, taken whole as an exact exponential
-    (`_two_level_engine`): its p_e = p0 e^(-g1 t) and sem are monotone, so
-    its two samples bound it.  All entries must share one carrier, given as
+    (`_two_level_engine`): its p_e = p0 e^(-g1 t) is monotone, so its two
+    samples bound it.  All entries must share one carrier, given as
     a detuning from the qubit frequency; the frame rotates at that carrier,
     so the static z coefficient is -carrier.
     """
@@ -623,8 +629,7 @@ def compile_sequence(sequence):
         mid = 0.5 * (a + b)
         active = [e for e in sequence.entries
                   if e.pulse.start <= mid <= e.pulse.end]
-        n = (max(1, int(np.ceil((b - a) / DEFAULT_DT_PULSE - 1e-9)))
-             if active else 1)
+        n = _step_count(b - a, DEFAULT_DT_PULSE) if active else 1
         seg = np.linspace(a, b, n + 1)
         all_times.append(seg[1:])
         u1_parts.append(_field_table(active, seg[:-1]))
@@ -704,7 +709,8 @@ def _two_level_engine(dec, noise=None):
     """The two-level engine of one sweep: returns run(compiled, rng=None),
     the Trajectory of a compiled sequence from |g><g|, fixed RK4 under the
     pulses and exact exponentials over the idle gaps, with its mean
-    population, sem and max trace deviation at every grid time.
+    population at every grid time, the max trace deviation over them, and
+    in `pe_stderr` the standard error of the final sample's mean.
 
     Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
     so Hermiticity is exact and the trace is preserved to rounding.  Every
@@ -714,40 +720,41 @@ def _two_level_engine(dec, noise=None):
 
     noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
     realization, drawn while the realizations advance together; None, or
-    sigma_delta = 0, is one noiseless realization at detuning0 with zero
-    sem.  Its path's buffers are made once here and reused by every run:
-    the scan stacks and stored scans without noise, block buffers with it.
-    The state is carried through the grid's runs of idle (undriven) steps
-    and of pulse steps.
+    sigma_delta = 0, is one noiseless realization at detuning0, and a
+    `pe_stderr` of 0.0.  Its path's buffers are made once here and reused
+    by every run: the scan stacks and stored scans without noise, block
+    buffers with it.  The state is carried through the grid's runs of idle
+    (undriven) steps and of pulse steps.
     - Idle runs [lo, hi] in closed form, each component alone, with
-      elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean and sem are
-      their entry values times exp(-g1 elapsed); rho_01 is multiplied once
-      by exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
+      elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean is its entry
+      value times exp(-g1 elapsed); rho_01 is multiplied once by
+      exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
       exp(2 pi i I), I the integral of the path over the gap; p_g gains
       what p_e loses.  A gap is one step (`compile_sequence`); zero-drive
       pulse steps, as of a Rabi point at amplitude 0, make longer runs.
       The trace deviation is checked at the run's end.
-    - Pulse runs without noise, SCAN_BLOCK steps at a time: an inclusive
-      prefix product (`_scan_block`) composes the propagators, and applied
-      to the state carried in it yields the state after every step, each
-      checked for trace deviation.  A block whose tables, steps, detuning
-      and rates are byte-equal to one scanned earlier by this engine reuses
-      its stack; a new stack is stored with its strides, so its products
-      round as the scan's own.  In a Ramsey, T1 or echo sweep the first
-      pulse of every point with a nonzero delay is such a block.
-    - Pulse runs with noise, MC_BLOCK steps at a time, each step at the
-      path's value at its start, held across it: the RK4 step is a
-      polynomial of degree 4 in the detuning w, so `_two_level_step` gives
-      each step's propagator P at 5 Chebyshev nodes w_m spanning that
-      step's realized w range (half-width at least 1 urad of phase per
-      step, so that one realization or constant noise still has distinct
-      nodes).  Every realization advances by s += sum_m l_m(x) (P(w_m) - I)
-      s, with l_m the Lagrange weights of the nodes at
-      x = (w - centre) / half-width, summed in powers of x: sum_j x^j C_j s
-      with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4
-      step up to rounding; interpolating the increments P - I rather than P
-      keeps that rounding relative to the increment.  Mean and sem are
-      reduced, and the trace deviation checked, per block.
+    - Pulse runs `block` steps at a time (SCAN_BLOCK without noise,
+      MC_BLOCK with it), from row 0 of one (block + 1, 4, n) state buffer
+      into its rows 1 to m; per block the mean p_e is recorded, the trace
+      deviation checked at every step, and row m carried to row 0.
+      Without noise an inclusive prefix product (`_scan_block`) composes
+      the block's propagators, applied to the carried state.  A block whose
+      tables, steps, detuning and rates are byte-equal to one scanned
+      earlier by this engine reuses its stack; a new stack is stored with
+      its strides, so its products round as the scan's own.  In a Ramsey,
+      T1 or echo sweep the first pulse of every point with a nonzero delay
+      is such a block.  With noise each step runs at the path's value at
+      its start, held across it: the RK4 step is a polynomial of degree 4
+      in the detuning w, so `_two_level_step` gives each step's propagator
+      P at 5 Chebyshev nodes w_m spanning that step's realized w range
+      (half-width at least 1 urad of phase per step, so that one
+      realization or constant noise still has distinct nodes).  Every
+      realization advances by s += sum_m l_m(x) (P(w_m) - I) s, with l_m
+      the Lagrange weights of the nodes at x = (w - centre) / half-width,
+      summed in powers of x: sum_j x^j C_j s with
+      C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4 step
+      up to rounding; interpolating the increments P - I rather than P
+      keeps that rounding relative to the increment.
 
     Draw order from rng (np.random.default_rng(rng)), which fixes the bytes
     of a seeded run: first the path's stationary values at t = 0,
@@ -762,8 +769,8 @@ def _two_level_engine(dec, noise=None):
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
     n_batch = 1 if noise is None else noise.n_realizations
-    root_n = np.sqrt(n_batch)
-    state = np.empty((MC_BLOCK + 1, 4, n_batch))   # after each step of a block
+    block = SCAN_BLOCK if noise is None else MC_BLOCK
+    state = np.empty((block + 1, 4, n_batch))   # after each step of a block
     if noise is None:
         # The scan's two stacks, basis-major, (in, step, out), as the
         # propagators are built, since matmul picks its kernel, and so its
@@ -781,7 +788,6 @@ def _two_level_engine(dec, noise=None):
     def run(compiled, rng=None):
         n_steps = len(compiled.dts)
         pe_mean = np.zeros(n_steps + 1)
-        pe_sem = np.zeros(n_steps + 1)
         trace_dev = 0.0
         state[0] = 0.0
         state[0, 0] = 1.0
@@ -793,14 +799,12 @@ def _two_level_engine(dec, noise=None):
                                [n_steps]])
 
         for lo, hi in zip(runs[:-1], runs[1:]):
-            s = state[0]
             if idle[lo]:
+                s = state[0]
                 p0 = s[3].copy()
                 elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
                 relax = np.exp(-g1 * elapsed)
                 pe_mean[lo + 1:hi + 1] = p0.mean() * relax
-                if n_batch > 1:
-                    pe_sem[lo + 1:hi + 1] = p0.std(ddof=1) / root_n * relax
                 coh = (s[1] + 1j * s[2]) * np.exp(
                     elapsed[-1] * (1j * TWO_PI * compiled.detuning0 - decay))
                 if noise is not None:
@@ -812,10 +816,13 @@ def _two_level_engine(dec, noise=None):
                 s[0] += p0 - s[3]
                 trace_dev = max(trace_dev,
                                 float(np.abs(s[0] + s[3] - 1.0).max()))
-            elif noise is None:
-                w = np.pi * compiled.detuning0
-                for blo in range(lo, hi, SCAN_BLOCK):
-                    blk = slice(blo, min(blo + SCAN_BLOCK, hi))
+                continue
+            for blo in range(lo, hi, block):
+                bhi = min(blo + block, hi)
+                m = bhi - blo
+                blk = slice(blo, bhi)
+                if noise is None:
+                    w = np.pi * compiled.detuning0
                     tables = (compiled.u1[blk], compiled.u2[blk],
                               compiled.u4[blk], compiled.dts[blk])
                     key = b"".join([t.tobytes() for t in tables]
@@ -825,16 +832,8 @@ def _two_level_engine(dec, noise=None):
                         prefix = _scan_block(tables, w, g1, decay, stacks)
                         # order "K" keeps the basis-major strides
                         scans[key] = prefix.copy(order="K")
-                    states = prefix @ s[:, 0]
-                    pe_mean[blo + 1:blk.stop + 1] = states[:, 3]
-                    trace_dev = max(trace_dev, float(
-                        np.abs(states[:, 0] + states[:, 3] - 1.0).max()))
-                    s[:, 0] = states[-1]
-            else:
-                for blo in range(lo, hi, MC_BLOCK):
-                    bhi = min(blo + MC_BLOCK, hi)
-                    m = bhi - blo
-                    blk = slice(blo, bhi)
+                    state[1:m + 1, :, 0] = prefix @ state[0, :, 0]
+                else:
                     _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
                     w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
                     path[0] = path[m]
@@ -862,16 +861,15 @@ def _two_level_engine(dec, noise=None):
                         np.multiply(powers[:, k, None], state[k], out=terms)
                         np.matmul(coef[k], flat, out=state[k + 1])
                         state[k + 1] += state[k]
-                    pe = state[1:m + 1, 3]
-                    pe_mean[blo + 1:bhi + 1] = pe.mean(axis=1)
-                    if n_batch > 1:
-                        pe_sem[blo + 1:bhi + 1] = (pe.std(axis=1, ddof=1)
-                                                   / root_n)
-                    state[0] = state[m]
-                    trace_dev = max(trace_dev, float(
-                        np.abs(state[0, 0] + state[0, 3] - 1.0).max()))
+                pe_mean[blo + 1:bhi + 1] = state[1:m + 1, 3].mean(axis=1)
+                # abs() of a temporary reuses it (numpy's temporary elision)
+                trace_dev = max(trace_dev, float(abs(
+                    state[1:m + 1, 0] + state[1:m + 1, 3] - 1.0).max()))
+                state[0] = state[m]
+        pe_stderr = (float(state[0, 3].std(ddof=1) / np.sqrt(n_batch))
+                     if n_batch > 1 else 0.0)
         return Trajectory(
-            times=compiled.times, qubit_pe=pe_mean, pe_stderr=pe_sem,
+            times=compiled.times, qubit_pe=pe_mean, pe_stderr=pe_stderr,
             diagnostics=EvolveDiagnostics(max_trace_deviation=trace_dev))
 
     return run
@@ -895,15 +893,16 @@ def simulate_sweep(sequences, dec, noise=None, rngs=None):
     byte-equal pulse blocks, are shared by the whole sweep.
 
     Without noise (or with sigma_delta = 0) each Trajectory is
-    `simulate_sequence`'s, bit for bit, with a zero `pe_stderr`.  With an
+    `simulate_sequence`'s, bit for bit, with a `pe_stderr` of 0.0.  With an
     OuNoiseModel the population is averaged over its realizations, and
-    `pe_stderr` is the standard error of that mean.  Every realization
-    rides its own OU detuning path, drawn from the sequence's entry of rngs
-    (seeds or Generators, one per sequence; None draws fresh entropy) as
-    the realizations step together: each pulse step sees the path at its
-    start, held across it (the pulse grid resolves tau_c in any regime we
-    simulate), and each idle gap is the noiseless exponential times the
-    phase of the path's exact integral over the gap.  A sequence's result
+    `pe_stderr` is the standard error of the final sample's mean, the one
+    the readout chain reads.  Every realization rides its own OU detuning
+    path, drawn from the sequence's entry of rngs (seeds or Generators, one
+    per sequence; None draws fresh entropy) as the realizations step
+    together: each pulse step sees the path at its start, held across it
+    (the pulse grid resolves tau_c in any regime we simulate), and each
+    idle gap is the noiseless exponential times the phase of the path's
+    exact integral over the gap.  A sequence's result
     depends only on it, dec, noise and its rng, not on the other points.
     Each sequence is compiled when it is simulated.
     """

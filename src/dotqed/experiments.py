@@ -719,7 +719,7 @@ def _run_pulsed(kind, cfg, out):
         pe_true = float(traj.qubit_pe[-1])
         p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,
                                             averages=cfg.averages)
-        rows.append((pe_true, float(traj.pe_stderr[-1]), p_est, est_err,
+        rows.append((pe_true, traj.pe_stderr, p_est, est_err,
                      traj.diagnostics.max_trace_deviation))
     pe_true, true_err, p_est, est_err, trace_dev = map(np.array, zip(*rows))
     table = {"x": values, "pe_true": pe_true, "pe_true_err": true_err,

@@ -82,8 +82,8 @@ class FitResult:
 def _run_fit(model, names, p0, x, y):
     """Fit model(x, *params) to y starting from p0, in normalised units.
 
-    names lists the parameters in model order; a dict maps each name to its
-    _Scaling, and a name without one is dimensionless.
+    names is a dict that maps each parameter, in model order, to its
+    _Scaling.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,8 +93,7 @@ def _run_fit(model, names, p0, x, y):
         raise ValueError(f"need at least {len(p0) + 1} points to fit "
                          f"{len(names)} parameters")
 
-    scalings = [names.get(n, _DIMENSIONLESS) if isinstance(names, dict)
-                else _DIMENSIONLESS for n in names]
+    scalings = list(names.values())
     x_scale = float(np.max(np.abs(x))) or 1.0
     y_span = float(np.ptp(y))
     y_scale = y_span or float(np.max(np.abs(y))) or 1.0

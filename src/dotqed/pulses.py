@@ -98,6 +98,8 @@ class PulseSequence:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         supports = sorted((e.pulse.start, e.pulse.end) for e in entries)
+        if supports and supports[0][0] < 0.0:
+            raise ValueError(f"pulse starts at t = {supports[0][0]:.3e} < 0")
         for (s0, e0), (s1, e1) in zip(supports, supports[1:]):
             if s1 < e0 - 1e-15:
                 raise ValueError(

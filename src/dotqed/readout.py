@@ -22,6 +22,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 PLANCK_H = 6.62607015e-34       # J s, exact in the SI since 2019
 BOLTZMANN_K = 1.380649e-23      # J / K, exact in the SI since 2019
+PASSIVE_TOL = 1e-12             # rounding allowance of is_passive above 1
 
 
 # ------------------------------------------------------------- reflection
@@ -56,9 +57,9 @@ def phase_winding(s11):
     return float(phase[-1] - phase[0])
 
 
-def is_passive(s11, tol=1e-12):
+def is_passive(s11):
     """|S11| <= 1 everywhere (a passive port cannot amplify)."""
-    return bool(np.all(np.abs(s11) <= 1.0 + tol))
+    return bool(np.all(np.abs(s11) <= 1.0 + PASSIVE_TOL))
 
 
 # ------------------------------------------------------- heterodyne chain

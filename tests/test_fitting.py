@@ -129,13 +129,18 @@ def test_rabi_sweep_pi_amplitude():
     npt.assert_allclose(a_pi, 0.8359191e9, rtol=1e-6)
 
 
+def _unscaled(*names):
+    """`_run_fit` names with every parameter dimensionless."""
+    return dict.fromkeys(names, fitting._DIMENSIONLESS)
+
+
 def test_ill_conditioned_fit_is_flagged():
     # two exactly redundant offset parameters: the Jacobian is singular
     def degenerate(x, a, b, c):
         return a * x + b + c
 
-    fit = fitting._run_fit(degenerate, ("a", "b", "c"), [1.0, 0.5, 0.5],
-                           np.linspace(0, 1, 20),
+    fit = fitting._run_fit(degenerate, _unscaled("a", "b", "c"),
+                           [1.0, 0.5, 0.5], np.linspace(0, 1, 20),
                            np.linspace(0, 1, 20) * 2.0 + 1.0)
     assert "ill-conditioned" in fit.flags
     # the pseudoinverse covariance still yields finite standard errors
@@ -144,7 +149,7 @@ def test_ill_conditioned_fit_is_flagged():
 
 def test_run_fit_input_guards():
     with pytest.raises(ValueError, match="equal length"):
-        fitting._run_fit(lambda x, a: a * x, ("a",), [1.0],
+        fitting._run_fit(lambda x, a: a * x, _unscaled("a"), [1.0],
                          np.arange(4), np.arange(5))
     with pytest.raises(ValueError, match="at least"):
         fitting.fit_exponential_decay(np.array([0.0, 1.0, 2.0]),
@@ -317,8 +322,8 @@ def test_parameter_outside_the_model_is_ill_conditioned():
         return a * x + b
 
     x = np.linspace(0.0, 1.0, 20)
-    fit = fitting._run_fit(line, ("a", "b", "c"), [1.0, 0.5, 0.25], x,
-                           2.0 * x + 1.0)
+    fit = fitting._run_fit(line, _unscaled("a", "b", "c"), [1.0, 0.5, 0.25],
+                           x, 2.0 * x + 1.0)
     assert fit.converged
     assert "ill-conditioned" in fit.flags
     npt.assert_allclose([fit.params["a"], fit.params["b"]], [2.0, 1.0],

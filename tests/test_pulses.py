@@ -131,6 +131,23 @@ def test_overlapping_pulses_rejected():
                              readout_window=pulses.ReadoutWindow(0.5e-9))
 
 
+def test_pulse_before_time_zero_rejected():
+    # support -0.4 to 0.6 ns: the simulated grid starts at t = 0, so its
+    # early part would be dropped (a pi pulse gave P_e = 0.745, not 1)
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    early = pulses.GaussianPulse(a_pi, 0.1e-9, 0.25e-9)
+    with pytest.raises(ValueError, match="starts at t = .* < 0"):
+        pulses.PulseSequence(entries=(pulses.SequenceEntry(early),),
+                             readout_window=pulses.ReadoutWindow(early.end))
+    # the builders start their first pulse at exactly 0
+    shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
+    for seq in (pulses.build_rabi_sequence(a_pi, 0.25e-9),
+                pulses.build_ramsey_sequence(5e-9, 0.0, **shape),
+                pulses.build_t1_sequence(5e-9, **shape),
+                pulses.build_echo_sequence(5e-9, **shape)):
+        assert seq.entries[0].pulse.start == 0.0
+
+
 def test_sequence_envelopes_sum_and_phase():
     seq = pulses.build_echo_sequence(10e-9, sigma=0.25e-9, pi_amplitude=8e8)
     pp = seq.entries[1].pulse
