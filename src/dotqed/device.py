@@ -153,18 +153,17 @@ def dispersive_shift_of(params):
 # ------------------------------------------------------------- Hamiltonian
 
 def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
-                                     cavity_drive=None, space=None):
+                                     cavity_drive=None, *, space):
     """Jaynes-Cummings Hamiltonian H/h (Hz) in the frame of one drive tone.
 
     H/h = (nu_q - nu_dr)/2 sigma_z + (nu_r - nu_dr) a^dag a
           + g(delta) (sigma_+ a + sigma_- a^dag) + eps (a + a^dag)
 
     cavity_drive eps is a constant in Hz; None or 0 leaves the term out.
-    Warns when the rotating-wave approximation is strained (g or detunings
-    not << nu_q + nu_r).
+    space (qops.HilbertSpace) sets the Fock cutoff.  Warns when the
+    rotating-wave approximation is strained (g or detunings not
+    << nu_q + nu_r).
     """
-    if space is None:
-        space = qops.HilbertSpace(10)
     nu_q = qubit_frequency(dqd)
     nu_r = res.bare_frequency_nu_r
     g = coupling_at_detuning(coupling, dqd)

@@ -179,11 +179,13 @@ class Trajectory:
 
 
 def _rk4_step(y, dt, f):
-    """One classical RK4 step of the autonomous system dy/dt = f(y)."""
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
+    """One classical RK4 step of dy/dt = f(t, y).  f is called as
+    f(stage, y) with stage 0, 1, 1, 2: the step's start, its midpoint
+    (twice) and its end."""
+    k1 = f(0, y)
+    k2 = f(1, y + (0.5 * dt) * k1)
+    k3 = f(1, y + (0.5 * dt) * k2)
+    k4 = f(2, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -246,7 +248,7 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     vals = np.empty((len(times), len(ops)), dtype=complex)
     eig_stride = max(1, n_steps // 128)
 
-    def rhs(x):
+    def rhs(stage, x):
         return gen @ x
 
     d2 = dim * dim
@@ -446,7 +448,7 @@ def _cavity_pole(qubit_state, res, chi, probe_frequency):
 
 
 def semiclassical_steady_state(qubit_state, res, chi, probe_frequency,
-                               probe_amplitude=1.0):
+                               probe_amplitude):
     """alpha_ss = -i sqrt(2 pi kappa_ext) a_in / (i 2 pi Delta + pi kappa_tot)."""
     return (-1j * np.sqrt(TWO_PI * res.kappa_ext) * probe_amplitude
             / _cavity_pole(qubit_state, res, chi, probe_frequency))
@@ -587,9 +589,13 @@ class _CompiledSequence:
     detuning0: float
 
 
-def _field_table(entries, t):
+def _field_table(entries, t, out):
+    """Write pi (I - i Q) on the grid t into out, part by part, so that no
+    complex temporary is made; 0 - Q, not -Q, keeps +0.0 where Q is 0."""
     i_env, q_env = sequence_envelopes(entries, t)
-    return np.pi * (i_env - 1j * q_env)
+    np.multiply(i_env, np.pi, out=out.real)
+    np.subtract(0.0, q_env, out=q_env)
+    np.multiply(q_env, np.pi, out=out.imag)
 
 
 def compile_sequence(sequence):
@@ -623,58 +629,58 @@ def compile_sequence(sequence):
                 edges.add(edge)
     edges = sorted(edges)
 
-    all_times = [np.array([0.0])]
-    u1_parts, u2_parts, u4_parts = [], [], []
+    segments = []
     for a, b in zip(edges, edges[1:]):
         mid = 0.5 * (a + b)
         active = [e for e in sequence.entries
                   if e.pulse.start <= mid <= e.pulse.end]
         n = _step_count(b - a, DEFAULT_DT_PULSE) if active else 1
-        seg = np.linspace(a, b, n + 1)
-        all_times.append(seg[1:])
-        u1_parts.append(_field_table(active, seg[:-1]))
-        u2_parts.append(_field_table(active, 0.5 * (seg[:-1] + seg[1:])))
-        u4_parts.append(_field_table(active, seg[1:]))
+        segments.append((a, b, n, active))
 
-    times = np.concatenate(all_times)
-    return _CompiledSequence(times=times, dts=np.diff(times),
-                             u1=np.concatenate(u1_parts),
-                             u2=np.concatenate(u2_parts),
-                             u4=np.concatenate(u4_parts),
-                             detuning0=detuning0)
+    # the tables are made once and filled in place, so compiling a sweep's
+    # next point holds no second copy of them beside the stored scans
+    n_steps = sum(n for _, _, n, _ in segments)
+    times = np.zeros(n_steps + 1)
+    u1, u2, u4 = np.empty((3, n_steps), dtype=complex)
+    lo = 0
+    for a, b, n, active in segments:
+        seg = times[lo:lo + n + 1]      # seg[0] is a: 0.0 or the last end
+        seg[1:] = np.linspace(a, b, n + 1)[1:]
+        _field_table(active, seg[:-1], u1[lo:lo + n])
+        _field_table(active, 0.5 * (seg[:-1] + seg[1:]), u2[lo:lo + n])
+        _field_table(active, seg[1:], u4[lo:lo + n])
+        lo += n
+    return _CompiledSequence(times, np.diff(times), u1, u2, u4, detuning0)
 
 
-def _two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
-    """One fixed RK4 step of the two-level Lindblad equation.
+def _two_level_step(s, u1, u2, u4, w, dt, g1, decay):
+    """One fixed RK4 step (`_rk4_step`) of the two-level Lindblad equation.
 
-    State components are (p_g, rho_01, p_e); u1/u2/u4 are the drive at the
-    step's start, midpoint and end, w = pi * detuning (rad/s), g1 and decay
-    the population and coherence decay rates.  Every argument broadcasts, so
-    one call steps a batch of realizations or a batch of steps.
+    The state s holds (p_g, x, y, p_e) on its first axis, rho_01 = x + i y;
+    u1/u2/u4 are the drive at the step's start, midpoint and end,
+    w = pi * detuning (rad/s), g1 and decay the population and coherence
+    decay rates.  Every argument broadcasts, so one call steps a batch of
+    realizations or a batch of steps; the step is linear in s, so stepping
+    np.eye(4) gives its propagator, P[i, l] in the first two axes.
     """
-    def stage(u, av, bv, dv):
-        ub = u * np.conj(bv)
-        flow = 2.0 * ub.imag            # population flow driven by the pulse
-        da = flow + g1 * dv
-        dd = -flow - g1 * dv
-        db = -1j * (u * (dv - av) - 2.0 * w * bv) - decay * bv
-        return da, db, dd
+    w2 = 2.0 * w
 
-    da1, db1, dd1 = stage(u1, a, b, d)
-    da2, db2, dd2 = stage(u2, a + 0.5 * dt * da1, b + 0.5 * dt * db1,
-                          d + 0.5 * dt * dd1)
-    da3, db3, dd3 = stage(u2, a + 0.5 * dt * da2, b + 0.5 * dt * db2,
-                          d + 0.5 * dt * dd2)
-    da4, db4, dd4 = stage(u4, a + dt * da3, b + dt * db3, d + dt * dd3)
-    return (a + (dt / 6.0) * (da1 + 2.0 * (da2 + da3) + da4),
-            b + (dt / 6.0) * (db1 + 2.0 * (db2 + db3) + db4),
-            d + (dt / 6.0) * (dd1 + 2.0 * (dd2 + dd3) + dd4))
+    def rate(stage, s):
+        u = (u1, u2, u4)[stage]
+        p_g, x, y, p_e = s
+        pop = p_e - p_g
+        flow = 2.0 * (u.imag * x - u.real * y)  # population flow of the pulse
+        out = np.empty((4,) + np.broadcast_shapes(flow.shape, np.shape(w)))
+        np.add(flow, g1 * p_e, out=out[0])
+        np.negative(out[0], out=out[3])
+        np.subtract(u.imag * pop, w2 * y, out=out[1])
+        out[1] -= decay * x
+        np.subtract(w2 * x, u.real * pop, out=out[2])
+        out[2] -= decay * y
+        return out
 
+    return _rk4_step(s, dt, rate)
 
-# The real basis states (p_g, Re rho_01, Im rho_01, p_e) as columns.
-_BASIS_A = np.array([[1.0], [0.0], [0.0], [0.0]])
-_BASIS_B = np.array([[0.0], [1.0], [1j], [0.0]])
-_BASIS_D = np.array([[0.0], [0.0], [0.0], [1.0]])
 
 # Chebyshev nodes on [-1, 1], and the coefficients of their Lagrange basis
 # polynomials: l_m(x) = sum_j _LAGRANGE[j, m] x^j.
@@ -687,15 +693,14 @@ _LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
 def _scan_block(tables, w, g1, decay, stacks):
     """Inclusive prefix products of the propagators of one block of pulse
     steps, tables = (u1, u2, u4, dts): P[s:] = P[s:] @ P[:-s] for
-    s = 1, 2, 4, ..., ping-ponged through `stacks` (2, 4, >= m, 4), as
-    matmul's out must not overlap its inputs.  Returns a view of one of
-    them, (m, 4, 4), its k-th matrix the map from the state before the
-    block to the state after step k."""
-    a, b, d = _two_level_step(_BASIS_A, _BASIS_B, _BASIS_D, *tables[:3], w,
-                              tables[3], g1, decay)
-    m = a.shape[1]
-    np.stack([a, b.real, b.imag, d], axis=-1, out=stacks[0, :, :m])
-    cur, nxt = stacks[:, :, :m].transpose(0, 2, 3, 1)
+    s = 1, 2, 4, ..., ping-ponged through the C-ordered `stacks`
+    (2, >= m, 4, 4), as matmul's out must not overlap its inputs.  Returns
+    one of them, (m, 4, 4), its k-th matrix the map from the state
+    (p_g, x, y, p_e) before the block to the state after step k."""
+    m = len(tables[3])
+    cur, nxt = stacks[:, :m]
+    cur[...] = np.moveaxis(_two_level_step(np.eye(4)[..., None], *tables[:3],
+                                           w, tables[3], g1, decay), -1, 0)
     shift = 1
     while shift < m:
         nxt[:shift] = cur[:shift]
@@ -712,11 +717,11 @@ def _two_level_engine(dec, noise=None):
     population at every grid time, the max trace deviation over them, and
     in `pe_stderr` the standard error of the final sample's mean.
 
-    Works on matrix components (p_g, rho_01, p_e) with rho_10 = conj(rho_01),
-    so Hermiticity is exact and the trace is preserved to rounding.  Every
-    step under a pulse comes from the one RK4 formula, `_two_level_step`,
-    applied to the four real basis states (p_g, Re rho_01, Im rho_01, p_e):
-    the step is linear in that state, so this gives its 4x4 propagator.
+    Works on the real state (p_g, x, y, p_e), rho_01 = x + i y and
+    rho_10 = x - i y, so Hermiticity is exact and the trace is preserved to
+    rounding.  Every step under a pulse is `_two_level_step` (the package's
+    one RK4 formula, `_rk4_step`) of np.eye(4): the step is linear in the
+    state, so this gives its 4x4 propagator.
 
     noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
     realization, drawn while the realizations advance together; None, or
@@ -740,11 +745,11 @@ def _two_level_engine(dec, noise=None):
       Without noise an inclusive prefix product (`_scan_block`) composes
       the block's propagators, applied to the carried state.  A block whose
       tables, steps, detuning and rates are byte-equal to one scanned
-      earlier by this engine reuses its stack; a new stack is stored with
-      its strides, so its products round as the scan's own.  In a Ramsey,
-      T1 or echo sweep the first pulse of every point with a nonzero delay
-      is such a block.  With noise each step runs at the path's value at
-      its start, held across it: the RK4 step is a polynomial of degree 4
+      earlier by this engine reuses a copy of its stack, laid out as a
+      fresh one, so its products round alike.  In a Ramsey, T1 or echo
+      sweep the first pulse of every point with a nonzero delay is such a
+      block.  With noise each step runs at the path's value at its start,
+      held across it: the RK4 step is a polynomial of degree 4
       in the detuning w, so `_two_level_step` gives each step's propagator
       P at 5 Chebyshev nodes w_m spanning that step's realized w range
       (half-width at least 1 urad of phase per step, so that one
@@ -772,10 +777,7 @@ def _two_level_engine(dec, noise=None):
     block = SCAN_BLOCK if noise is None else MC_BLOCK
     state = np.empty((block + 1, 4, n_batch))   # after each step of a block
     if noise is None:
-        # The scan's two stacks, basis-major, (in, step, out), as the
-        # propagators are built, since matmul picks its kernel, and so its
-        # rounding, by the strides.
-        stacks = np.empty((2, 4, SCAN_BLOCK, 4))
+        stacks = np.empty((2, SCAN_BLOCK, 4, 4))
         scans = {}
     else:
         powers = np.ones((5, MC_BLOCK, n_batch))    # x^j per step, realization
@@ -830,8 +832,7 @@ def _two_level_engine(dec, noise=None):
                     prefix = scans.get(key)
                     if prefix is None:
                         prefix = _scan_block(tables, w, g1, decay, stacks)
-                        # order "K" keeps the basis-major strides
-                        scans[key] = prefix.copy(order="K")
+                        scans[key] = prefix.copy()
                     state[1:m + 1, :, 0] = prefix @ state[0, :, 0]
                 else:
                     _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
@@ -841,14 +842,12 @@ def _two_level_engine(dec, noise=None):
                     centre = 0.5 * (w_lo + w_hi)
                     half = np.maximum(0.5 * (w_hi - w_lo),
                                       1e-6 / compiled.dts[blk])
-                    a, b, d = _two_level_step(
-                        _BASIS_A[..., None], _BASIS_B[..., None],
-                        _BASIS_D[..., None], compiled.u1[blk, None],
+                    # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k, node q
+                    incr = _two_level_step(
+                        np.eye(4)[..., None, None], compiled.u1[blk, None],
                         compiled.u2[blk, None], compiled.u4[blk, None],
                         centre[:, None] + half[:, None] * _NODES,
                         compiled.dts[blk, None], g1, decay)
-                    # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k, node q
-                    incr = np.stack([a, b.real, b.imag, d])
                     incr[range(4), range(4)] -= 1.0
                     coef = np.einsum("jq,ilkq->kijl", _LAGRANGE,
                                      incr).reshape(m, 4, 20)

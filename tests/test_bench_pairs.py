@@ -90,3 +90,24 @@ def test_claim_outside_the_run_workload_is_refused_before_any_run(
                           "--claim", "mc-dephasing.wall_s"])
     assert exit_info.value.code == 2
     assert "does not run mc-dephasing" in capsys.readouterr().err
+
+
+def test_failed_run_names_the_side_and_keeps_its_stderr(tmp_path):
+    # a stub tree whose run.py dies as a worker with no set-up samples did
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "sys.stderr.write('Traceback (most recent call last):\\n'\n"
+        "                 'statistics.StatisticsError: mean requires at '\n"
+        "                 'least one data point\\n')\n"
+        "sys.exit(1)\n")
+    args = ["--workload", "jc-master", "--seed", "501", "--seconds", "30",
+            "--trace", "0"]
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs._run(tmp_path, args, "change")
+    message = str(err.value)
+    assert "change side" in message
+    assert "--workload jc-master --seed 501" in message
+    assert "status 1" in message
+    assert message.endswith("StatisticsError: mean requires at least one "
+                            "data point")

@@ -166,7 +166,7 @@ def test_steady_state_matches_dense_bordered_solve():
 
 def _lindblad_rk4(rho0, h_hz, channels, times):
     """States of an RK4 loop over lindblad_rhs on the given grid."""
-    def rhs(rho):
+    def rhs(stage, rho):
         return dynamics.lindblad_rhs(rho, 2.0 * np.pi * h_hz, channels)
 
     states = [rho0]
@@ -345,8 +345,8 @@ def test_ring_up_matches_closed_form():
                 + np.pi * res.kappa_tot)
         stepped = [0j]
         for _ in range(12000):
-            stepped.append(dynamics._rk4_step(stepped[-1], dt,
-                                              lambda x: -pole * x + drive))
+            stepped.append(dynamics._rk4_step(
+                stepped[-1], dt, lambda stage, x: -pole * x + drive))
         alpha = dynamics.semiclassical_cavity_response(state, res, chi, probe,
                                                        a_in, times)
         npt.assert_allclose(alpha, stepped[::stride],
@@ -499,7 +499,8 @@ def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
     g1 = 2.0 * np.pi * dec.gamma1
     decay = 0.5 * g1 + 2.0 * np.pi * dec.gamma_phi
     n = 1 if noise is None else noise.n_realizations
-    a, b, d = np.ones(n), np.zeros(n, dtype=complex), np.zeros(n)
+    s = np.zeros((4, n))        # (p_g, Re rho_01, Im rho_01, p_e)
+    s[0] = 1.0
     x = np.zeros(n)
     if noise is not None:
         rng = np.random.default_rng(seed)
@@ -512,23 +513,74 @@ def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
             w = np.pi * (compiled.detuning0 + (0.0 if idle else x))
             dt = compiled.dts[k]
             if idle and not rk4_idle:
-                lost = d * -np.expm1(-g1 * dt)
-                a, b, d = a + lost, b * np.exp(dt * (2j * w - decay)), d - lost
+                lost = s[3] * -np.expm1(-g1 * dt)
+                coh = (s[1] + 1j * s[2]) * np.exp(dt * (2j * w - decay))
+                s = np.array([s[0] + lost, coh.real, coh.imag, s[3] - lost])
             else:
-                a, b, d = dynamics._two_level_step(
-                    a, b, d, compiled.u1[k], compiled.u2[k], compiled.u4[k],
-                    w, dt, g1, decay)
+                s = dynamics._two_level_step(
+                    s, compiled.u1[k], compiled.u2[k], compiled.u4[k], w, dt,
+                    g1, decay)
             if noise is not None and not idle:
                 e = np.exp(-compiled.dts[k] / noise.tau_c)
                 x = x * e + noise.sigma_delta * np.sqrt(
                     max(0.0, 1.0 - e ** 2)) * kicks[k - lo]
-            pe.append(d.mean())
+            pe.append(s[3].mean())
         if noise is not None and idle:
             x, integral = dynamics._ou_gap(
                 x, compiled.times[hi] - compiled.times[lo], noise, rng)
-            b = b * np.exp(2j * np.pi * integral)
-    sem = d.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    return np.array(pe), sem, float(np.abs(a + d - 1.0).max())
+            coh = (s[1] + 1j * s[2]) * np.exp(2j * np.pi * integral)
+            s[1], s[2] = coh.real, coh.imag
+    sem = s[3].std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    return np.array(pe), sem, float(np.abs(s[0] + s[3] - 1.0).max())
+
+
+def _complex_two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
+    """The RK4 step written on the complex components (p_g, rho_01, p_e),
+    as an independent reference for `dynamics._two_level_step`."""
+    def stage(u, av, bv, dv):
+        ub = u * np.conj(bv)
+        flow = 2.0 * ub.imag            # population flow driven by the pulse
+        da = flow + g1 * dv
+        dd = -flow - g1 * dv
+        db = -1j * (u * (dv - av) - 2.0 * w * bv) - decay * bv
+        return da, db, dd
+
+    da1, db1, dd1 = stage(u1, a, b, d)
+    da2, db2, dd2 = stage(u2, a + 0.5 * dt * da1, b + 0.5 * dt * db1,
+                          d + 0.5 * dt * dd1)
+    da3, db3, dd3 = stage(u2, a + 0.5 * dt * da2, b + 0.5 * dt * db2,
+                          d + 0.5 * dt * dd2)
+    da4, db4, dd4 = stage(u4, a + dt * da3, b + dt * db3, d + dt * dd3)
+    return (a + (dt / 6.0) * (da1 + 2.0 * (da2 + da3) + da4),
+            b + (dt / 6.0) * (db1 + 2.0 * (db2 + db3) + db4),
+            d + (dt / 6.0) * (dd1 + 2.0 * (dd2 + dd3) + dd4))
+
+
+@pytest.mark.parametrize("nodes", [None, 5], ids=["scan", "monte-carlo"])
+def test_two_level_step_is_the_complex_form(nodes):
+    # propagators at the engine's two shapes: (4, 4, m) for a scan block,
+    # (4, 4, m, 5) for a Monte-Carlo block at 5 detunings per step
+    m = 257
+    rng = np.random.default_rng(27)
+
+    def drive():
+        return np.pi * 2e8 * (rng.normal(size=(m, 1))
+                              + 1j * rng.normal(size=(m, 1)))
+
+    u1, u2, u4 = drive(), drive(), drive()
+    dts = rng.uniform(1e-12, 1e-11, (m, 1))
+    w = np.pi * rng.normal(0.0, 5e7, (m, nodes or 1))
+    if nodes is None:
+        u1, u2, u4, dts, w = (v[:, 0] for v in (u1, u2, u4, dts, w))
+    g1 = 2.0 * np.pi * DEC.gamma1
+    decay = 0.5 * g1 + 2.0 * np.pi * DEC.gamma_phi
+    unit = np.eye(4).reshape((4, 4) + (1,) * w.ndim)
+    got = dynamics._two_level_step(unit, u1, u2, u4, w, dts, g1, decay)
+    a, b, d = _complex_two_level_step(unit[0], unit[1] + 1j * unit[2],
+                                      unit[3], u1, u2, u4, w, dts, g1, decay)
+    want = np.stack(np.broadcast_arrays(a, b.real, b.imag, d))
+    assert got.shape == want.shape == (4, 4) + w.shape
+    npt.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def _scan_case(case):
@@ -604,7 +656,7 @@ def _count_steps(monkeypatch):
     step = dynamics._two_level_step
 
     def count(*args):
-        calls.append((np.broadcast(*args).shape[-1], args[3].tobytes()))
+        calls.append((np.broadcast(*args).shape[-1], args[1].tobytes()))
         return step(*args)
 
     monkeypatch.setattr(dynamics, "_two_level_step", count)

@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 20    # lines of a failed run's stderr kept in the error
 
 
 # ------------------------------------------------------------- arithmetic
@@ -114,10 +115,18 @@ def _work_tree_src():
             check=True, env=env, capture_output=True, text=True).stdout.strip()
 
 
-def _run(tree, args):
-    """run.py's JSON result (its last stdout line) in the checkout tree."""
+def _run(tree, args, side):
+    """run.py's JSON result (its last stdout line) in the checkout tree of
+    side.  A non-zero exit raises RuntimeError naming the side and run.py's
+    arguments (workload and seed among them), with the last STDERR_TAIL
+    lines of its stderr."""
     out = subprocess.run([sys.executable, "perfbench/run.py", *args],
-                         cwd=tree, check=True, capture_output=True, text=True)
+                         cwd=tree, capture_output=True, text=True)
+    if out.returncode:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(f"perfbench/run.py {' '.join(args)} on the {side} "
+                           f"side exited with status {out.returncode}; the "
+                           f"end of its stderr:\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -173,7 +182,8 @@ def main(argv=None):
         out = {}
         for side in sides:
             print(f"seed {seed}: {side} {workload}", file=sys.stderr)
-            out[side] = _run(trees[side], command(workload, seed, trace))
+            out[side] = _run(trees[side], command(workload, seed, trace),
+                             side)
         return out, f"{sides[0]} first"
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
