@@ -10,6 +10,7 @@ from gamma1 in Hz therefore carries rate 2*pi*gamma1, giving
 P_e(t) = exp(-2*pi*gamma1*t).
 """
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,14 +37,17 @@ SCAN_BLOCK = 1024
 # Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
 # the stepper; its trace check runs at least this often.
 MC_BLOCK = 128
-# Largest d^2 that `evolve` steps with a dense one-step propagator: the
-# measured crossover against sparse RK4 is near d^2 = 324 with one BLAS
-# thread and 460 with two, so up to 256 the dense step wins on either.
+# Largest d^2 that `evolve` steps with a dense one-step propagator and its
+# squares: against sparse RK4 the measured crossover is near d^2 = 576 with
+# one BLAS thread and above it with two, but the four kept powers take
+# 32 d^4 bytes, 2 MiB at 256 and 10 MiB at 576.
 DENSE_MAX_DIM2 = 256
-# Propagator columns per `_rk4_step` call: bounds the (d^2, chunk) temporaries.
-PROPAGATOR_CHUNK = 32
 # Steps per bookkeeping block of `evolve`: bounds its (block + 1, d^2) buffer.
 EVOLVE_BLOCK = 64
+# Highest power R^k of the one-step propagator that dense `evolve` keeps:
+# R, R^2, ..., R^k take (log2 k + 1) d^4 8 bytes.  At d^2 = 256, k = 8
+# stepped a Stark point as fast as k = 32 in 1 MiB less.
+EVOLVE_MAX_POWER = 8
 # Generators per SuperLU factorization of `steady_states`: bounds SuperLU's
 # preallocation, which grows with the block-diagonal system's nnz.  At
 # d^2 = 144 a 61-probe branch factored whole added about 20 MiB of peak RSS;
@@ -199,25 +203,31 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     two Fock levels accumulate more than 1e-4 population; warns when the
     trace drifts beyond 1e-7.
 
-    Every step is one RK4 step of vec(rho) under the sparse Liouvillian, at
-    the grid's uniform dt = (t_end - t_start) / n.  The generator and the
-    step are constant, so the step is the linear map v -> R v with R the RK4
-    stability polynomial of dt L (Hairer, Norsett and Wanner, Solving ODEs I,
-    IV.2).  For d^2 <= DENSE_MAX_DIM2, R is built once as a dense matrix, by
-    `_rk4_step` on PROPAGATOR_CHUNK identity columns at a time, and each
-    step is one matrix-vector product.  Above that `_rk4_step` steps with
-    the sparse L.  Per step on a 2-vCPU Xeon, in us, dense R with two / one
-    OpenBLAS threads against sparse RK4:
+    The state is the Hermitian part of rho0 in d^2 real coordinates
+    (`_hermitian_coordinates`), stepped under the real generator G
+    (`_real_generator`), so every state is Hermitian exactly and the
+    Hermiticity defect is 0.0.  Every step is one RK4 step of G at the
+    grid's uniform dt = (t_end - t_start) / n.  G and the step are
+    constant, so the step is the linear map r -> R r with R the RK4
+    stability polynomial of dt G (Hairer, Norsett and Wanner, Solving ODEs
+    I, IV.2).  For d^2 <= DENSE_MAX_DIM2, R is built once as a dense matrix
+    and squared up to R^EVOLVE_MAX_POWER, and a block of states comes by
+    doubling, X <- [X, R^(2^i) X] from X = [R r], then EVOLVE_MAX_POWER
+    states at a time: a few real matrix-matrix products per block.  Above
+    that each step is `_rk4_step` with the sparse G (`_state_blocks`).  Per
+    step of a 5000-step run, R and its squares included, on a 2-vCPU Xeon,
+    in us, dense doubling with two / one OpenBLAS threads against sparse
+    RK4 (medians of two runs):
 
         d^2      144        256        324        400        576
-        dense    8.6 / 6.4  17 / 23    25 / 46    33 / 101   122 / 239
-        sparse   33-51      45-53      42-54      51-64      56-76
+        dense    1.9 / 1.6  4.8 / 4.5  7.8 / 9.1  14 / 17    38 / 42
+        sparse   24-39      28-33      29-47      31-35      37-56
 
-    The states of EVOLVE_BLOCK steps are buffered, and per block the
-    expectations are one matrix product, the Hermiticity defect
-    max |rho - rho^dag| one array operation, and the minimum eigenvalue of
-    the Hermitian part one batched eigvalsh over the states at every
-    (n // 128)-th step and the last.
+    Per block the expectations are one real matrix product of the states
+    with the observables' coefficients on the coordinates, real and
+    imaginary parts as separate columns.  The states at every (n // 128)-th
+    step and the last are kept, and after the run rebuilt as matrices for
+    one batched eigvalsh, the minimum eigenvalue.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     qops.validate_density_matrix(rho0, "initial state")
@@ -225,13 +235,14 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     if space is not None and dim != space.dim:
         raise ValueError(f"state dim {dim} does not match {space!r}")
 
-    gen = liouvillian(h_hz, channels)
+    re, im, sign = coords = _hermitian_coordinates(dim)
+    gen = _real_generator(h_hz, channels, coords)
 
     times = grid.times
     n_steps = len(times) - 1
     dt = (grid.t_end - grid.t_start) / n_steps
     e_ops = e_ops or {}
-    # tr(A rho) = A^T.ravel() @ rho.ravel(); rows: trace, P_e, population of
+    # tr(A rho) = A^T.ravel() @ vec(rho); rows: trace, P_e, population of
     # the top two Fock levels, then <a> when space is given, then e_ops
     if space is not None:
         n = space.fock_cutoff
@@ -244,51 +255,35 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
         ops = [np.zeros((dim, dim)), np.zeros((dim, dim))]
         ops[0][1, 1] = 1.0
     ops = [np.eye(dim)] + ops + [np.asarray(e_ops[k]) for k in e_ops]
-    obs_t = np.array([op.T.ravel() for op in ops], dtype=complex).T
-    vals = np.empty((len(times), len(ops)), dtype=complex)
-    eig_stride = max(1, n_steps // 128)
+    obs_vec = np.array([op.T.ravel() for op in ops], dtype=complex).T
+    # the same functionals on the coordinates, vec(rho) = r[re] + i sign r[im]
+    obs = np.zeros_like(obs_vec)
+    np.add.at(obs, re, obs_vec)
+    np.add.at(obs, im, 1j * sign[:, None] * obs_vec)
+    n_ops = len(ops)
+    obs = np.concatenate([obs.real, obs.imag], axis=1)
+    vals = np.empty((len(times), 2 * n_ops))
+    ks = np.arange(n_steps + 1)
+    checked = np.flatnonzero((ks % max(1, n_steps // 128) == 0)
+                             | (ks == n_steps))
+    kept = np.empty((len(checked), dim * dim))    # states at those steps
 
-    def rhs(stage, x):
-        return gen @ x
-
-    d2 = dim * dim
-    if d2 <= DENSE_MAX_DIM2:
-        prop = np.empty((d2, d2), dtype=complex)
-        for lo in range(0, d2, PROPAGATOR_CHUNK):
-            m = min(PROPAGATOR_CHUNK, d2 - lo)
-            unit = np.zeros((d2, m), dtype=complex)
-            unit[lo + np.arange(m), np.arange(m)] = 1.0
-            prop[:, lo:lo + m] = _rk4_step(unit, dt, rhs)
-
-        def step(v, out):
-            np.matmul(prop, v, out=out)
-    else:
-        def step(v, out):
-            out[...] = _rk4_step(v, dt, rhs)
-
-    buf = np.empty((EVOLVE_BLOCK + 1, d2), dtype=complex)
-    buf[0] = rho0.ravel()
-    max_defect, min_eig = 0.0, np.inf
-    for lo in range(0, n_steps, EVOLVE_BLOCK):
-        m = min(EVOLVE_BLOCK, n_steps - lo)
-        for j in range(m):
-            step(buf[j], buf[j + 1])
-        first = 0 if lo == 0 else 1     # row 0 was the previous block's last
-        rows = buf[first:m + 1]
-        np.matmul(rows, obs_t, out=vals[lo + first:lo + m + 1])
-        rho = rows.reshape(-1, dim, dim)
-        rho_h = rho.conj().transpose(0, 2, 1)
-        max_defect = max(max_defect, float(np.abs(rho - rho_h).max()))
-        ks = np.arange(lo + first, lo + m + 1)
-        pick = (ks % eig_stride == 0) | (ks == n_steps)
-        if pick.any():
-            w = np.linalg.eigvalsh(0.5 * (rho[pick] + rho_h[pick]))
-            min_eig = min(min_eig, float(w.min()))
-        buf[0] = buf[m]
+    herm = (0.5 * (rho0 + rho0.conj().T)).ravel()
+    r0 = np.empty(dim * dim)
+    r0[re] = herm.real
+    r0[im[sign > 0]] = herm.imag[sign > 0]
+    for k0, rows in _state_blocks(gen, dt, r0, n_steps):
+        k1 = k0 + len(rows)
+        np.matmul(rows, obs, out=vals[k0:k1])
+        a, b = np.searchsorted(checked, [k0, k1])
+        kept[a:b] = rows[checked[a:b] - k0]
+    vals = vals[:, :n_ops] + 1j * vals[:, n_ops:]
+    rho = (kept[:, re] + 1j * (sign * kept[:, im])).reshape(-1, dim, dim)
 
     diag = EvolveDiagnostics(
         max_trace_deviation=float(np.abs(vals[:, 0] - 1.0).max()),
-        max_hermiticity_defect=max_defect, min_eigenvalue=min_eig)
+        max_hermiticity_defect=0.0,
+        min_eigenvalue=float(np.linalg.eigvalsh(rho).min()))
     max_top = float(vals[:, 2].real.max())
     if diag.max_trace_deviation > TRACE_TOL:
         warnings.warn(
@@ -305,6 +300,104 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     return Trajectory(times=times, qubit_pe=vals[:, 1].real,
                       cavity_alpha=vals[:, 3] if space is not None else None,
                       expectations=extra, diagnostics=diag)
+
+
+def _state_blocks(gen, dt, r0, n_steps):
+    """The states of `evolve`'s n_steps RK4 steps of dr/dt = gen r from r0,
+    a block at a time: yields (k0, rows), rows[i] the state after step
+    k0 + i, from k0 = 0 (r0 itself) up to n_steps.  rows is a view of one
+    (EVOLVE_BLOCK + 1, d^2) buffer, valid until the next block.
+
+    For d^2 <= DENSE_MAX_DIM2 the one-step propagator R comes from
+    `_rk4_step` on the sparse identity (R has the fill of (dt gen)^4, so
+    sparse temporaries are smaller and faster than dense ones), and its
+    squares R^(2^i) up to R^EVOLVE_MAX_POWER are kept.  A block of m states
+    starts as R times the last state before it and grows by the last s
+    states times R^s, s doubling up to EVOLVE_MAX_POWER, until it holds m.
+    The squares live as long as the generator.  Above that each state is
+    one `_rk4_step` of the sparse gen.
+    """
+    def rhs(stage, x):
+        return gen @ x
+
+    buf = np.empty((EVOLVE_BLOCK + 1, len(r0)))
+    buf[0] = r0
+    powers = None
+    if len(r0) <= DENSE_MAX_DIM2:
+        # states are rows, so a step is r -> r R^T; powers[i] = (R^T)^(2^i)
+        powers = [_rk4_step(sparse.eye_array(len(r0), format="csr"), dt,
+                            rhs).toarray().T]
+        while 2 ** len(powers) <= min(EVOLVE_MAX_POWER, n_steps - 1):
+            powers.append(powers[-1] @ powers[-1])
+    for lo in range(0, n_steps, EVOLVE_BLOCK):
+        m = min(EVOLVE_BLOCK, n_steps - lo)
+        if powers is None:
+            for j in range(m):
+                buf[j + 1] = _rk4_step(buf[j], dt, rhs)
+        else:
+            np.matmul(buf[0], powers[0], out=buf[1])
+            done = 1
+            while done < m:
+                s = min(done, 2 ** (len(powers) - 1))
+                k = min(s, m - done)
+                np.matmul(buf[done - s + 1:done - s + k + 1],
+                          powers[s.bit_length() - 1],
+                          out=buf[done + 1:done + k + 1])
+                done += k
+        first = 0 if lo == 0 else 1     # row 0 was the previous block's last
+        yield lo + first, buf[first:m + 1]
+        buf[0] = buf[m]
+
+
+def _hermitian_coordinates(d):
+    """Where each entry of a d x d Hermitian rho sits among its d^2 real
+    coordinates r: rho_ii at i, then Re rho_ij and Im rho_ij of the p-th
+    pair i < j (np.triu_indices order) at d + 2p and d + 2p + 1.  Returns
+    (re, im, sign) over vec(rho) = rho.ravel(), with
+    vec(rho) = r[re] + 1j * sign * r[im]: sign is +1 above the diagonal,
+    -1 below it (rho_ji = rho_ij^*) and 0 on it."""
+    iu, ju = np.triu_indices(d, 1)
+    pair = d + 2 * np.arange(len(iu))
+    re = np.zeros((d, d), dtype=np.intp)
+    im = np.zeros((d, d), dtype=np.intp)
+    sign = np.zeros((d, d))
+    re[np.diag_indices(d)] = np.arange(d)
+    re[iu, ju] = re[ju, iu] = pair
+    im[iu, ju] = im[ju, iu] = pair + 1
+    sign[iu, ju], sign[ju, iu] = 1.0, -1.0
+    return re.ravel(), im.ravel(), sign.ravel()
+
+
+def _real_generator(h_hz, channels, coords):
+    """Sparse (CSR) real generator G of the Lindblad equation on the real
+    coordinates of `_hermitian_coordinates` (coords = its (re, im, sign)):
+    dr/dt = G r.  H is in Hz, channels carry angular rates.
+
+    Built from `_generator_triplets` through the index map.  A column of
+    vec index (k, l) feeds the coordinate of Re rho_kl with its entry L
+    and, off the diagonal, that of Im rho_kl with i sign L.  A row (i, j)
+    with i <= j gives the real part of what it receives to Re rho_ij's row
+    and, for i < j, the imaginary part to Im rho_ij's.  The rows i > j are
+    the conjugates of those kept (L(rho^dag) = L(rho)^dag, the conjugation
+    symmetry of the Kronecker form), and on the diagonal the imaginary
+    parts cancel, so nothing real is dropped.
+    """
+    re, im, sign = coords
+    rows, cols, vals, d = _generator_triplets(np.asarray(h_hz)[None],
+                                              channels)
+    keep = sign[rows] >= 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    off = sign[cols] != 0
+    rows = np.concatenate([rows, rows[off]])
+    vals = np.concatenate([vals, 1j * sign[cols[off]] * vals[off]])
+    cols = np.concatenate([re[cols], im[cols[off]]])
+    upper = sign[rows] > 0
+    rows = np.concatenate([re[rows], im[rows[upper]]])
+    cols = np.concatenate([cols, cols[upper]])
+    vals = np.concatenate([vals.real, vals[upper].imag])
+    nz = vals != 0.0
+    return sparse.csr_array((vals[nz], (rows[nz], cols[nz])),
+                            shape=(d * d, d * d))
 
 
 def _kron_triplets(a, b):
@@ -346,18 +439,6 @@ def _generator_triplets(h_stack, channels):
     rows, cols, vals = zip(*(_kron_triplets(a, b) for a, b in pairs))
     return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
             shape[-1])
-
-
-def liouvillian(h_hz, channels):
-    """Sparse (CSR) matrix of the Lindblad generator on row-major vectorized
-    states.
-
-    H is supplied in Hz, channels carry angular rates; the result L satisfies
-    vec(drho/dt) = L @ vec(rho) with vec = ndarray.ravel() (C order).
-    """
-    rows, cols, vals, d = _generator_triplets(np.asarray(h_hz)[None],
-                                              channels)
-    return sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
 
 
 class SteadyStates(NamedTuple):
@@ -746,7 +827,8 @@ def _two_level_engine(dec, noise=None):
       the block's propagators, applied to the carried state.  A block whose
       tables, steps, detuning and rates are byte-equal to one scanned
       earlier by this engine reuses a copy of its stack, laid out as a
-      fresh one, so its products round alike.  In a Ramsey, T1 or echo
+      fresh one, so its products round alike; the stored stacks are keyed
+      by the 32-byte SHA-256 digest of those bytes.  In a Ramsey, T1 or echo
       sweep the first pulse of every point with a nonzero delay is such a
       block.  With noise each step runs at the path's value at its start,
       held across it: the RK4 step is a polynomial of degree 4
@@ -827,8 +909,16 @@ def _two_level_engine(dec, noise=None):
                     w = np.pi * compiled.detuning0
                     tables = (compiled.u1[blk], compiled.u2[blk],
                               compiled.u4[blk], compiled.dts[blk])
-                    key = b"".join([t.tobytes() for t in tables]
-                                   + [np.array([w, g1, decay]).tobytes()])
+                    # The key is the SHA-256 digest of the block's bytes:
+                    # its tables, then w, g1 and decay.  Each table's length
+                    # is fixed by m, and m by the total, so the bytes fix
+                    # the block; two blocks share a key only by a SHA-256
+                    # collision, which no known method can produce.
+                    digest = hashlib.sha256()
+                    for t in tables:
+                        digest.update(t)
+                    digest.update(np.array([w, g1, decay]))
+                    key = digest.digest()
                     prefix = scans.get(key)
                     if prefix is None:
                         prefix = _scan_block(tables, w, g1, decay, stacks)

@@ -12,7 +12,8 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = BENCHMARK["end_to_end"]
 
 
 def _run(wall, rss, failed=0):
@@ -74,6 +75,30 @@ def test_summary_reproduces_a_checked_in_bench_file():
     summary = bench_pairs.summarize(runs["parent"], runs["change"], END_TO_END)
     assert summary == doc["summary"]
     assert bench_pairs.claim(summary, "jc-master", "wall_s") == doc["claim"]
+
+
+def test_traced_summary_pairs_each_per_layer_metric():
+    per_layer = [{"name": "dynamics.evolve.self_s", "unit": "s",
+                  "better": "lower"},
+                 {"name": "process.cpu_s", "unit": "s", "better": "lower"}]
+
+    def side(evolve, cpu):
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": {
+            "wall_s": {"value": 1.0, "unit": "s"},
+            "dynamics.evolve.self_s": {"value": evolve, "unit": "s"},
+            "process.cpu_s": {"value": cpu, "unit": "s"}}}
+
+    traced = {"command": "run.py", "order": "parent first",
+              "parent": side(0.5, 0.9), "change": side(0.2, 0.6)}
+    assert bench_pairs.traced_summary(traced, per_layer) == {
+        "dynamics.evolve.self_s": {"unit": "s", "parent": 0.5, "change": 0.2},
+        "process.cpu_s": {"unit": "s", "parent": 0.9, "change": 0.6}}
+    # every per-layer metric of the benchmark, off a checked-in traced pair
+    traced = json.loads((ROOT / "BENCH_stark-dense.json").read_text())["traced"]
+    full = bench_pairs.traced_summary(traced, BENCHMARK["per_layer"])
+    assert list(full) == [m["name"] for m in BENCHMARK["per_layer"]]
+    assert full["dynamics.evolve.steps"] == {
+        "unit": "count", "parent": 10000, "change": 10000}
 
 
 def test_claim_outside_the_run_workload_is_refused_before_any_run(

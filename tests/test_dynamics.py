@@ -137,14 +137,26 @@ def test_liouvillian_matches_rhs_elementwise():
     ]
     direct = dynamics.lindblad_rhs(rho, 2.0 * np.pi * h, chans)
     tol = 1e-12 * np.abs(direct).max()
-    gen = dynamics.liouvillian(h, chans)
+    rows, cols, vals, d = dynamics._generator_triplets(h[None], chans)
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    np.add.at(gen, (rows, cols), vals)
     npt.assert_allclose(gen @ rho.ravel(), direct.ravel(), rtol=0, atol=tol)
-    # the sparse generator is the Kronecker form of the effective
+    # the generator's triplets are the Kronecker form of the effective
     # Hamiltonian and jumps, entry for entry
     dense = _kron_generator(h, chans)
-    npt.assert_allclose(gen.toarray(), dense, rtol=0,
-                        atol=1e-15 * np.abs(dense).max())
+    npt.assert_allclose(gen, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
     npt.assert_allclose(dense @ rho.ravel(), direct.ravel(), rtol=0, atol=tol)
+    # evolve's real generator acts on the real coordinates of rho's
+    # Hermitian part as lindblad_rhs acts on that part
+    herm = 0.5 * (rho + rho.conj().T)
+    re, im, sign = coords = dynamics._hermitian_coordinates(d)
+    r = np.empty(d * d)
+    r[re] = herm.real.ravel()
+    r[im[sign > 0]] = herm.imag.ravel()[sign > 0]
+    rate = dynamics._real_generator(h, chans, coords) @ r
+    want = dynamics.lindblad_rhs(herm, 2.0 * np.pi * h, chans).ravel()
+    npt.assert_allclose(rate[re] + 1j * sign * rate[im], want, rtol=0,
+                        atol=tol)
 
 
 def test_steady_state_matches_dense_bordered_solve():
@@ -175,13 +187,10 @@ def _lindblad_rk4(rho0, h_hz, channels, times):
     return np.array(states)
 
 
-# one Fock cutoff on each side of the dense-propagator size rule, each on a
-# single step and on a step count that is no multiple of the block size
-@pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
-@pytest.mark.parametrize("t_end", [1e-11, 5e-9], ids=["1-step", "500-steps"])
-def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
+def _assert_evolve_matches_rk4(cutoff, t_end):
+    """evolve on the driven JC model against `_lindblad_rk4` at 1e-12 on
+    every sample; returns the number of steps."""
     space = qops.HilbertSpace(cutoff)
-    assert (space.dim ** 2 <= dynamics.DENSE_MAX_DIM2) == (cutoff == 5)
     h, chans = _driven_jc(space)
     sp = qops.qubit_operator(qops.sigma_plus(), space)
     c = np.sqrt(0.5)    # qubit to the equator, cavity in vacuum
@@ -195,7 +204,6 @@ def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
     traj = dynamics.evolve(rho0, h, chans, grid, space=space,
                            e_ops={"sigma_plus": sp})
     n_steps = len(traj.times) - 1
-    assert n_steps == 1 or n_steps % dynamics.EVOLVE_BLOCK
     states = _lindblad_rk4(rho0, h, chans, traj.times)
     pe = qops.qubit_operator(np.diag([0.0, 1.0]), space)
     a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
@@ -205,14 +213,58 @@ def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
     diag = traj.diagnostics
     assert diag.max_trace_deviation < 1e-12
-    adjoint = states.conj().transpose(0, 2, 1)
-    npt.assert_allclose(diag.max_hermiticity_defect,
-                        np.abs(states - adjoint).max(), rtol=0, atol=1e-12)
+    # evolve steps rho's real Hermitian coordinates, so no state it holds
+    # has an anti-Hermitian part
+    assert diag.max_hermiticity_defect == 0.0
     steps = np.arange(n_steps + 1)
     picked = (steps % max(1, n_steps // 128) == 0) | (steps == n_steps)
-    herm = 0.5 * (states + adjoint)[picked]
+    herm = 0.5 * (states + states.conj().transpose(0, 2, 1))[picked]
     npt.assert_allclose(diag.min_eigenvalue, np.linalg.eigvalsh(herm).min(),
                         rtol=0, atol=1e-12)
+    return n_steps
+
+
+# one Fock cutoff on each side of the dense-propagator size rule, each on a
+# single step and on a step count that is no multiple of the block size
+@pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
+@pytest.mark.parametrize("t_end", [1e-11, 5e-9], ids=["1-step", "500-steps"])
+def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
+    assert ((qops.HilbertSpace(cutoff).dim ** 2 <= dynamics.DENSE_MAX_DIM2)
+            == (cutoff == 5))
+    n_steps = _assert_evolve_matches_rk4(cutoff, t_end)
+    assert n_steps == 1 or n_steps % dynamics.EVOLVE_BLOCK
+
+
+# the dense branch fills a block by doubling from the one-step propagator
+# and its squares, so a block one step short, exact, one step over, and
+# several whole blocks each end the doubling differently
+@pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n_steps", [
+    dynamics.EVOLVE_BLOCK - 1, dynamics.EVOLVE_BLOCK,
+    dynamics.EVOLVE_BLOCK + 1, 4 * dynamics.EVOLVE_BLOCK],
+    ids=["block-1", "block", "block+1", "4-blocks"])
+def test_evolve_matches_rk4_at_block_edges(cutoff, n_steps):
+    assert _assert_evolve_matches_rk4(cutoff, n_steps * 1e-11) == n_steps
+
+
+def test_evolve_peak_memory_at_the_stark_size():
+    # fock cutoff 8, d^2 = 256, and the 5000 steps of a Stark point: the
+    # dense branch keeps R, R^2, R^4 and R^8, 0.5 MiB each
+    space = qops.HilbertSpace(8)
+    assert space.dim ** 2 == dynamics.DENSE_MAX_DIM2
+    h, chans = _driven_jc(space)
+    rho0 = qops.ket_to_dm(np.eye(space.dim)[0])
+    grid = dynamics.SimulationGrid(0.0, 100e-9, 2e-11)
+    e_ops = {"sigma_plus": qops.qubit_operator(qops.sigma_plus(), space)}
+    tracemalloc.start()
+    try:
+        dynamics.evolve(rho0, h, chans, grid, space=space, e_ops=e_ops)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    # measured 2.97-2.99 MiB, 2.0 of it the four powers; a fifth power
+    # (0.5 MiB) or one more dense (d^2, d^2) array beside them fails this
+    assert peak < 3.4, peak
 
 
 def test_trace_holds_over_a_long_cavity_run():
@@ -970,6 +1022,23 @@ def test_sweep_peak_memory_is_one_points():
     # compiled every point first 2781 KiB, and this one 59 KiB
     sweep = excess(seqs)
     assert sweep < longest + 256, (sweep, longest)
+
+
+def test_scan_store_keys_are_fixed_size():
+    # the wide pulse of the test above: 20 scan blocks, each stored under a
+    # 32-byte digest rather than the 56 KiB of its tables
+    a_pi = pulses.calibrate_pi_amplitude(5e-9)
+    seq = pulses.build_t1_sequence(150e-9, sigma=5e-9, pi_amplitude=a_pi)
+    run = dynamics._two_level_engine(DEC)
+    compiled = dynamics.compile_sequence(seq)
+    first = run(compiled)
+    cells = dict(zip(run.__code__.co_freevars, run.__closure__))
+    scans = cells["scans"].cell_contents
+    assert len(scans) == 20
+    assert all(type(k) is bytes and len(k) == 32 for k in scans)
+    # a rerun finds every block in the store, and gives the same bits
+    npt.assert_array_equal(run(compiled).qubit_pe, first.qubit_pe)
+    assert len(scans) == 20
 
 
 def test_ou_sampler_matches_loop_reference():

@@ -12,7 +12,8 @@ first on even ones.  With a claim, one more traced pair of the claimed
 workload follows on the next seed.  The summary gives, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 pairs the change wins (ties count for neither) and the relative change of
-the medians.
+the medians.  With a claim, the traced summary gives each side's value of
+every per-layer metric in the traced pair, to show which layer moved.
 """
 
 import argparse
@@ -79,6 +80,16 @@ def summarize(parent_runs, change_runs, end_to_end):
             for runs in (parent_runs, change_runs)]
         summary[name] = row
     return summary
+
+
+def traced_summary(traced, per_layer):
+    """Per-layer metric of BENCHMARK.json -> its unit and the parent's and
+    the change's value in the traced pair (run.py's JSON of one workload
+    per side)."""
+    return {m["name"]: {"unit": m["unit"],
+                        **{side: traced[side]["metrics"][m["name"]]["value"]
+                           for side in ("parent", "change")}}
+            for m in per_layer}
 
 
 def claim(summary, workload, metric):
@@ -216,6 +227,8 @@ def main(argv=None):
                   "parent first on odd seeds, change first on even seeds"),
         "claim": claim(summary, workload, metric) if args.claim else None,
         "summary": summary,
+        "traced_summary": (traced_summary(traced, bench["per_layer"])
+                           if traced else None),
         "parent": {"commit": parent_commit,
                    "src_tree": _git("rev-parse", parent_commit + ":src"),
                    "runs": {str(s): r for s, r in runs["parent"].items()}},
