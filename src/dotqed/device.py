@@ -159,19 +159,26 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
     H/h = (nu_q - nu_dr)/2 sigma_z + (nu_r - nu_dr) a^dag a
           + g(delta) (sigma_+ a + sigma_- a^dag) + eps (a + a^dag)
 
+    drive_frequency is one tone, giving H as (d, d), or an array of tones
+    of shape (m,), giving the stack (m, d, d), one frame per tone.
     cavity_drive eps is a constant in Hz; None or 0 leaves the term out.
     space (qops.HilbertSpace) sets the Fock cutoff.  Warns when the
     rotating-wave approximation is strained (g or detunings not
-    << nu_q + nu_r).
+    << nu_q + nu_r); the detunings are linear in the tone, so the lowest
+    and highest tones are checked.
     """
     nu_q = qubit_frequency(dqd)
     nu_r = res.bare_frequency_nu_r
     g = coupling_at_detuning(coupling, dqd)
+    drive = np.asarray(drive_frequency, dtype=float)
 
     scale = nu_q + nu_r
-    for label, detuning in [("qubit-drive detuning", nu_q - drive_frequency),
-                            ("resonator-drive detuning", nu_r - drive_frequency),
-                            ("coupling g", g)]:
+    ends = (drive.min(), drive.max())
+    for label, detunings in [("qubit-drive detuning", [nu_q - f for f in ends]),
+                             ("resonator-drive detuning",
+                              [nu_r - f for f in ends]),
+                             ("coupling g", [g])]:
+        detuning = max(detunings, key=abs)
         if abs(detuning) > RWA_RATIO * scale:
             warnings.warn(
                 f"{label} = {detuning:.3e} Hz is not small against "
@@ -184,8 +191,8 @@ def build_rotating_frame_hamiltonian(dqd, res, coupling, drive_frequency,
     sp_a = qops.qubit_operator(qops.sigma_plus(), space) @ a
     jc = sp_a + sp_a.conj().T
 
-    h = (0.5 * (nu_q - drive_frequency) * sz
-         + (nu_r - drive_frequency) * num + g * jc)
+    drive = drive[..., None, None]
+    h = (0.5 * (nu_q - drive) * sz + (nu_r - drive) * num + g * jc)
     if cavity_drive:
         h = h + cavity_drive * (a + a.conj().T)
     return h

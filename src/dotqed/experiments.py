@@ -451,9 +451,9 @@ def measure_dispersive_pull(dev):
     mixed branch relative to the ground branch; in the dispersive regime it
     approaches g^2/Delta.
 
-    The probe Hamiltonians are built once and shared by the branches; each
-    branch is one `dynamics.steady_states` call over the whole sweep, which
-    factors STEADY_STATE_BLOCK probes per sparse LU.
+    The probe Hamiltonians are built as one stack and shared by the
+    branches; each branch is one `dynamics.steady_states` call over the
+    whole sweep, solved by charge sector in `space`.
     """
     res = dev.resonator
     space = qops.HilbertSpace(PULL_FOCK_CUTOFF)
@@ -475,15 +475,15 @@ def measure_dispersive_pull(dev):
     }
     cavity = dynamics.cavity_channels(res, space)
 
-    hams = np.array([device.build_rotating_frame_hamiltonian(
-        dev.dqd, res, dev.coupling, drive_frequency=f,
-        cavity_drive=probe_amplitude, space=space) for f in freqs])
+    hams = device.build_rotating_frame_hamiltonian(
+        dev.dqd, res, dev.coupling, drive_frequency=freqs,
+        cavity_drive=probe_amplitude, space=space)
     responses = {}
     fits = {}
     centers = {}
     max_residual = 0.0
     for branch, extra in branch_channels.items():
-        solved = dynamics.steady_states(hams, cavity + extra)
+        solved = dynamics.steady_states(hams, cavity + extra, space)
         resp = np.array([qops.expectation(rho, a_op) for rho in solved.states])
         fit = fitting.fit_lorentzian(freqs, np.abs(resp) ** 2)
         responses[branch] = resp
@@ -506,7 +506,6 @@ class StarkPoint:
     photon_number: float
     qubit_frequency: float
     max_trace_deviation: float
-    max_hermiticity_defect: float
     min_eigenvalue: float
 
 
@@ -559,7 +558,7 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     h, alpha = _displaced_frame(dev, drive_amplitude, probe, space)
     channels = dynamics.cavity_channels(res, space)
 
-    rho_ss = dynamics.steady_state(h, channels)
+    rho_ss = dynamics.steady_state(h, channels, space)
     c = np.sqrt(0.5)
     tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
     rho0 = tip @ rho_ss @ tip.conj().T
@@ -593,7 +592,6 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     return StarkPoint(drive_amplitude=float(drive_amplitude),
                       photon_number=n_bar, qubit_frequency=float(nu_q),
                       max_trace_deviation=diag.max_trace_deviation,
-                      max_hermiticity_defect=diag.max_hermiticity_defect,
                       min_eigenvalue=diag.min_eigenvalue)
 
 
@@ -777,8 +775,8 @@ def _run_stark(cfg, out):
     n_bar = np.array([pt.photon_number for pt in points])
     nu_q = np.array([pt.qubit_frequency for pt in points])
 
-    # polyfit only scales a covariance once there are spare points
-    if len(amps) >= 4:
+    # polyfit scales a covariance once a point is spare: three for a line
+    if len(amps) >= 3:
         coef, cov = np.polyfit(n_bar, nu_q, 1, cov=True)
         slope_std = float(np.sqrt(cov[0, 0]))
     else:
@@ -802,8 +800,6 @@ def _run_stark(cfg, out):
         "two_chi_hz": 2.0 * chi,
         "max_photon_number": float(n_bar.max()),
         "max_trace_deviation": max(pt.max_trace_deviation for pt in points),
-        "max_hermiticity_defect": max(pt.max_hermiticity_defect
-                                      for pt in points),
         "min_eigenvalue": min(pt.min_eigenvalue for pt in points),
     }
     return ["stark.csv"], fits, results

@@ -114,6 +114,26 @@ def test_rwa_warning_for_far_detuned_drive(flagship):
             space=qops.HilbertSpace(3))
 
 
+def test_rotating_frame_hamiltonian_stack_of_tones(flagship):
+    # an array of tones is the stack of one-tone Hamiltonians, bit for bit
+    space = qops.HilbertSpace(4)
+    tones = np.linspace(5.0e9, 5.2e9, 5)
+    args = (flagship.dqd, flagship.resonator, flagship.coupling)
+    stack = device.build_rotating_frame_hamiltonian(
+        *args, tones, cavity_drive=1.5e6, space=space)
+    assert stack.shape == (5, 8, 8)
+    npt.assert_array_equal(stack, [device.build_rotating_frame_hamiltonian(
+        *args, f, cavity_drive=1.5e6, space=space) for f in tones])
+    # the detunings are checked at the extremes: one far tone at either
+    # end of the sweep strains the rotating-wave form
+    for far in ([1.0e9], [20e9]):
+        with pytest.warns(RuntimeWarning, match="rotating-wave") as caught:
+            device.build_rotating_frame_hamiltonian(
+                *args, np.concatenate([far, tones]), space=space)
+        assert any(str(w.message).startswith("resonator-drive detuning")
+                   for w in caught)
+
+
 def test_vacuum_rabi_splitting_at_resonance():
     # qubit tuned onto the resonator: the one-excitation doublet is split
     # by exactly 2 g

@@ -137,7 +137,7 @@ def test_liouvillian_matches_rhs_elementwise():
     ]
     direct = dynamics.lindblad_rhs(rho, 2.0 * np.pi * h, chans)
     tol = 1e-12 * np.abs(direct).max()
-    rows, cols, vals, d = dynamics._generator_triplets(h[None], chans)
+    rows, cols, vals, d = dynamics._generator_triplets(h, chans)
     gen = np.zeros((d * d, d * d), dtype=complex)
     np.add.at(gen, (rows, cols), vals)
     npt.assert_allclose(gen @ rho.ravel(), direct.ravel(), rtol=0, atol=tol)
@@ -174,6 +174,44 @@ def test_steady_state_matches_dense_bordered_solve():
     want /= np.trace(want).real
     npt.assert_allclose(dynamics.steady_state(h, chans), want, rtol=0,
                         atol=1e-12)
+
+
+def test_charge_sectors_match_the_dense_bordered_solve():
+    # the sectored solve of a driven JC stack, qubit drive as in the
+    # displaced Stark frame included, against one dense solve per member
+    space = qops.HilbertSpace(5)
+    h, chans = _driven_jc(space)
+    sp = qops.qubit_operator(qops.sigma_plus(), space)
+    stack = np.array([h + s * 7e6 * (sp + sp.conj().T) for s in (0, 1, 2)])
+    d = space.dim
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    want = []
+    for member in stack:
+        gen = _kron_generator(member, chans)
+        gen[0, :] = 0.0
+        gen[0, ::d + 1] = 1.0   # trace row
+        rho = np.linalg.solve(gen, b).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        want.append(rho / np.trace(rho).real)
+    sectors = dynamics._charge_sectors(*dynamics._jump_form(stack, chans),
+                                       space)
+    assert [len(s) for s in sectors] == [1, 4, 8, 12, 16, 18, 16, 12, 8, 4, 1]
+    npt.assert_allclose(dynamics.steady_states(stack, chans, space).states,
+                        want, rtol=0, atol=1e-12)
+
+
+def test_charge_sectors_reject_a_two_photon_drive():
+    # a^2 + a^dag^2 moves the charge k by two, outside the block band
+    space = qops.HilbertSpace(4)
+    h, chans = _driven_jc(space)
+    a = qops.cavity_operator(qops.annihilation(space.fock_cutoff), space)
+    two_photon = h + 2e6 * (a @ a + a.conj().T @ a.conj().T)
+    with pytest.raises(ValueError, match="charge sectors 2 apart"):
+        dynamics.steady_state(two_photon, chans, space)
+    # the same generator in one sector solves
+    rho = dynamics.steady_state(two_photon, chans)
+    npt.assert_allclose(np.trace(rho), 1.0, rtol=0, atol=1e-12)
 
 
 def _lindblad_rk4(rho0, h_hz, channels, times):
@@ -213,9 +251,6 @@ def _assert_evolve_matches_rk4(cutoff, t_end):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
     diag = traj.diagnostics
     assert diag.max_trace_deviation < 1e-12
-    # evolve steps rho's real Hermitian coordinates, so no state it holds
-    # has an anti-Hermitian part
-    assert diag.max_hermiticity_defect == 0.0
     steps = np.arange(n_steps + 1)
     picked = (steps % max(1, n_steps // 128) == 0) | (steps == n_steps)
     herm = 0.5 * (states + states.conj().transpose(0, 2, 1))[picked]
@@ -313,14 +348,14 @@ def test_steady_state_rejects_degenerate_kernel():
 
 
 def _pull_stacks(dev, monkeypatch):
-    """The (Hamiltonian stack, channels) of each branch of a dispersive pull,
-    captured from `steady_states` calls."""
+    """The (Hamiltonian stack, channels, space) of each branch of a
+    dispersive pull, captured from `steady_states` calls."""
     calls = []
     solve = dynamics.steady_states
 
-    def record(h_stack, channels, *args, **kwargs):
-        calls.append((np.array(h_stack), list(channels)))
-        return solve(h_stack, channels, *args, **kwargs)
+    def record(h_stack, channels, space=None):
+        calls.append((np.array(h_stack), list(channels), space))
+        return solve(h_stack, channels, space)
 
     monkeypatch.setattr(dynamics, "steady_states", record)
     experiments.measure_dispersive_pull(dev)
@@ -329,15 +364,16 @@ def _pull_stacks(dev, monkeypatch):
 
 
 def test_steady_states_match_per_member_solves(flagship, monkeypatch):
-    # 61 probes: the last factorization holds fewer than STEADY_STATE_BLOCK
+    # all 61 probes of a branch at once, bit for bit as each alone
     branches = _pull_stacks(flagship, monkeypatch)
     assert len(branches) == 3
-    for h_stack, chans in branches:
-        assert len(h_stack) == 61 and 61 % dynamics.STEADY_STATE_BLOCK
-        solved = dynamics.steady_states(h_stack, chans)
-        singles = [dynamics.steady_states(h[None], chans) for h in h_stack]
+    for h_stack, chans, space in branches:
+        assert len(h_stack) == 61 and space.dim == h_stack.shape[-1]
+        solved = dynamics.steady_states(h_stack, chans, space)
+        singles = [dynamics.steady_states(h[None], chans, space)
+                   for h in h_stack]
         npt.assert_array_equal(solved.states,
-                               [dynamics.steady_state(h, chans)
+                               [dynamics.steady_state(h, chans, space)
                                 for h in h_stack])
         # each residual against its own generator's scale
         npt.assert_array_equal(solved.residuals,
@@ -364,14 +400,15 @@ def test_steady_states_stack_of_one_is_steady_state():
     npt.assert_array_equal(solved.states[0], dynamics.steady_state(h, chans))
 
 
-@pytest.mark.parametrize("bad", [2, dynamics.STEADY_STATE_BLOCK + 1])
+@pytest.mark.parametrize("bad", [0, 2, 9])
 def test_steady_states_name_the_degenerate_member(bad):
     # decay |1> -> |0>; the drive empties |2> into |1>, and the one member
-    # without it keeps |2> as a second stationary state
+    # without it keeps |2> as a second stationary state: the first, an
+    # inner and the last of 10
     drive = np.zeros((3, 3), dtype=complex)
     drive[1, 2] = drive[2, 1] = 2e6
     stack = np.array([np.diag([0.0, 1e6, 2e6]) + drive * (k != bad)
-                      for k in range(dynamics.STEADY_STATE_BLOCK + 3)])
+                      for k in range(10)])
     decay = np.zeros((3, 3))
     decay[0, 1] = 1.0
     chans = [dynamics.CollapseChannel(decay, 1e7, "decay")]

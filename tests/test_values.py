@@ -39,7 +39,6 @@ FLOOR = 1e-9
 
 # absolute bounds on rounding-level diagnostics in results.json
 DIAGNOSTIC_ATOL = {"max_trace_deviation": 1e-10,
-                   "max_hermiticity_defect": 1e-9,
                    "min_eigenvalue": 1e-8}
 
 # the unit of a fitted quantity: the fit's data (y), its axis (x), the
