@@ -10,9 +10,8 @@ from gamma1 in Hz therefore carries rate 2*pi*gamma1, giving
 P_e(t) = exp(-2*pi*gamma1*t).
 """
 
-import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -715,12 +714,12 @@ def _ou_gap(x, duration, model, rng):
 
 @dataclass(frozen=True)
 class _CompiledSequence:
-    """Per-step drive tables for the two-level stepper.
+    """Per-step drive tables for the two-level stepper, and its runs.
 
     u1/u2/u4 hold pi*(h_x - i h_y) in rad/s at each step's start, midpoint,
-    and end, evaluated one-sidedly per segment: pulse supports are truncated,
-    hence discontinuous at their edges, but the edges always coincide with
-    step boundaries, so every RK4 stage sees a smooth integrand.
+    and end.  runs are (lo, hi, key) over steps lo to hi - 1, in time order:
+    an idle gap, key None and no drive, or a pulse, key (its entry moved to
+    start at t = 0, detuning0).  Equal keys have byte-equal steps.
     """
     times: np.ndarray
     dts: np.ndarray
@@ -728,6 +727,7 @@ class _CompiledSequence:
     u2: np.ndarray
     u4: np.ndarray
     detuning0: float
+    runs: tuple
 
 
 def _field_table(entries, t, out):
@@ -740,15 +740,19 @@ def _field_table(entries, t, out):
 
 
 def compile_sequence(sequence):
-    """Build the step grid and drive tables for a pulse sequence.
+    """Build the step grid, drive tables and runs of a pulse sequence.
 
-    The grid runs from t = 0 to the readout-window start, split at every
-    pulse-support edge; segments under a pulse use DEFAULT_DT_PULSE, and an
-    idle gap is one step, taken whole as an exact exponential
+    Walks the pulses in time order up to the readout-window start.  A pulse
+    of zero amplitude adds no steps.  Every other pulse is the pulse moved
+    to start at t = 0, stepped on linspace(0, 2 k sigma, n + 1), n the
+    fewest steps of at most DEFAULT_DT_PULSE, so its truncated edges are
+    step boundaries and equal pulses give byte-equal tables; its times are
+    its start plus that grid.  The time before a pulse, or before the
+    readout, is one idle step, taken whole as an exact exponential
     (`_two_level_engine`): its p_e = p0 e^(-g1 t) is monotone, so its two
-    samples bound it.  All entries must share one carrier, given as
-    a detuning from the qubit frequency; the frame rotates at that carrier,
-    so the static z coefficient is -carrier.
+    samples bound it.  All entries must share one carrier, a detuning from
+    the qubit frequency; the frame rotates at it, so the static z
+    coefficient is -carrier.
     """
     carriers = sequence.carrier_frequencies
     if len(carriers) > 1:
@@ -757,41 +761,52 @@ def compile_sequence(sequence):
     carrier = carriers[0] if carriers else 0.0
     detuning0 = 0.0 - carrier     # not -carrier, which turns 0.0 into -0.0
 
+    # (steps, start, end, key) of each gap and driven pulse; a gap shorter
+    # than a billionth of a pulse step is rounding, as in `_step_count`
+    pieces, t = [], 0.0
+    for entry in sorted(sequence.entries, key=lambda e: e.pulse.start):
+        p = entry.pulse
+        if p.amplitude == 0.0:
+            continue
+        if p.start - t > 1e-9 * DEFAULT_DT_PULSE:
+            pieces.append((1, t, p.start, None))
+        moved = replace(entry, pulse=replace(p, t0=p.truncation_k * p.sigma))
+        pieces.append((_step_count(moved.pulse.end, DEFAULT_DT_PULSE),
+                       p.start, p.end, (moved, detuning0)))
+        t = p.end
     t_end = sequence.readout_window.start
-    if t_end <= 0.0:
-        times = np.array([0.0, 0.0])
-        zero = np.zeros(1, dtype=complex)
-        return _CompiledSequence(times, np.zeros(1), zero, zero, zero, detuning0)
-
-    edges = {0.0, t_end}
-    for entry in sequence.entries:
-        for edge in (entry.pulse.start, entry.pulse.end):
-            if 0.0 < edge < t_end:
-                edges.add(edge)
-    edges = sorted(edges)
-
-    segments = []
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        active = [e for e in sequence.entries
-                  if e.pulse.start <= mid <= e.pulse.end]
-        n = _step_count(b - a, DEFAULT_DT_PULSE) if active else 1
-        segments.append((a, b, n, active))
+    if t_end - t > 1e-9 * DEFAULT_DT_PULSE:
+        pieces.append((1, t, t_end, None))
 
     # the tables are made once and filled in place, so compiling a sweep's
     # next point holds no second copy of them beside the stored scans
-    n_steps = sum(n for _, _, n, _ in segments)
+    n_steps = sum(piece[0] for piece in pieces)
     times = np.zeros(n_steps + 1)
-    u1, u2, u4 = np.empty((3, n_steps), dtype=complex)
-    lo = 0
-    for a, b, n, active in segments:
-        seg = times[lo:lo + n + 1]      # seg[0] is a: 0.0 or the last end
-        seg[1:] = np.linspace(a, b, n + 1)[1:]
-        _field_table(active, seg[:-1], u1[lo:lo + n])
-        _field_table(active, 0.5 * (seg[:-1] + seg[1:]), u2[lo:lo + n])
-        _field_table(active, seg[1:], u4[lo:lo + n])
-        lo += n
-    return _CompiledSequence(times, np.diff(times), u1, u2, u4, detuning0)
+    dts = np.empty(n_steps)
+    u1, u2, u4 = np.zeros((3, n_steps), dtype=complex)
+    runs, lo = [], 0
+    for n, start, end, key in pieces:
+        hi = lo + n
+        seg = times[lo:hi + 1]      # seg[0] is the previous run's end
+        if key is None:
+            dts[lo] = end - start
+        else:
+            # the pulse's own grid in seg and its midpoints in dts, then
+            # its steps in dts and its times in seg
+            entry, step, last = [key[0]], dts[lo:hi], seg[0]
+            seg[:] = np.linspace(0.0, key[0].pulse.end, n + 1)
+            _field_table(entry, seg[:-1], u1[lo:hi])
+            np.add(seg[:-1], seg[1:], out=step)
+            step *= 0.5
+            _field_table(entry, step, u2[lo:hi])
+            _field_table(entry, seg[1:], u4[lo:hi])
+            np.subtract(seg[1:], seg[:-1], out=step)
+            seg += start
+            seg[0] = last
+        seg[-1] = end
+        runs.append((lo, hi, key))
+        lo = hi
+    return _CompiledSequence(times, dts, u1, u2, u4, detuning0, tuple(runs))
 
 
 def _two_level_step(s, u1, u2, u4, w, dt, g1, decay):
@@ -831,19 +846,20 @@ _LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
                       for m, xm in enumerate(_NODES)]).T
 
 
-def _scan_block(tables, w, g1, decay, stacks):
-    """Inclusive prefix products of the propagators of one block of pulse
-    steps, tables = (u1, u2, u4, dts): P[s:] = P[s:] @ P[:-s] for
+def _scan_block(compiled, blk, g1, decay, stacks):
+    """Inclusive prefix products of the propagators of the m pulse steps blk
+    (a slice) of compiled tables: P[s:] = P[s:] @ P[:-s] for
     s = 1, 2, 4, ..., ping-ponged through the C-ordered `stacks`
     (2, >= m, 4, 4), as matmul's out must not overlap its inputs.  Returns
     one of them, (m, 4, 4), its k-th matrix the map from the state
     (p_g, x, y, p_e) before the block to the state after step k."""
-    m = len(tables[3])
-    cur, nxt = stacks[:, :m]
-    cur[...] = np.moveaxis(_two_level_step(np.eye(4)[..., None], *tables[:3],
-                                           w, tables[3], g1, decay), -1, 0)
+    dts = compiled.dts[blk]
+    cur, nxt = stacks[:, :len(dts)]
+    cur[...] = np.moveaxis(_two_level_step(
+        np.eye(4)[..., None], compiled.u1[blk], compiled.u2[blk],
+        compiled.u4[blk], np.pi * compiled.detuning0, dts, g1, decay), -1, 0)
     shift = 1
-    while shift < m:
+    while shift < len(dts):
         nxt[:shift] = cur[:shift]
         np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
         cur, nxt = nxt, cur
@@ -869,37 +885,33 @@ def _two_level_engine(dec, noise=None):
     sigma_delta = 0, is one noiseless realization at detuning0, and a
     `pe_stderr` of 0.0.  Its path's buffers are made once here and reused
     by every run: the scan stacks and stored scans without noise, block
-    buffers with it.  The state is carried through the grid's runs of idle
-    (undriven) steps and of pulse steps.
+    buffers with it.  The state is carried through compiled.runs, the
+    idle gaps and the pulses of `compile_sequence`.
     - Idle runs [lo, hi] in closed form, each component alone, with
       elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean is its entry
       value times exp(-g1 elapsed); rho_01 is multiplied once by
       exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
       exp(2 pi i I), I the integral of the path over the gap; p_g gains
-      what p_e loses.  A gap is one step (`compile_sequence`); zero-drive
-      pulse steps, as of a Rabi point at amplitude 0, make longer runs.
-      The trace deviation is checked at the run's end.
+      what p_e loses.  The trace deviation is checked at the run's end.
     - Pulse runs `block` steps at a time (SCAN_BLOCK without noise,
       MC_BLOCK with it), from row 0 of one (block + 1, 4, n) state buffer
       into its rows 1 to m; per block the mean p_e is recorded, the trace
       deviation checked at every step, and row m carried to row 0.
       Without noise an inclusive prefix product (`_scan_block`) composes
-      the block's propagators, applied to the carried state.  A block whose
-      tables, steps, detuning and rates are byte-equal to one scanned
-      earlier by this engine reuses a copy of its stack, laid out as a
-      fresh one, so its products round alike; the stored stacks are keyed
-      by the 32-byte SHA-256 digest of those bytes.  In a Ramsey, T1 or echo
-      sweep the first pulse of every point with a nonzero delay is such a
-      block.  With noise each step runs at the path's value at its start,
-      held across it: the RK4 step is a polynomial of degree 4
-      in the detuning w, so `_two_level_step` gives each step's propagator
-      P at 5 Chebyshev nodes w_m spanning that step's realized w range
-      (half-width at least 1 urad of phase per step, so that one
-      realization or constant noise still has distinct nodes).  Every
-      realization advances by s += sum_m l_m(x) (P(w_m) - I) s, with l_m
-      the Lagrange weights of the nodes at x = (w - centre) / half-width,
-      summed in powers of x: sum_j x^j C_j s with
-      C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4 step
+      the block's propagators, applied to the carried state.  A copy of
+      each stack is stored under (the run's key, the block's offset in the
+      run), and every later block of that key and offset, as in each equal
+      pulse of a sweep, applies it: the key fixes the block's tables and
+      detuning, and the engine its rates.  With noise each step runs at
+      the path's value at its start, held across it: the RK4 step is a
+      polynomial of degree 4 in the detuning w, so `_two_level_step`
+      gives each step's propagator P at 5 Chebyshev nodes w_m spanning
+      that step's realized w range (half-width at least 1 urad of phase
+      per step, so that one realization or constant noise still has
+      distinct nodes).  Every realization advances by
+      s += sum_m l_m(x) (P(w_m) - I) s, with l_m the Lagrange weights of
+      the nodes at x = (w - centre) / half-width, summed in powers of x:
+      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4 step
       up to rounding; interpolating the increments P - I rather than P
       keeps that rounding relative to the increment.
 
@@ -930,20 +942,15 @@ def _two_level_engine(dec, noise=None):
         path = np.empty((MC_BLOCK + 1, n_batch))
 
     def run(compiled, rng=None):
-        n_steps = len(compiled.dts)
-        pe_mean = np.zeros(n_steps + 1)
+        pe_mean = np.zeros(len(compiled.dts) + 1)
         trace_dev = 0.0
         state[0] = 0.0
         state[0, 0] = 1.0
         if noise is not None:
             rng = np.random.default_rng(rng)
             path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
-        idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
-        runs = np.concatenate([[0], np.flatnonzero(np.diff(idle)) + 1,
-                               [n_steps]])
-
-        for lo, hi in zip(runs[:-1], runs[1:]):
-            if idle[lo]:
+        for lo, hi, key in compiled.runs:
+            if key is None:
                 s = state[0]
                 p0 = s[3].copy()
                 elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
@@ -966,23 +973,10 @@ def _two_level_engine(dec, noise=None):
                 m = bhi - blo
                 blk = slice(blo, bhi)
                 if noise is None:
-                    w = np.pi * compiled.detuning0
-                    tables = (compiled.u1[blk], compiled.u2[blk],
-                              compiled.u4[blk], compiled.dts[blk])
-                    # The key is the SHA-256 digest of the block's bytes:
-                    # its tables, then w, g1 and decay.  Each table's length
-                    # is fixed by m, and m by the total, so the bytes fix
-                    # the block; two blocks share a key only by a SHA-256
-                    # collision, which no known method can produce.
-                    digest = hashlib.sha256()
-                    for t in tables:
-                        digest.update(t)
-                    digest.update(np.array([w, g1, decay]))
-                    key = digest.digest()
-                    prefix = scans.get(key)
+                    prefix = scans.get((key, blo - lo))
                     if prefix is None:
-                        prefix = _scan_block(tables, w, g1, decay, stacks)
-                        scans[key] = prefix.copy()
+                        prefix = scans[key, blo - lo] = _scan_block(
+                            compiled, blk, g1, decay, stacks).copy()
                     state[1:m + 1, :, 0] = prefix @ state[0, :, 0]
                 else:
                     _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
@@ -1037,23 +1031,22 @@ def simulate_sequence(sequence, dec):
 
 
 def simulate_sweep(sequences, dec, noise=None, rngs=None):
-    """One Trajectory per sequence, in order, all from one two-level engine
-    (`_two_level_engine`), so its buffers, and the propagator scans of
-    byte-equal pulse blocks, are shared by the whole sweep.
+    """One Trajectory per sequence, in order, from one two-level engine
+    (`_two_level_engine`), so its buffers, and the propagator scan of each
+    distinct pulse (a run key of `compile_sequence`), serve the whole sweep.
+    Each sequence is compiled when it is simulated.
 
     Without noise (or with sigma_delta = 0) each Trajectory is
     `simulate_sequence`'s, bit for bit, with a `pe_stderr` of 0.0.  With an
-    OuNoiseModel the population is averaged over its realizations, and
-    `pe_stderr` is the standard error of the final sample's mean, the one
-    the readout chain reads.  Every realization rides its own OU detuning
-    path, drawn from the sequence's entry of rngs (seeds or Generators, one
-    per sequence; None draws fresh entropy) as the realizations step
-    together: each pulse step sees the path at its start, held across it
-    (the pulse grid resolves tau_c in any regime we simulate), and each
-    idle gap is the noiseless exponential times the phase of the path's
-    exact integral over the gap.  A sequence's result
+    OuNoiseModel the population is the mean over its realizations, and
+    `pe_stderr` the standard error of the final sample's mean, the one the
+    readout chain reads.  Each realization rides its own OU detuning path,
+    drawn from the sequence's entry of rngs (seeds or Generators, one per
+    sequence; None draws fresh entropy): each pulse step sees the path at
+    its start, held across it (the pulse grid resolves tau_c in any regime
+    we simulate), and each idle gap is the noiseless exponential times the
+    phase of the path's exact integral over the gap.  A sequence's result
     depends only on it, dec, noise and its rng, not on the other points.
-    Each sequence is compiled when it is simulated.
     """
     run = _two_level_engine(dec, noise)
     if rngs is None:

@@ -550,7 +550,8 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     STARK_COHERENCE_FLOOR of its post-settle value: the bare-basis sigma+
     carries an order-g/Delta cavity-like component that does not dephase
     with the qubit, and once the qubit part has decayed that remnant owns
-    the phase.
+    the phase.  So a post-settle |<sigma+>| below that fraction of its
+    value after the tip raises RuntimeError, not a resonator frequency.
     """
     res = dev.resonator
     space = qops.HilbertSpace(fock_cutoff)
@@ -573,11 +574,13 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
     traj.validate_populations()
 
     sel = traj.times >= settle_time
-    coherence = traj.expectations["sigma_plus"][sel]
+    sigma_plus = traj.expectations["sigma_plus"]
+    coherence = sigma_plus[sel]
     times = traj.times[sel]
     alive = np.abs(coherence) >= STARK_COHERENCE_FLOOR * np.abs(coherence[0])
     n_keep = len(alive) if alive.all() else int(np.argmin(alive))
-    if n_keep < 32:
+    if (n_keep < 32 or np.abs(coherence[0])
+            < STARK_COHERENCE_FLOOR * np.abs(sigma_plus[0])):
         raise RuntimeError(
             "qubit coherence decayed before a phase fit window opened; "
             "reduce the drive amplitude or settle_time")

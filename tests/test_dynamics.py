@@ -567,10 +567,18 @@ def _evolve(compiled, dec, noise=None, rng=None):
 
 
 def _runs(compiled):
-    """(lo, hi, idle) of each run of idle or pulse steps, in time order."""
-    idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
-    edges = [0, *(np.flatnonzero(np.diff(idle)) + 1), len(idle)]
-    return [(lo, hi, bool(idle[lo])) for lo, hi in zip(edges, edges[1:])]
+    """(lo, hi, idle) of each compiled run of idle or pulse steps, in time
+    order."""
+    return [(lo, hi, key is None) for lo, hi, key in compiled.runs]
+
+
+def _assert_pulses_touch(compiled):
+    """Pulses that touch follow each other: no gap between them, and no
+    step shorter than the pulse grid's own."""
+    assert all(key is not None for _, _, key in compiled.runs)
+    lo, hi, key = compiled.runs[0]
+    own = np.diff(np.linspace(0.0, key[0].pulse.end, hi - lo + 1))
+    assert compiled.dts.min() >= own.min()
 
 
 def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
@@ -688,7 +696,8 @@ def _scan_case(case):
 
         compiled = dynamics._CompiledSequence(
             times=np.concatenate([[0.0], np.cumsum(dts)]), dts=dts,
-            u1=drive(), u2=drive(), u4=drive(), detuning0=3e7)
+            u1=drive(), u2=drive(), u4=drive(), detuning0=3e7,
+            runs=((0, n_steps, case),))
         return compiled, None
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     if case == "ramsey-detuned":
@@ -716,9 +725,7 @@ def test_propagator_scan_matches_stepwise_reference(case):
     compiled, seq = _scan_case(case)
     n_steps = len(compiled.dts)
     if case == "zero-delay":
-        # the back-to-back pulse edges leave one step of rounding length;
-        # the second pulse drives it, so it is not idle
-        assert compiled.dts.min() < 1e-20
+        _assert_pulses_touch(compiled)
     if case == "t1-150ns":
         # 1 ns of pi pulse at 1 ps, then the whole delay as one step
         assert n_steps == 1001
@@ -754,19 +761,24 @@ def _count_steps(monkeypatch):
 
 def _refine_idle(compiled, dt=1e-12):
     """(compiled tables with each idle step split into zero-drive steps of
-    at most dt, its endpoints kept; the index of each original sample in
-    them)."""
-    idle = (compiled.u1 == 0) & (compiled.u2 == 0) & (compiled.u4 == 0)
-    parts, keep = [compiled.times[:1]], [0]
-    for k, (a, b) in enumerate(zip(compiled.times[:-1], compiled.times[1:])):
-        n = dynamics._step_count(b - a, dt) if idle[k] else 1
-        parts.append(np.linspace(a, b, n + 1)[1:])
-        keep.append(keep[-1] + n)
-    times = np.concatenate(parts)
-    step = np.repeat(np.arange(len(idle)), np.diff(keep))
-    return replace(compiled, times=times, dts=np.diff(times),
-                   u1=compiled.u1[step], u2=compiled.u2[step],
-                   u4=compiled.u4[step]), np.array(keep)
+    at most dt, its endpoints kept, and each pulse step as compiled; the
+    index of each original sample in them)."""
+    parts, dts, runs, keep = [compiled.times[:1]], [], [], [0]
+    for lo, hi, key in compiled.runs:
+        first = keep[-1]
+        for k in range(lo, hi):
+            a, b = compiled.times[k], compiled.times[k + 1]
+            n = dynamics._step_count(b - a, dt) if key is None else 1
+            grid = np.linspace(a, b, n + 1)
+            parts.append(grid[1:])
+            dts.append(np.diff(grid) if key is None else compiled.dts[k:k + 1])
+            keep.append(keep[-1] + n)
+        runs.append((first, keep[-1], key))
+    step = np.repeat(np.arange(len(compiled.dts)), np.diff(keep))
+    return replace(compiled, times=np.concatenate(parts),
+                   dts=np.concatenate(dts), u1=compiled.u1[step],
+                   u2=compiled.u2[step], u4=compiled.u4[step],
+                   runs=tuple(runs)), np.array(keep)
 
 
 @pytest.mark.parametrize("case", ["ramsey-100MHz", "t1", "echo"])
@@ -806,11 +818,19 @@ def test_only_pulse_steps_reach_the_stepper(case, monkeypatch):
            "echo": pulses.build_echo_sequence(40e-9, **shape)}[case]
     compiled = dynamics.compile_sequence(seq)
     pulse = (compiled.u1 != 0) | (compiled.u2 != 0) | (compiled.u4 != 0)
-    # each gap between pulses is one step
-    assert len(pulse) - pulse.sum() == (2 if case == "echo" else 1)
+    gaps = [hi - lo for lo, hi, key in compiled.runs if key is None]
+    # each gap between pulses is one undriven step
+    assert gaps == [1] * (2 if case == "echo" else 1)
+    assert len(pulse) - pulse.sum() == len(gaps)
+    # equal pulses are scanned once: the two pi/2 pulses of a Ramsey or
+    # echo point share one scan, and the echo's pi pulse has its own
+    distinct = {key: hi - lo for lo, hi, key in compiled.runs
+                if key is not None}
+    assert len(distinct) == (2 if case == "echo" else 1)
     calls = _count_steps(monkeypatch)
     dynamics.simulate_sequence(seq, DEC)
-    assert sum(n for n, _ in calls) == pulse.sum()
+    steps = sum(n for n, _ in calls)
+    assert steps == sum(distinct.values()) == 1000 * len(distinct)
 
 
 def _sweep_sequences(case, delays):
@@ -823,6 +843,8 @@ def _sweep_sequences(case, delays):
         "ramsey-0Hz": lambda t: pulses.build_ramsey_sequence(t, 0.0, **shape),
         "t1": lambda t: pulses.build_t1_sequence(t, **shape),
         "echo": lambda t: pulses.build_echo_sequence(t, **shape),
+        "echo-phase0": lambda t: pulses.build_echo_sequence(
+            t, echo_phase=0.0, **shape),
         "drag": lambda t: pulses.build_ramsey_sequence(
             t, 50e6, drag_beta=0.1e-9, **shape),
     }
@@ -887,6 +909,27 @@ def test_sweep_is_per_sequence_simulation_bit_for_bit(case, noise,
                 == np.float64(want.diagnostics.max_trace_deviation).tobytes())
 
 
+@pytest.mark.parametrize("case", ["ramsey-100MHz", "ramsey-0Hz", "echo",
+                                  "echo-phase0", "drag"])
+def test_equal_pulses_compile_to_equal_runs(case):
+    delays = np.linspace(0.0, 20e-9, 6)
+    tables = {}
+    for delay, seq in zip(delays, _sweep_sequences(case, delays)):
+        compiled = dynamics.compile_sequence(seq)
+        assert np.all(np.diff(compiled.times) >= 0.0)
+        assert compiled.times[-1] == seq.readout_window.start
+        if delay == 0.0:
+            _assert_pulses_touch(compiled)
+        for lo, hi, key in compiled.runs:
+            if key is not None:
+                got = tuple(getattr(compiled, name)[lo:hi].tobytes()
+                            for name in ("u1", "u2", "u4", "dts"))
+                # equal keys, at any position, have byte-equal steps
+                assert tables.setdefault(key, got) == got, (delay, lo)
+    # the pi/2 pulses share one key; an echo's pi pulse has its own
+    assert len(tables) == (2 if case.startswith("echo") else 1)
+
+
 def test_sweep_scans_the_first_pulse_once(monkeypatch):
     n_points = 7
     seqs = _sweep_sequences("ramsey-100MHz",
@@ -939,8 +982,7 @@ def test_monte_carlo_matches_stepwise_reference(case):
     compiled, noise = _mc_case(case)
     seed = noise.n_realizations
     if case == "zero-delay":
-        # the back-to-back pulse edges leave one step of rounding length
-        assert compiled.dts.min() < 1e-20
+        _assert_pulses_touch(compiled)
     pe, sem, trace_dev = _evolve(compiled, DEC, noise, seed)
     ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, noise,
                                                      seed)
@@ -1061,9 +1103,15 @@ def test_sweep_peak_memory_is_one_points():
     assert sweep < longest + 256, (sweep, longest)
 
 
-def test_scan_store_keys_are_fixed_size():
-    # the wide pulse of the test above: 20 scan blocks, each stored under a
-    # 32-byte digest rather than the 56 KiB of its tables
+def test_a_sweep_scans_each_distinct_pulse_once(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    for case, n_distinct in (("ramsey-0Hz", 1), ("echo", 2)):
+        dynamics.simulate_sweep(
+            _sweep_sequences(case, np.linspace(0.0, 20e-9, 6)), DEC)
+        # a sigma = 0.25 ns pulse is 1000 steps, one scan block
+        assert [n for n, _ in calls] == [1000] * n_distinct, case
+        calls.clear()
+    # the wide pulse of the test above: 20 scan blocks, each stored once
     a_pi = pulses.calibrate_pi_amplitude(5e-9)
     seq = pulses.build_t1_sequence(150e-9, sigma=5e-9, pi_amplitude=a_pi)
     run = dynamics._two_level_engine(DEC)
@@ -1071,11 +1119,10 @@ def test_scan_store_keys_are_fixed_size():
     first = run(compiled)
     cells = dict(zip(run.__code__.co_freevars, run.__closure__))
     scans = cells["scans"].cell_contents
-    assert len(scans) == 20
-    assert all(type(k) is bytes and len(k) == 32 for k in scans)
+    assert len(scans) == len(calls) == 20
     # a rerun finds every block in the store, and gives the same bits
-    npt.assert_array_equal(run(compiled).qubit_pe, first.qubit_pe)
-    assert len(scans) == 20
+    assert run(compiled).qubit_pe.tobytes() == first.qubit_pe.tobytes()
+    assert len(scans) == len(calls) == 20
 
 
 def test_ou_sampler_matches_loop_reference():

@@ -697,6 +697,24 @@ def test_stark_default_cutoff_is_converged():
     assert abs(at.photon_number - above.photon_number) < 1e-7
 
 
+def test_stark_raises_when_coherence_decays_before_settle(tmp_path, capsys):
+    # at 31 MHz drive on this device |<sigma+>| at 30 ns is 0.16 of its
+    # value after the tip: a window opened there fitted the cavity-like
+    # remnant of sigma+ and returned the resonator's 5.07 GHz
+    params = dict(fock_cutoff=8, settle_time=30e-9, precession_time=60e-9)
+    with pytest.raises(RuntimeError, match="coherence decayed"):
+        experiments.measure_stark_shift(
+            device.DeviceParams.from_dict(_device_dict()), 31e6, **params)
+    cfg_path = tmp_path / "stark.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "stark", "device": _device_dict(), "seed": 7,
+        "sweep": {"start": 11e6, "stop": 31e6, "points": 3},
+        "params": params}))
+    assert cli.main(["simulate", "stark", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert "coherence decayed" in capsys.readouterr().err
+
+
 def test_manifest_roundtrip_and_check(tmp_path):
     out = tmp_path / "s11"
     manifest = experiments.run_experiment(
