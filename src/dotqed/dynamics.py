@@ -35,17 +35,12 @@ SCAN_BLOCK = 1024
 # Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
 # the stepper; its trace check runs at least this often.
 MC_BLOCK = 128
-# Largest d^2 that `evolve` steps with a dense one-step propagator and its
-# squares: against sparse RK4 the measured crossover is near d^2 = 576 with
-# one BLAS thread and above it with two, but the four kept powers take
-# 32 d^4 bytes, 2 MiB at 256 and 10 MiB at 576.
+# Largest d^2 that `evolve` steps with a dense one-step propagator R: dense
+# beats sparse RK4 at every d^2 measured, to 576, but R and R^c while it is
+# squared take 24 d^4 bytes, 1.5 MiB at 256 and 7.6 MiB at 576.
 DENSE_MAX_DIM2 = 256
 # Steps per bookkeeping block of `evolve`: bounds its (block + 1, d^2) buffer.
 EVOLVE_BLOCK = 64
-# Highest power R^k of the one-step propagator that dense `evolve` keeps:
-# R, R^2, ..., R^k take (log2 k + 1) d^4 8 bytes.  At d^2 = 256, k = 8
-# stepped a Stark point as fast as k = 32 in 1 MiB less.
-EVOLVE_MAX_POWER = 8
 
 
 class TruncationWarning(UserWarning):
@@ -202,24 +197,21 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     grid's uniform dt = (t_end - t_start) / n.  G and the step are
     constant, so the step is the linear map r -> R r with R the RK4
     stability polynomial of dt G (Hairer, Norsett and Wanner, Solving ODEs
-    I, IV.2).  For d^2 <= DENSE_MAX_DIM2, R is built once as a dense matrix
-    and squared up to R^EVOLVE_MAX_POWER, and a block of states comes by
-    doubling, X <- [X, R^(2^i) X] from X = [R r], then EVOLVE_MAX_POWER
-    states at a time: a few real matrix-matrix products per block.  Above
-    that each step is `_rk4_step` with the sparse G (`_state_blocks`).  Per
-    step of a 5000-step run, R and its squares included, on a 2-vCPU Xeon,
-    in us, dense doubling with two / one OpenBLAS threads against sparse
-    RK4 (medians of two runs):
+    I, IV.2).  The states at every c-th step, c = max(1, n // 128), and
+    the last are kept, and after the run rebuilt as matrices for one
+    batched eigvalsh, the minimum eigenvalue.  The expectations are real
+    products with the observables' coefficients on the coordinates, real
+    and imaginary parts as separate columns.  For d^2 <= DENSE_MAX_DIM2 R
+    is dense, and they come by baby and giant steps (`_baby_giant_samples`).
+    Above that each step is `_rk4_step` with the sparse G (`_state_blocks`).
+    Per step of a 5000-step run, R included, on a 2-vCPU Xeon, in us
+    (medians over 2-4 runs; one 2-thread dense run took 28 at d^2 = 144):
 
-        d^2      144        256        324        400        576
-        dense    1.9 / 1.6  4.8 / 4.5  7.8 / 9.1  14 / 17    38 / 42
-        sparse   24-39      28-33      29-47      31-35      37-56
+        d^2                  144    256      324      400      576
+        dense, 2 threads     0.8    1.7-2.1  2.8-3.0  4.0-4.7  9.6-11.5
+        dense, 1 thread      0.8    2.1      3.6-4.0  5.9      16-18
+        sparse RK4           24-37  27-32    29-35    32-39    38-49
 
-    Per block the expectations are one real matrix product of the states
-    with the observables' coefficients on the coordinates, real and
-    imaginary parts as separate columns.  The states at every (n // 128)-th
-    step and the last are kept, and after the run rebuilt as matrices for
-    one batched eigvalsh, the minimum eigenvalue.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     qops.validate_density_matrix(rho0, "initial state")
@@ -254,21 +246,23 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     np.add.at(obs, im, 1j * sign[:, None] * obs_vec)
     n_ops = len(ops)
     obs = np.concatenate([obs.real, obs.imag], axis=1)
-    vals = np.empty((len(times), 2 * n_ops))
-    ks = np.arange(n_steps + 1)
-    checked = np.flatnonzero((ks % max(1, n_steps // 128) == 0)
-                             | (ks == n_steps))
-    kept = np.empty((len(checked), dim * dim))    # states at those steps
 
     herm = (0.5 * (rho0 + rho0.conj().T)).ravel()
     r0 = np.empty(dim * dim)
     r0[re] = herm.real
     r0[im[sign > 0]] = herm.imag[sign > 0]
-    for k0, rows in _state_blocks(gen, dt, r0, n_steps):
-        k1 = k0 + len(rows)
-        np.matmul(rows, obs, out=vals[k0:k1])
-        a, b = np.searchsorted(checked, [k0, k1])
-        kept[a:b] = rows[checked[a:b] - k0]
+    c = max(1, n_steps // 128)      # spacing of the states kept for eigvalsh
+    if len(r0) <= DENSE_MAX_DIM2:
+        vals, kept = _baby_giant_samples(gen, dt, r0, n_steps, c, obs)
+    else:
+        vals = np.empty((len(times), 2 * n_ops))
+        checked = np.union1d(np.arange(0, n_steps + 1, c), n_steps)
+        kept = np.empty((len(checked), dim * dim))    # states at those steps
+        for k0, rows in _state_blocks(gen, dt, r0, n_steps):
+            k1 = k0 + len(rows)
+            np.matmul(rows, obs, out=vals[k0:k1])
+            a, b = np.searchsorted(checked, [k0, k1])
+            kept[a:b] = rows[checked[a:b] - k0]
     vals = vals[:, :n_ops] + 1j * vals[:, n_ops:]
     rho = (kept[:, re] + 1j * (sign * kept[:, im])).reshape(-1, dim, dim)
 
@@ -293,48 +287,54 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
                       expectations=extra, diagnostics=diag)
 
 
+def _baby_giant_samples(gen, dt, r0, n_steps, c, obs):
+    """`evolve`'s dense branch: the rows obs^T r_k of its n_steps RK4 steps
+    r_(k+1) = R r_k from r0 (R `_rk4_step` of the sparse identity, made
+    dense), and the kept r_k, k a multiple of c or n_steps, by baby and
+    giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 60, 1973): R^c
+    by square and multiply; the giant steps X_a = R^(ac) r0, the kept
+    states; with R^c dropped, each baby step W_b = obs^T R^b, b < c, read on
+    every X_a by one matrix product, vals[ac + b] = W_b X_a; and the last
+    n_steps mod c steps one R at a time.  No other state is formed.
+    """
+    step = _rk4_step(sparse.eye_array(len(r0), format="csr"), dt,
+                     lambda stage, x: gen @ x).toarray()
+    n_giant, tail = divmod(n_steps, c)
+    kept = np.empty((n_giant + 1 + (tail > 0), len(r0)))
+    kept[0] = r0
+    power = step
+    for bit in bin(c)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ step
+    for a in range(n_giant):
+        np.matmul(power, kept[a], out=kept[a + 1])
+    del power
+    vals = np.empty((n_giant + 1, c, obs.shape[1]))
+    baby = obs                              # W_b^T = (R^b)^T obs
+    for b in range(c):
+        baby = step.T @ baby if b else baby
+        np.matmul(kept[:n_giant + 1], baby, out=vals[:, b])
+    x = kept[n_giant]
+    for _ in range(tail):
+        x = step @ x
+    kept[-1] = x
+    return vals.reshape(-1, obs.shape[1])[:n_steps + 1], kept
+
+
 def _state_blocks(gen, dt, r0, n_steps):
     """The states of `evolve`'s n_steps RK4 steps of dr/dt = gen r from r0,
-    a block at a time: yields (k0, rows), rows[i] the state after step
-    k0 + i, from k0 = 0 (r0 itself) up to n_steps.  rows is a view of one
-    (EVOLVE_BLOCK + 1, d^2) buffer, valid until the next block.
-
-    For d^2 <= DENSE_MAX_DIM2 the one-step propagator R comes from
-    `_rk4_step` on the sparse identity (R has the fill of (dt gen)^4, so
-    sparse temporaries are smaller and faster than dense ones), and its
-    squares R^(2^i) up to R^EVOLVE_MAX_POWER are kept.  A block of m states
-    starts as R times the last state before it and grows by the last s
-    states times R^s, s doubling up to EVOLVE_MAX_POWER, until it holds m.
-    The squares live as long as the generator.  Above that each state is
-    one `_rk4_step` of the sparse gen.
+    a block at a time, for d^2 > DENSE_MAX_DIM2: yields (k0, rows), rows[i]
+    the state after step k0 + i, from k0 = 0 (r0 itself) up to n_steps.
+    rows is a view of one (EVOLVE_BLOCK + 1, d^2) buffer, valid until the
+    next block.  Each state is one `_rk4_step` of the sparse gen.
     """
-    def rhs(stage, x):
-        return gen @ x
-
     buf = np.empty((EVOLVE_BLOCK + 1, len(r0)))
     buf[0] = r0
-    powers = None
-    if len(r0) <= DENSE_MAX_DIM2:
-        # states are rows, so a step is r -> r R^T; powers[i] = (R^T)^(2^i)
-        powers = [_rk4_step(sparse.eye_array(len(r0), format="csr"), dt,
-                            rhs).toarray().T]
-        while 2 ** len(powers) <= min(EVOLVE_MAX_POWER, n_steps - 1):
-            powers.append(powers[-1] @ powers[-1])
     for lo in range(0, n_steps, EVOLVE_BLOCK):
         m = min(EVOLVE_BLOCK, n_steps - lo)
-        if powers is None:
-            for j in range(m):
-                buf[j + 1] = _rk4_step(buf[j], dt, rhs)
-        else:
-            np.matmul(buf[0], powers[0], out=buf[1])
-            done = 1
-            while done < m:
-                s = min(done, 2 ** (len(powers) - 1))
-                k = min(s, m - done)
-                np.matmul(buf[done - s + 1:done - s + k + 1],
-                          powers[s.bit_length() - 1],
-                          out=buf[done + 1:done + k + 1])
-                done += k
+        for j in range(m):
+            buf[j + 1] = _rk4_step(buf[j], dt, lambda stage, x: gen @ x)
         first = 0 if lo == 0 else 1     # row 0 was the previous block's last
         yield lo + first, buf[first:m + 1]
         buf[0] = buf[m]
@@ -718,8 +718,8 @@ class _CompiledSequence:
 
     u1/u2/u4 hold pi*(h_x - i h_y) in rad/s at each step's start, midpoint,
     and end.  runs are (lo, hi, key) over steps lo to hi - 1, in time order:
-    an idle gap, key None and no drive, or a pulse, key (its entry moved to
-    start at t = 0, detuning0).  Equal keys have byte-equal steps.
+    an idle gap, key None and no drive, or a pulse, key its entry moved to
+    start at t = 0.  Equal keys have byte-equal steps.
     """
     times: np.ndarray
     dts: np.ndarray
@@ -772,7 +772,7 @@ def compile_sequence(sequence):
             pieces.append((1, t, p.start, None))
         moved = replace(entry, pulse=replace(p, t0=p.truncation_k * p.sigma))
         pieces.append((_step_count(moved.pulse.end, DEFAULT_DT_PULSE),
-                       p.start, p.end, (moved, detuning0)))
+                       p.start, p.end, moved))
         t = p.end
     t_end = sequence.readout_window.start
     if t_end - t > 1e-9 * DEFAULT_DT_PULSE:
@@ -793,8 +793,8 @@ def compile_sequence(sequence):
         else:
             # the pulse's own grid in seg and its midpoints in dts, then
             # its steps in dts and its times in seg
-            entry, step, last = [key[0]], dts[lo:hi], seg[0]
-            seg[:] = np.linspace(0.0, key[0].pulse.end, n + 1)
+            entry, step, last = [key], dts[lo:hi], seg[0]
+            seg[:] = np.linspace(0.0, key.pulse.end, n + 1)
             _field_table(entry, seg[:-1], u1[lo:hi])
             np.add(seg[:-1], seg[1:], out=step)
             step *= 0.5
@@ -899,10 +899,10 @@ def _two_level_engine(dec, noise=None):
       deviation checked at every step, and row m carried to row 0.
       Without noise an inclusive prefix product (`_scan_block`) composes
       the block's propagators, applied to the carried state.  A copy of
-      each stack is stored under (the run's key, the block's offset in the
-      run), and every later block of that key and offset, as in each equal
-      pulse of a sweep, applies it: the key fixes the block's tables and
-      detuning, and the engine its rates.  With noise each step runs at
+      each stack is stored under (the run's key, detuning0, the block's
+      offset in the run), and every later block of those, as in each
+      equal pulse of a sweep, applies it: they fix its tables and detuning,
+      and the engine its rates.  With noise each step runs at
       the path's value at its start, held across it: the RK4 step is a
       polynomial of degree 4 in the detuning w, so `_two_level_step`
       gives each step's propagator P at 5 Chebyshev nodes w_m spanning
@@ -973,9 +973,10 @@ def _two_level_engine(dec, noise=None):
                 m = bhi - blo
                 blk = slice(blo, bhi)
                 if noise is None:
-                    prefix = scans.get((key, blo - lo))
+                    at = (key, compiled.detuning0, blo - lo)
+                    prefix = scans.get(at)
                     if prefix is None:
-                        prefix = scans[key, blo - lo] = _scan_block(
+                        prefix = scans[at] = _scan_block(
                             compiled, blk, g1, decay, stacks).copy()
                     state[1:m + 1, :, 0] = prefix @ state[0, :, 0]
                 else:

@@ -1153,7 +1153,9 @@ def compare_to_reference(run, reference_path):
     hold a non-empty "quantities" object; an empty or malformed reference
     raises ConfigError rather than passing vacuously.  Every fit in the
     run's fits.json that did not converge or raised flags adds a failing
-    row, whose value is its number of problems.
+    row, whose value is its number of problems.  So does a numerical
+    diagnostic of results.json out of bounds: `max_trace_deviation` above
+    dynamics.TRACE_TOL, or `min_eigenvalue` below -dynamics.POPULATION_TOL.
     """
     run_path = Path(run)
     RunManifest.load(run_path)  # reject runs without a readable manifest
@@ -1196,4 +1198,14 @@ def compare_to_reference(run, reference_path):
         rows.append(CheckRow(name=f"fit {name}", expected=0.0,
                              actual=float(len(problems)), rtol=0.0, atol=0.0,
                              passed=False, note=", ".join(problems)))
+    # a diagnostic fails when sign * value exceeds its bound
+    for name, sign, tol, note in (
+            ("max_trace_deviation", 1.0, dynamics.TRACE_TOL, "trace drifted"),
+            ("min_eigenvalue", -1.0, dynamics.POPULATION_TOL,
+             "negative eigenvalue")):
+        value = results.get(name)
+        if isinstance(value, (int, float)) and sign * value > tol:
+            rows.append(CheckRow(name=f"numerics {name}", expected=0.0,
+                                 actual=float(value), rtol=0.0, atol=tol,
+                                 passed=False, note=note))
     return CheckReport(rows=rows)

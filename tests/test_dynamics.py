@@ -270,9 +270,9 @@ def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
     assert n_steps == 1 or n_steps % dynamics.EVOLVE_BLOCK
 
 
-# the dense branch fills a block by doubling from the one-step propagator
-# and its squares, so a block one step short, exact, one step over, and
-# several whole blocks each end the doubling differently
+# the sparse branch steps EVOLVE_BLOCK states at a time, so a block one step
+# short, exact, one step over, and several whole blocks each end a block
+# differently; the dense branch runs the same step counts
 @pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
 @pytest.mark.parametrize("n_steps", [
     dynamics.EVOLVE_BLOCK - 1, dynamics.EVOLVE_BLOCK,
@@ -282,9 +282,24 @@ def test_evolve_matches_rk4_at_block_edges(cutoff, n_steps):
     assert _assert_evolve_matches_rk4(cutoff, n_steps * 1e-11) == n_steps
 
 
+# the dense branch reads every step's observables from the giant steps
+# R^(ac) r0 and the baby steps obs^T R^b, b < c = n // 128: c = 1, c = 2
+# with no tail and a tail of c - 1 steps past the last giant step, a c of
+# no power of two (5 = 101b squares twice and multiplies once) with each,
+# exactly 128 c steps (c = 7), and the 5000 steps of a Stark point
+@pytest.mark.parametrize("n_steps, c, tail", [
+    (200, 1, 0), (256, 2, 0), (257, 2, 1), (650, 5, 0), (654, 5, 4),
+    (896, 7, 0), (5000, 39, 8)],
+    ids=["c=1", "c=2", "c=2-tail-1", "c=5", "c=5-tail-4", "128c", "stark"])
+def test_evolve_matches_rk4_at_baby_giant_edges(n_steps, c, tail):
+    assert (max(1, n_steps // 128), n_steps % c) == (c, tail)
+    assert _assert_evolve_matches_rk4(5, n_steps * 1e-11) == n_steps
+
+
 def test_evolve_peak_memory_at_the_stark_size():
     # fock cutoff 8, d^2 = 256, and the 5000 steps of a Stark point: the
-    # dense branch keeps R, R^2, R^4 and R^8, 0.5 MiB each
+    # dense branch holds R and R^39 while it is squared, 0.5 MiB each, then
+    # 129 kept states and one (256, 10) baby step at a time
     space = qops.HilbertSpace(8)
     assert space.dim ** 2 == dynamics.DENSE_MAX_DIM2
     h, chans = _driven_jc(space)
@@ -297,8 +312,8 @@ def test_evolve_peak_memory_at_the_stark_size():
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    # measured 2.97-2.99 MiB, 2.0 of it the four powers; a fifth power
-    # (0.5 MiB) or one more dense (d^2, d^2) array beside them fails this
+    # measured 2.17 MiB, 1.5 of it R, R^39 and the next square; room for
+    # two more dense (d^2, d^2) arrays beside them, not three
     assert peak < 3.4, peak
 
 
@@ -577,7 +592,7 @@ def _assert_pulses_touch(compiled):
     step shorter than the pulse grid's own."""
     assert all(key is not None for _, _, key in compiled.runs)
     lo, hi, key = compiled.runs[0]
-    own = np.diff(np.linspace(0.0, key[0].pulse.end, hi - lo + 1))
+    own = np.diff(np.linspace(0.0, key.pulse.end, hi - lo + 1))
     assert compiled.dts.min() >= own.min()
 
 
@@ -1123,6 +1138,24 @@ def test_a_sweep_scans_each_distinct_pulse_once(monkeypatch):
     # a rerun finds every block in the store, and gives the same bits
     assert run(compiled).qubit_pe.tobytes() == first.qubit_pe.tobytes()
     assert len(scans) == len(calls) == 20
+
+
+def test_a_replaced_detuning_is_not_served_stale_scans():
+    # compile_sequence fixes a pulse's tables, not the detuning the scan
+    # reads; a sequence run at the compiled detuning and then with
+    # detuning0 replaced, through one engine, gives each fresh engine's bits
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    seq = pulses.build_ramsey_sequence(20e-9, 0.0, sigma=0.25e-9,
+                                       pi_amplitude=a_pi)
+    original = dynamics.compile_sequence(seq)
+    moved = replace(original, detuning0=5e6)
+    assert moved.runs == original.runs
+    run = dynamics._two_level_engine(DEC)
+    for compiled in (original, moved, original):
+        fresh = dynamics._two_level_engine(DEC)(compiled)
+        assert run(compiled).qubit_pe.tobytes() == fresh.qubit_pe.tobytes()
+    # the two detunings are 4.3e-2 apart in the final P_e
+    assert abs(fresh.qubit_pe[-1] - run(moved).qubit_pe[-1]) > 1e-2
 
 
 def test_ou_sampler_matches_loop_reference():

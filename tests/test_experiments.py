@@ -866,6 +866,40 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["simulate", "juggling", "--config", str(cfg_path)])
 
 
+def test_check_fails_a_run_with_unhealthy_numerics(tmp_path, capsys):
+    out = tmp_path / "run"
+    experiments.run_experiment(experiments.validate_config(dict(
+        _ROUND_TRIP["stark"], experiment="stark", device=_device_dict(),
+        output_dir=str(out)), seed=5))
+    results_path = out / "results.json"
+    results = json.loads(results_path.read_text())
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"quantities": {
+        "two_chi_hz": {"expected": results["two_chi_hz"], "rtol": 1e-12}}}))
+    check = ["check", "--run", str(out), "--reference", str(ref)]
+    # a healthy run adds no row, and neither does a value at its bound
+    for name, bound in (("max_trace_deviation", dynamics.TRACE_TOL),
+                        ("min_eigenvalue", -dynamics.POPULATION_TOL)):
+        results_path.write_text(json.dumps(dict(results, **{name: bound})))
+        assert len(experiments.compare_to_reference(out, ref).rows) == 1
+    results_path.write_text(json.dumps(results))
+    assert len(experiments.compare_to_reference(out, ref).rows) == 1
+    assert cli.main(check) == 0
+
+    for name, bad, note in (
+            ("max_trace_deviation", 2.0 * dynamics.TRACE_TOL, "trace drifted"),
+            ("min_eigenvalue", -2.0 * dynamics.POPULATION_TOL,
+             "negative eigenvalue")):
+        results_path.write_text(json.dumps(dict(results, **{name: bad})))
+        report = experiments.compare_to_reference(out, ref)
+        [row] = [r for r in report.rows if not r.passed]
+        assert (row.name, row.actual) == (f"numerics {name}", bad)
+        capsys.readouterr()
+        assert cli.main(check) == 1
+        table = capsys.readouterr().out
+        assert f"numerics {name}" in table and f"({note})" in table
+
+
 def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "s11.json"
     out = tmp_path / "run"
