@@ -30,10 +30,10 @@ RESIDUAL_TOL = 1e-6         # largest relative steady-state residual
 
 DEFAULT_DT_PULSE = 1e-12
 
-# Steps per prefix-scan block: bounds the (block, 4, 4) propagator stacks.
+# Steps per chunk of a pulse's propagator: bounds its (chunk, 4, 4) stack.
 SCAN_BLOCK = 1024
 # Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
-# the stepper; its trace check runs at least this often.
+# the stepper, which checks the trace at every step.
 MC_BLOCK = 128
 # Largest d^2 that `evolve` steps with a dense one-step propagator R: dense
 # beats sparse RK4 at every d^2 measured, to 576, but R and R^c while it is
@@ -152,8 +152,9 @@ class EvolveDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Observables sampled on the integration grid; pe_stderr is the final
-    sample's standard error (0.0 without noise, None from `evolve`)."""
+    """Observables sampled at every grid point (`evolve`) or at every run
+    edge (the two-level engine); pe_stderr is the final sample's standard
+    error (0.0 without noise, None from `evolve`)."""
     times: np.ndarray
     qubit_pe: np.ndarray
     cavity_alpha: np.ndarray | None = None
@@ -163,7 +164,9 @@ class Trajectory:
 
     def validate_populations(self):
         pe = np.asarray(self.qubit_pe)
-        if pe.min() < -POPULATION_TOL or pe.max() > 1.0 + POPULATION_TOL:
+        # negated, so that NaN fails
+        if not (pe.min() >= -POPULATION_TOL
+                and pe.max() <= 1.0 + POPULATION_TOL):
             raise ValueError(
                 f"populations leave [0, 1]: min {pe.min():.3e}, max {pe.max():.3e}")
         return True
@@ -749,10 +752,10 @@ def compile_sequence(sequence):
     step boundaries and equal pulses give byte-equal tables; its times are
     its start plus that grid.  The time before a pulse, or before the
     readout, is one idle step, taken whole as an exact exponential
-    (`_two_level_engine`): its p_e = p0 e^(-g1 t) is monotone, so its two
-    samples bound it.  All entries must share one carrier, a detuning from
-    the qubit frequency; the frame rotates at it, so the static z
-    coefficient is -carrier.
+    (`_two_level_engine`): its p_e = p0 e^(-g1 t) is monotone, so the
+    trace checks at its two edges cover it.  All entries must share one
+    carrier, a detuning from the qubit frequency; the frame rotates at it,
+    so the static z coefficient is -carrier.
     """
     carriers = sequence.carrier_frequencies
     if len(carriers) > 1:
@@ -779,7 +782,7 @@ def compile_sequence(sequence):
         pieces.append((1, t, t_end, None))
 
     # the tables are made once and filled in place, so compiling a sweep's
-    # next point holds no second copy of them beside the stored scans
+    # next point holds no second copy of them
     n_steps = sum(piece[0] for piece in pieces)
     times = np.zeros(n_steps + 1)
     dts = np.empty(n_steps)
@@ -846,63 +849,61 @@ _LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
                       for m, xm in enumerate(_NODES)]).T
 
 
-def _scan_block(compiled, blk, g1, decay, stacks):
-    """Inclusive prefix products of the propagators of the m pulse steps blk
-    (a slice) of compiled tables: P[s:] = P[s:] @ P[:-s] for
-    s = 1, 2, 4, ..., ping-ponged through the C-ordered `stacks`
-    (2, >= m, 4, 4), as matmul's out must not overlap its inputs.  Returns
-    one of them, (m, 4, 4), its k-th matrix the map from the state
-    (p_g, x, y, p_e) before the block to the state after step k."""
-    dts = compiled.dts[blk]
-    cur, nxt = stacks[:, :len(dts)]
-    cur[...] = np.moveaxis(_two_level_step(
-        np.eye(4)[..., None], compiled.u1[blk], compiled.u2[blk],
-        compiled.u4[blk], np.pi * compiled.detuning0, dts, g1, decay), -1, 0)
-    shift = 1
-    while shift < len(dts):
-        nxt[:shift] = cur[:shift]
-        np.matmul(cur[shift:], cur[:-shift], out=nxt[shift:])
-        cur, nxt = nxt, cur
-        shift *= 2
-    return cur
+def _pulse_propagator(compiled, lo, hi, g1, decay):
+    """The 4x4 propagator P of the pulse steps lo to hi - 1 of compiled
+    tables, and its trace defect max |(1, 0, 0, 1) P - (1, 0, 0, 1)|.  Each
+    chunk of at most SCAN_BLOCK steps is one `_two_level_step` of np.eye(4),
+    a (m, 4, 4) stack reduced by a pairwise product tree aligned to its last
+    step, the pairs (m - 1, m - 2), (m - 3, m - 4), ... and the first matrix
+    carried when m is odd; the chunks fold by left-multiplication."""
+    prop = None
+    for c in range(lo, hi, SCAN_BLOCK):
+        blk = slice(c, min(c + SCAN_BLOCK, hi))
+        # C order, so that every product sees contiguous 4x4 matrices
+        stack = np.ascontiguousarray(np.moveaxis(_two_level_step(
+            np.eye(4)[..., None], compiled.u1[blk], compiled.u2[blk],
+            compiled.u4[blk], np.pi * compiled.detuning0, compiled.dts[blk],
+            g1, decay), -1, 0))
+        while len(stack) > 1:
+            odd = len(stack) % 2
+            stack = np.concatenate(
+                [stack[:odd], stack[odd + 1::2] @ stack[odd::2]])
+        prop = stack[0] if prop is None else stack[0] @ prop
+    return prop, np.abs(prop[0] + prop[3] - (1.0, 0.0, 0.0, 1.0)).max()
 
 
 def _two_level_engine(dec, noise=None):
     """The two-level engine of one sweep: returns run(compiled, rng=None),
     the Trajectory of a compiled sequence from |g><g|, fixed RK4 under the
-    pulses and exact exponentials over the idle gaps, with its mean
-    population at every grid time, the max trace deviation over them, and
+    pulses and exact exponentials over the idle gaps, sampled at the edges
+    of compiled.runs: the mean population at each, the max trace deviation
+    over them and the trace defects of the pulse propagators applied, and
     in `pe_stderr` the standard error of the final sample's mean.
 
     Works on the real state (p_g, x, y, p_e), rho_01 = x + i y and
     rho_10 = x - i y, so Hermiticity is exact and the trace is preserved to
-    rounding.  Every step under a pulse is `_two_level_step` (the package's
-    one RK4 formula, `_rk4_step`) of np.eye(4): the step is linear in the
-    state, so this gives its 4x4 propagator.
+    rounding.  Every step under a pulse is `_two_level_step`, the package's
+    one RK4 formula, of np.eye(4), which gives its 4x4 propagator.
 
     noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
     realization, drawn while the realizations advance together; None, or
     sigma_delta = 0, is one noiseless realization at detuning0, and a
-    `pe_stderr` of 0.0.  Its path's buffers are made once here and reused
-    by every run: the scan stacks and stored scans without noise, block
-    buffers with it.  The state is carried through compiled.runs, the
-    idle gaps and the pulses of `compile_sequence`.
-    - Idle runs [lo, hi] in closed form, each component alone, with
-      elapsed = times[lo + 1:hi + 1] - times[lo]: p_e's mean is its entry
-      value times exp(-g1 elapsed); rho_01 is multiplied once by
-      exp(elapsed[-1] (2 pi i detuning0 - decay)), and with noise by
-      exp(2 pi i I), I the integral of the path over the gap; p_g gains
-      what p_e loses.  The trace deviation is checked at the run's end.
-    - Pulse runs `block` steps at a time (SCAN_BLOCK without noise,
-      MC_BLOCK with it), from row 0 of one (block + 1, 4, n) state buffer
-      into its rows 1 to m; per block the mean p_e is recorded, the trace
-      deviation checked at every step, and row m carried to row 0.
-      Without noise an inclusive prefix product (`_scan_block`) composes
-      the block's propagators, applied to the carried state.  A copy of
-      each stack is stored under (the run's key, detuning0, the block's
-      offset in the run), and every later block of those, as in each
-      equal pulse of a sweep, applies it: they fix its tables and detuning,
-      and the engine its rates.  With noise each step runs at
+    `pe_stderr` of 0.0.  The stored propagators without noise, or the
+    block buffers with it, serve every run, which carries the state through
+    the idle gaps and pulses of compiled.runs.
+    - Idle runs [lo, hi] in closed form over
+      elapsed = times[hi] - times[lo], each component alone: p_e is
+      multiplied by exp(-g1 elapsed) and p_g gains what it loses; rho_01 by
+      exp(elapsed (2 pi i detuning0 - decay)), and with noise by
+      exp(2 pi i I), I the integral of the path over the gap.
+    - Pulse runs without noise apply one propagator, `_pulse_propagator`
+      of the run, stored with its trace defect under (the run's key,
+      detuning0): they fix its tables and detuning, and the engine its
+      rates, so every later run of that pulse, as in each equal pulse of a
+      sweep, applies the stored one, and its defect counts there too.
+    - Pulse runs with noise, MC_BLOCK steps at a time, from row 0 of one
+      (MC_BLOCK + 1, 4, n) state buffer into its rows 1 to m, the trace
+      checked at every step, and row m carried to row 0.  Each step runs at
       the path's value at its start, held across it: the RK4 step is a
       polynomial of degree 4 in the detuning w, so `_two_level_step`
       gives each step's propagator P at 5 Chebyshev nodes w_m spanning
@@ -911,9 +912,9 @@ def _two_level_engine(dec, noise=None):
       distinct nodes).  Every realization advances by
       s += sum_m l_m(x) (P(w_m) - I) s, with l_m the Lagrange weights of
       the nodes at x = (w - centre) / half-width, summed in powers of x:
-      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That is the exact RK4 step
-      up to rounding; interpolating the increments P - I rather than P
-      keeps that rounding relative to the increment.
+      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That
+      is the exact RK4 step up to rounding; interpolating the increments
+      P - I rather than P keeps that rounding relative to the increment.
 
     Draw order from rng (np.random.default_rng(rng)), which fixes the bytes
     of a seeded run: first the path's stationary values at t = 0,
@@ -928,11 +929,10 @@ def _two_level_engine(dec, noise=None):
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
     n_batch = 1 if noise is None else noise.n_realizations
-    block = SCAN_BLOCK if noise is None else MC_BLOCK
-    state = np.empty((block + 1, 4, n_batch))   # after each step of a block
+    state = np.empty((1 if noise is None else MC_BLOCK + 1, 4, n_batch))
+    s = state[0]                # the state carried from run to run
     if noise is None:
-        stacks = np.empty((2, SCAN_BLOCK, 4, 4))
-        scans = {}
+        props = {}
     else:
         powers = np.ones((5, MC_BLOCK, n_batch))    # x^j per step, realization
         terms = np.empty((5, 4, n_batch))           # x^j s_l of one step
@@ -942,44 +942,40 @@ def _two_level_engine(dec, noise=None):
         path = np.empty((MC_BLOCK + 1, n_batch))
 
     def run(compiled, rng=None):
-        pe_mean = np.zeros(len(compiled.dts) + 1)
-        trace_dev = 0.0
-        state[0] = 0.0
-        state[0, 0] = 1.0
+        pe = [0.0]
+        trace_dev = 0.0         # np.maximum keeps a NaN; Python's max drops it
+        s[...] = np.eye(4, 1)   # |g><g|
         if noise is not None:
             rng = np.random.default_rng(rng)
             path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
         for lo, hi, key in compiled.runs:
             if key is None:
-                s = state[0]
                 p0 = s[3].copy()
-                elapsed = compiled.times[lo + 1:hi + 1] - compiled.times[lo]
+                elapsed = compiled.times[hi] - compiled.times[lo]
                 relax = np.exp(-g1 * elapsed)
-                pe_mean[lo + 1:hi + 1] = p0.mean() * relax
                 coh = (s[1] + 1j * s[2]) * np.exp(
-                    elapsed[-1] * (1j * TWO_PI * compiled.detuning0 - decay))
+                    elapsed * (1j * TWO_PI * compiled.detuning0 - decay))
                 if noise is not None:
-                    path[0], integral = _ou_gap(path[0], elapsed[-1], noise,
-                                                rng)
+                    path[0], integral = _ou_gap(path[0], elapsed, noise, rng)
                     coh *= np.exp(1j * TWO_PI * integral)
                 s[1], s[2] = coh.real, coh.imag
-                s[3] = p0 * relax[-1]
+                s[3] = p0 * relax
                 s[0] += p0 - s[3]
-                trace_dev = max(trace_dev,
-                                float(np.abs(s[0] + s[3] - 1.0).max()))
-                continue
-            for blo in range(lo, hi, block):
-                bhi = min(blo + block, hi)
-                m = bhi - blo
-                blk = slice(blo, bhi)
-                if noise is None:
-                    at = (key, compiled.detuning0, blo - lo)
-                    prefix = scans.get(at)
-                    if prefix is None:
-                        prefix = scans[at] = _scan_block(
-                            compiled, blk, g1, decay, stacks).copy()
-                    state[1:m + 1, :, 0] = prefix @ state[0, :, 0]
-                else:
+                # mean(p0) relax, not mean(s[3]): the bytes of seeded runs
+                pe.append(p0.mean() * relax)
+            elif noise is None:
+                at = (key, compiled.detuning0)
+                if at not in props:
+                    props[at] = _pulse_propagator(compiled, lo, hi, g1, decay)
+                prop, defect = props[at]
+                s[:, 0] = prop @ s[:, 0]
+                trace_dev = np.maximum(trace_dev, defect)
+                pe.append(s[3].mean())
+            else:
+                for blo in range(lo, hi, MC_BLOCK):
+                    bhi = min(blo + MC_BLOCK, hi)
+                    m = bhi - blo
+                    blk = slice(blo, bhi)
                     _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
                     w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
                     path[0] = path[m]
@@ -1005,16 +1001,18 @@ def _two_level_engine(dec, noise=None):
                         np.multiply(powers[:, k, None], state[k], out=terms)
                         np.matmul(coef[k], flat, out=state[k + 1])
                         state[k + 1] += state[k]
-                pe_mean[blo + 1:bhi + 1] = state[1:m + 1, 3].mean(axis=1)
-                # abs() of a temporary reuses it (numpy's temporary elision)
-                trace_dev = max(trace_dev, float(abs(
-                    state[1:m + 1, 0] + state[1:m + 1, 3] - 1.0).max()))
-                state[0] = state[m]
-        pe_stderr = (float(state[0, 3].std(ddof=1) / np.sqrt(n_batch))
+                    # abs() of a temporary reuses it (temporary elision)
+                    trace_dev = np.maximum(trace_dev, abs(
+                        state[1:m + 1, 0] + state[1:m + 1, 3] - 1.0).max())
+                    state[0] = state[m]
+                pe.append(s[3].mean())
+            trace_dev = np.maximum(trace_dev, abs(s[0] + s[3] - 1.0).max())
+        pe_stderr = (float(s[3].std(ddof=1) / np.sqrt(n_batch))
                      if n_batch > 1 else 0.0)
-        return Trajectory(
-            times=compiled.times, qubit_pe=pe_mean, pe_stderr=pe_stderr,
-            diagnostics=EvolveDiagnostics(max_trace_deviation=trace_dev))
+        edges = [0] + [hi for _, hi, _ in compiled.runs]
+        return Trajectory(times=compiled.times[edges], qubit_pe=np.array(pe),
+                          pe_stderr=pe_stderr, diagnostics=EvolveDiagnostics(
+                              max_trace_deviation=float(trace_dev)))
 
     return run
 
@@ -1023,17 +1021,18 @@ def simulate_sequence(sequence, dec):
     """Deterministic two-level simulation of a control sequence.
 
     Evolves |g><g| up to the readout-window start, in the frame rotating at
-    the sequence carrier: pulses through the RK4 propagator scan, idle gaps
-    as exact exponentials (`_two_level_engine`).  The returned Trajectory's
-    final sample is the population handed to the readout chain.
-    `simulate_sweep` gives the same bits for each of many sequences.
+    the sequence carrier: one RK4 propagator per pulse, idle gaps as exact
+    exponentials (`_two_level_engine`).  The returned Trajectory is sampled
+    at the run edges, and its final sample is the population handed to the
+    readout chain.  `simulate_sweep` gives the same bits for each of many
+    sequences.
     """
     return _two_level_engine(dec)(compile_sequence(sequence))
 
 
 def simulate_sweep(sequences, dec, noise=None, rngs=None):
     """One Trajectory per sequence, in order, from one two-level engine
-    (`_two_level_engine`), so its buffers, and the propagator scan of each
+    (`_two_level_engine`), so its buffers, and the propagator of each
     distinct pulse (a run key of `compile_sequence`), serve the whole sweep.
     Each sequence is compiled when it is simulated.
 

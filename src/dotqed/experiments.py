@@ -1155,7 +1155,8 @@ def compare_to_reference(run, reference_path):
     run's fits.json that did not converge or raised flags adds a failing
     row, whose value is its number of problems.  So does a numerical
     diagnostic of results.json out of bounds: `max_trace_deviation` above
-    dynamics.TRACE_TOL, or `min_eigenvalue` below -dynamics.POPULATION_TOL.
+    dynamics.TRACE_TOL, or `min_eigenvalue` below -dynamics.POPULATION_TOL,
+    or either one NaN or null.
     """
     run_path = Path(run)
     RunManifest.load(run_path)  # reject runs without a readable manifest
@@ -1198,13 +1199,15 @@ def compare_to_reference(run, reference_path):
         rows.append(CheckRow(name=f"fit {name}", expected=0.0,
                              actual=float(len(problems)), rtol=0.0, atol=0.0,
                              passed=False, note=", ".join(problems)))
-    # a diagnostic fails when sign * value exceeds its bound
+    # a diagnostic fails unless sign * value is within its bound, so that
+    # NaN fails, and null, which is how results.json writes it
     for name, sign, tol, note in (
             ("max_trace_deviation", 1.0, dynamics.TRACE_TOL, "trace drifted"),
             ("min_eigenvalue", -1.0, dynamics.POPULATION_TOL,
              "negative eigenvalue")):
-        value = results.get(name)
-        if isinstance(value, (int, float)) and sign * value > tol:
+        value = results.get(name, 0.0)
+        value = float("nan") if value is None else value
+        if isinstance(value, (int, float)) and not sign * value <= tol:
             rows.append(CheckRow(name=f"numerics {name}", expected=0.0,
                                  actual=float(value), rtol=0.0, atol=tol,
                                  passed=False, note=note))

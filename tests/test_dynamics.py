@@ -587,6 +587,33 @@ def _runs(compiled):
     return [(lo, hi, key is None) for lo, hi, key in compiled.runs]
 
 
+def _edges(compiled):
+    """The step index of each run edge of compiled tables, 0 first: where
+    the engine samples the state."""
+    return [0] + [hi for _, hi, _ in compiled.runs]
+
+
+def _cut(compiled, k):
+    """compiled tables cut at step k, as if the readout began at times[k];
+    a run cut short gets a key of its own."""
+    runs = tuple((lo, min(hi, k), key if key is None or hi <= k else (key, k))
+                 for lo, hi, key in compiled.runs if lo < k)
+    return replace(compiled, times=compiled.times[:k + 1],
+                   dts=compiled.dts[:k], u1=compiled.u1[:k],
+                   u2=compiled.u2[:k], u4=compiled.u4[:k], runs=runs)
+
+
+def _assert_cuts_match(compiled, ref_pe, cuts, noise=None, seed=None,
+                       atol=1e-12):
+    """The final P_e of compiled tables cut at each step k of cuts, each
+    run in a fresh engine, is the stepwise reference's P_e after step k."""
+    for k in sorted(cuts):
+        pe, _, trace_dev = _evolve(_cut(compiled, k), DEC, noise, seed)
+        npt.assert_allclose(pe[-1], ref_pe[k], rtol=0.0, atol=atol,
+                            err_msg=f"cut at step {k}")
+        assert trace_dev < 1e-12, k
+
+
 def _assert_pulses_touch(compiled):
     """Pulses that touch follow each other: no gap between them, and no
     step shorter than the pulse grid's own."""
@@ -670,7 +697,7 @@ def _complex_two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
 
 @pytest.mark.parametrize("nodes", [None, 5], ids=["scan", "monte-carlo"])
 def test_two_level_step_is_the_complex_form(nodes):
-    # propagators at the engine's two shapes: (4, 4, m) for a scan block,
+    # propagators at the engine's two shapes: (4, 4, m) for a pulse chunk,
     # (4, 4, m, 5) for a Monte-Carlo block at 5 detunings per step
     m = 257
     rng = np.random.default_rng(27)
@@ -749,15 +776,22 @@ def test_propagator_scan_matches_stepwise_reference(case):
         assert not (compiled.u1.any() or compiled.u2.any()
                     or compiled.u4.any())
     ref, _, _ = _stepwise_reference(compiled, DEC)
+    assert ref.shape == (n_steps + 1,)
     if seq is None:
         pe, sem, trace_dev = _evolve(compiled, DEC)
         assert np.all(sem == 0.0)
     else:
         traj = dynamics.simulate_sequence(seq, DEC)
         pe, trace_dev = traj.qubit_pe, traj.diagnostics.max_trace_deviation
-    assert pe.shape == ref.shape == (n_steps + 1,)
-    npt.assert_allclose(pe, ref, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(pe, ref[_edges(compiled)], rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12
+    # inside the pulses: the readout at every 97th step, and on both sides
+    # of each chunk edge of the propagator
+    block = dynamics.SCAN_BLOCK
+    chunk_edges = {j * block + d for j in range(1, n_steps // block + 1)
+                   for d in (-1, 0, 1)}
+    _assert_cuts_match(compiled, ref, set(range(1, n_steps + 1, 97))
+                       | {k for k in chunk_edges if k <= n_steps})
 
 
 def _count_steps(monkeypatch):
@@ -811,14 +845,20 @@ def test_exact_idle_gaps_match_rk4_on_a_fine_grid(case):
     # RK4's own error at 1 ps idle steps is below 1e-14 here: 100 MHz turns
     # the coherence by 6e-4 rad per step, and the error per step goes as
     # that to the fifth power over 120
-    npt.assert_allclose(pe, rk4, rtol=0.0, atol=1e-13)
-    # a gap is one exponential, so its inner samples change nothing else
+    npt.assert_allclose(pe, rk4[_edges(fine)], rtol=0.0, atol=1e-13)
+    # inside the gaps: the readout at every 250th fine step
+    idle = {k for lo, hi, key in fine.runs if key is None
+            for k in range(lo + 1, hi, 250)}
+    assert len(idle) >= 20
+    _assert_cuts_match(fine, rk4, idle, atol=1e-13)
+    # a gap is one exponential, so its inner steps change nothing
+    assert _edges(fine) == list(keep[_edges(compiled)])
     for noise in (None, dynamics.OuNoiseModel(n_realizations=50, **_OU_SLOW)):
         coarse, refined = (dynamics._two_level_engine(DEC, noise)(c, 5)
                            for c in (compiled, fine))
         for name in ("times", "qubit_pe"):
             assert (getattr(coarse, name).tobytes()
-                    == getattr(refined, name)[keep].tobytes()), (noise, name)
+                    == getattr(refined, name).tobytes()), (noise, name)
         assert coarse.pe_stderr == refined.pe_stderr, noise
         assert (coarse.diagnostics.max_trace_deviation
                 == refined.diagnostics.max_trace_deviation), noise
@@ -837,8 +877,8 @@ def test_only_pulse_steps_reach_the_stepper(case, monkeypatch):
     # each gap between pulses is one undriven step
     assert gaps == [1] * (2 if case == "echo" else 1)
     assert len(pulse) - pulse.sum() == len(gaps)
-    # equal pulses are scanned once: the two pi/2 pulses of a Ramsey or
-    # echo point share one scan, and the echo's pi pulse has its own
+    # equal pulses are stepped once: the two pi/2 pulses of a Ramsey or
+    # echo point share one propagator, and the echo's pi pulse has its own
     distinct = {key: hi - lo for lo, hi, key in compiled.runs
                 if key is not None}
     assert len(distinct) == (2 if case == "echo" else 1)
@@ -911,7 +951,7 @@ def test_sweep_is_per_sequence_simulation_bit_for_bit(case, noise,
         assert shared == sum(n for n, _ in calls)
     else:
         alone = [dynamics.simulate_sequence(seq, DEC) for seq in seqs]
-        # some scans are shared, so some points read a stored stack
+        # some pulses are shared, so some points read a stored propagator
         assert shared < sum(n for n, _ in calls)
         assert all(traj.pe_stderr == 0.0 for traj in sweep + alone)
     assert len(sweep) == len(seqs)
@@ -1001,9 +1041,15 @@ def test_monte_carlo_matches_stepwise_reference(case):
     pe, sem, trace_dev = _evolve(compiled, DEC, noise, seed)
     ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, noise,
                                                      seed)
-    npt.assert_allclose(pe, ref_pe, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(pe, ref_pe[_edges(compiled)], rtol=0.0, atol=1e-12)
     npt.assert_allclose(sem, ref_sem, rtol=0.0, atol=1e-12)
     assert trace_dev < 1e-12 and ref_trace < 1e-12
+    # inside the pulses: on both sides of the first block edge, and
+    # halfway through each pulse
+    block = dynamics.MC_BLOCK
+    _assert_cuts_match(compiled, ref_pe, {block - 1, block, block + 1} | {
+        (lo + hi) // 2 for lo, hi, key in compiled.runs if key is not None},
+        noise, seed)
     # the same seed gives the same bytes
     again = _evolve(compiled, DEC, noise, seed)
     assert pe.tobytes() == again[0].tobytes()
@@ -1123,25 +1169,72 @@ def test_a_sweep_scans_each_distinct_pulse_once(monkeypatch):
     for case, n_distinct in (("ramsey-0Hz", 1), ("echo", 2)):
         dynamics.simulate_sweep(
             _sweep_sequences(case, np.linspace(0.0, 20e-9, 6)), DEC)
-        # a sigma = 0.25 ns pulse is 1000 steps, one scan block
+        # a sigma = 0.25 ns pulse is 1000 steps, one chunk
         assert [n for n, _ in calls] == [1000] * n_distinct, case
         calls.clear()
-    # the wide pulse of the test above: 20 scan blocks, each stored once
+    # the wide pulse of the test above, 20,001 steps: 20 chunks, and one
+    # stored propagator
     a_pi = pulses.calibrate_pi_amplitude(5e-9)
     seq = pulses.build_t1_sequence(150e-9, sigma=5e-9, pi_amplitude=a_pi)
     run = dynamics._two_level_engine(DEC)
     compiled = dynamics.compile_sequence(seq)
+    assert len(compiled.dts) == 20_001
     first = run(compiled)
     cells = dict(zip(run.__code__.co_freevars, run.__closure__))
-    scans = cells["scans"].cell_contents
-    assert len(scans) == len(calls) == 20
-    # a rerun finds every block in the store, and gives the same bits
+    props = cells["props"].cell_contents
+    assert len(props) == 1 and len(calls) == 20
+    assert max(n for n, _ in calls) == dynamics.SCAN_BLOCK
+    # a rerun finds the pulse in the store, and gives the same bits
     assert run(compiled).qubit_pe.tobytes() == first.qubit_pe.tobytes()
-    assert len(scans) == len(calls) == 20
+    assert len(props) == 1 and len(calls) == 20
+
+
+@pytest.mark.parametrize("n_realizations", [None, 20])
+def test_a_trajectory_is_sampled_at_the_run_edges(n_realizations):
+    a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
+    seq = pulses.build_echo_sequence(10e-9, sigma=0.25e-9, pi_amplitude=a_pi)
+    noise = n_realizations and dynamics.OuNoiseModel(
+        n_realizations=n_realizations, **_OU_SLOW)
+    traj = dynamics.simulate_sweep([seq], DEC, noise, [4])[0]
+    # t = 0, each pulse's start and end, and the readout's start: the
+    # first pulse starts at 0 and the readout at the last one's end
+    edges = np.unique([0.0, seq.readout_window.start]
+                      + [t for e in seq.entries
+                         for t in (e.pulse.start, e.pulse.end)])
+    assert len(edges) == 6
+    assert traj.times.tobytes() == edges.tobytes()
+    assert traj.qubit_pe.shape == edges.shape and traj.qubit_pe[0] == 0.0
+    traj.validate_populations()
+
+
+@pytest.mark.parametrize("n_realizations", [None, 3])
+def test_a_diverging_pulse_is_reported_unhealthy(n_realizations):
+    # 1e13 Hz is 31 rad per 1 ps step, far past where RK4 is stable
+    seq = pulses.build_rabi_sequence(1e13, 0.25e-9)
+    noise = n_realizations and dynamics.OuNoiseModel(
+        n_realizations=n_realizations, **_OU_SLOW)
+    # the overflow warnings are expected
+    with pytest.warns(RuntimeWarning):
+        traj = dynamics.simulate_sweep([seq], DEC, noise, [2])[0]
+    assert not np.isfinite(traj.qubit_pe[-1])
+    assert not np.isfinite(traj.diagnostics.max_trace_deviation)
+    with pytest.raises(ValueError, match="populations leave"):
+        traj.validate_populations()
+
+
+def test_each_point_counts_the_defect_of_the_propagators_it_applies(
+        monkeypatch):
+    # a stored propagator, built for the first point, counts for all three
+    build = dynamics._pulse_propagator
+    monkeypatch.setattr(dynamics, "_pulse_propagator",
+                        lambda *args: (build(*args)[0], 1e-3))
+    trajs = dynamics.simulate_sweep(
+        _sweep_sequences("ramsey-0Hz", np.linspace(0.0, 20e-9, 3)), DEC)
+    assert [t.diagnostics.max_trace_deviation for t in trajs] == [1e-3] * 3
 
 
 def test_a_replaced_detuning_is_not_served_stale_scans():
-    # compile_sequence fixes a pulse's tables, not the detuning the scan
+    # compile_sequence fixes a pulse's tables, not the detuning the step
     # reads; a sequence run at the compiled detuning and then with
     # detuning0 replaced, through one engine, gives each fresh engine's bits
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)

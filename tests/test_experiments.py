@@ -886,18 +886,40 @@ def test_check_fails_a_run_with_unhealthy_numerics(tmp_path, capsys):
     assert len(experiments.compare_to_reference(out, ref).rows) == 1
     assert cli.main(check) == 0
 
+    # NaN fails each check, and so does null, which is how results.json
+    # writes a NaN
     for name, bad, note in (
             ("max_trace_deviation", 2.0 * dynamics.TRACE_TOL, "trace drifted"),
+            ("max_trace_deviation", float("nan"), "trace drifted"),
+            ("max_trace_deviation", None, "trace drifted"),
             ("min_eigenvalue", -2.0 * dynamics.POPULATION_TOL,
-             "negative eigenvalue")):
+             "negative eigenvalue"),
+            ("min_eigenvalue", float("nan"), "negative eigenvalue")):
         results_path.write_text(json.dumps(dict(results, **{name: bad})))
         report = experiments.compare_to_reference(out, ref)
         [row] = [r for r in report.rows if not r.passed]
-        assert (row.name, row.actual) == (f"numerics {name}", bad)
+        assert row.name == f"numerics {name}"
+        npt.assert_equal(row.actual, float("nan") if bad is None else bad)
         capsys.readouterr()
         assert cli.main(check) == 1
         table = capsys.readouterr().out
         assert f"numerics {name}" in table and f"({note})" in table
+
+
+def test_a_diverging_rabi_sweep_fails_before_writing_its_table(tmp_path,
+                                                              capsys):
+    # 1.4e12 Hz and up is over 4 rad per 1 ps step, where RK4 diverges
+    cfg_path = tmp_path / "rabi.json"
+    out = tmp_path / "run"
+    cfg_path.write_text(json.dumps(dict(
+        _ROUND_TRIP["rabi"], experiment="rabi", device=_device_dict(),
+        sweep={"start": 0.0, "stop": 1e13, "points": 8})))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["simulate", "rabi", "--config", str(cfg_path),
+                         "--out", str(out)])
+    assert code == 1
+    assert "error: populations leave [0, 1]" in capsys.readouterr().err
+    assert not (out / "rabi.csv").exists()
 
 
 def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):
