@@ -1,6 +1,7 @@
 """Time evolution engines: Lindblad master equation, semiclassical cavity
-response, steady-state spectroscopy, and Monte-Carlo dephasing under
-Ornstein-Uhlenbeck detuning noise.
+response, steady-state spectroscopy, and the two-level sequence engine,
+whose dephasing under Ornstein-Uhlenbeck detuning noise is the exact
+ensemble mean over K Hermite modes of the noise.
 
 Unit rules (easy to get wrong, so spelled out): Hamiltonians handed to
 `evolve` and the sequence simulators are H/h in ordinary Hz; `lindblad_rhs`
@@ -30,11 +31,9 @@ RESIDUAL_TOL = 1e-6         # largest relative steady-state residual
 
 DEFAULT_DT_PULSE = 1e-12
 
-# Steps per chunk of a pulse's propagator: bounds its (chunk, 4, 4) stack.
+# Steps per chunk of a pulse's propagator, or of the noisy steps' polynomial
+# coefficients: bounds their (chunk, 4, 4) and (chunk, 4, 4, 5) stacks.
 SCAN_BLOCK = 1024
-# Steps per Monte-Carlo block: bounds the (block, n_realizations) buffers of
-# the stepper, which checks the trace at every step.
-MC_BLOCK = 128
 # Largest d^2 that `evolve` steps with a dense one-step propagator R: dense
 # beats sparse RK4 at every d^2 measured, to 576, but R and R^c while it is
 # squared take 24 d^4 bytes, 1.5 MiB at 256 and 7.6 MiB at 576.
@@ -153,12 +152,11 @@ class EvolveDiagnostics:
 @dataclass
 class Trajectory:
     """Observables sampled at every grid point (`evolve`) or at every run
-    edge (the two-level engine); pe_stderr is the final sample's standard
-    error (0.0 without noise, None from `evolve`)."""
+    edge (the two-level engine, whose P_e under OU noise is the exact
+    ensemble mean)."""
     times: np.ndarray
     qubit_pe: np.ndarray
     cavity_alpha: np.ndarray | None = None
-    pe_stderr: float | None = None
     expectations: dict | None = None
     diagnostics: EvolveDiagnostics | None = None
 
@@ -637,80 +635,38 @@ class OuNoiseModel:
     sigma_delta^2 exp(-|dt| / tau_c)."""
     sigma_delta: float        # Hz, standard deviation
     tau_c: float              # s, correlation time
-    n_realizations: int = 1000
 
     def __post_init__(self):
         if self.sigma_delta < 0:
             raise ValueError("sigma_delta must be >= 0")
         if self.tau_c <= 0:
             raise ValueError("tau_c must be positive")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
 
 
-def _ou_transition(dts, model):
-    """(decay, kick scale) of the exact OU transition over each step of dts:
-    x(t + dt) = x(t) decay + kick xi, xi standard normal."""
-    decay = np.exp(-dts / model.tau_c)
-    return decay, model.sigma_delta * np.sqrt(np.maximum(0.0, 1.0 - decay ** 2))
-
-
-def sample_ou_detuning(model, times, rng=None):
-    """Exact-discretization OU paths at the given times, shape (n, n_times).
-
-    x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k from the
-    stationary draw sigma * standard_normal(n) at times[0], as one
-    `_ou_block` over every step: the kicks are one (n_times - 1, n) draw,
-    row k those of step k.  The exact transition makes non-uniform spacing
-    free.  A noisy `simulate_sweep` draws the same recurrence block by block
-    while it steps; this is the whole-path reference its statistics are
-    checked against.
-    """
-    times = np.asarray(times, dtype=float)
-    rng = np.random.default_rng(rng)
-    out = np.empty((len(times), model.n_realizations))
-    out[0] = model.sigma_delta * rng.standard_normal(model.n_realizations)
-    _ou_block(out, np.diff(times), model, rng)
-    return out.T
-
-
-def _ou_block(path, dts, model, rng):
-    """Fill path[1:m + 1] with the OU values after each step of dts, from
-    the value in path[0] (`_ou_transition`); the m kicks are one (m, n)
-    draw, row k the kicks of step k."""
-    m = len(dts)
-    decay, kick = _ou_transition(dts, model)
-    rng.standard_normal(out=path[1:m + 1])
-    path[1:m + 1] *= kick[:, None]
-    for k in range(m):
-        path[k + 1] += path[k] * decay[k]
-
-
-def _ou_gap(x, duration, model, rng):
-    """(OU value at the end of a gap, integral of the path over the gap) for
-    paths at x at its start, drawn jointly and exactly (Gillespie, Phys. Rev.
-    E 54, 2084, 1996) from one (2, n) draw: row 0 gives the end value by the
-    transition `_ou_block` uses, row 1 the integral given both ends.  With
-    u = duration / tau_c that integral has mean tau_c tanh(u/2) (x + x_end)
-    and variance 2 sigma^2 tau_c^2 (u - 2 tanh(u/2)).  That difference is
-    u^3 / 12 to leading order; below u = 0.05 its Taylor series (to u^9)
-    replaces the cancelling subtraction, which keeps it to about 1e-13
-    relative.
-    """
-    u = duration / model.tau_c
-    decay, kick = _ou_transition(duration, model)
-    xi = rng.standard_normal((2, len(x)))
-    x_end = decay * x + kick * xi[0]
-    tanh = np.tanh(0.5 * u)
-    if u < 0.05:
-        u2 = u * u
-        v = u * u2 / 12.0 * (1.0 - u2 / 10.0 * (1.0 - 17.0 * u2 / 168.0
-                                                 * (1.0 - 31.0 * u2 / 306.0)))
-    else:
-        v = u - 2.0 * tanh
-    integral = model.tau_c * (tanh * (x + x_end)
-                              + model.sigma_delta * np.sqrt(2.0 * v) * xi[1])
-    return x_end, integral
+def _expm(a):
+    """exp(a) of a square matrix by scaling and squaring around a Taylor
+    polynomial (Moler and Van Loan, SIAM Rev. 45, 3, 2003): a / 2^s has
+    1-norm theta <= 1/2, and its series less the identity, E, is summed by
+    Horner to the first degree m with theta^(m + 1) / (m + 1)! below the
+    unit roundoff, at most 14.  Each squaring is E <- 2 E + E E, so
+    rounding stays relative to E, not to the identity: a stiff generator
+    whose slow part moves exp(a / 2^s) from I by 1e-6 keeps its digits."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0 else 0
+    b = a / 2.0 ** s
+    theta = norm / 2.0 ** s
+    m, bound = 1, 0.5 * theta * theta      # bound = theta^(m+1) / (m+1)!
+    while bound > 2.0 ** -53:
+        m += 1
+        bound *= theta / (m + 1)
+    ident = np.eye(len(a), dtype=a.dtype)
+    inner = ident
+    for k in range(m, 1, -1):
+        inner = ident + (b @ inner) / k
+    incr = b @ inner
+    for _ in range(s):
+        incr = 2.0 * incr + incr @ incr
+    return ident + incr
 
 
 # ------------------------------------------------------- sequence simulation
@@ -819,7 +775,7 @@ def _two_level_step(s, u1, u2, u4, w, dt, g1, decay):
     u1/u2/u4 are the drive at the step's start, midpoint and end,
     w = pi * detuning (rad/s), g1 and decay the population and coherence
     decay rates.  Every argument broadcasts, so one call steps a batch of
-    realizations or a batch of steps; the step is linear in s, so stepping
+    steps or of detunings; the step is linear in s, so stepping
     np.eye(4) gives its propagator, P[i, l] in the first two axes.
     """
     w2 = 2.0 * w
@@ -848,6 +804,52 @@ _LAGRANGE = np.array([np.poly(np.delete(_NODES, m))[::-1]
                       / np.prod(xm - np.delete(_NODES, m))
                       for m, xm in enumerate(_NODES)]).T
 
+# Hermite modes of the ensemble mean under OU noise: the fewest K at which
+# K + MODES_PAD modes move the free decay over the sequence by less than
+# MODES_TOL, at most MODES_MAX.
+MODES_TOL = 1e-13
+MODES_PAD = 8
+MODES_MAX = 128
+
+
+def _jacobi(k):
+    """Multiplication by xi on k normalised Hermite modes of xi:
+    xi h_n = sqrt(n + 1) h_(n+1) + sqrt(n) h_(n-1), off-diagonal sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1.0, k)), 1) + np.diag(
+        np.sqrt(np.arange(1.0, k)), -1)
+
+
+def _ou_generator(noise, k):
+    """The coherence's generator over k Hermite modes of xi, in 1/s: mode n
+    relaxes at n / tau_c, and the detuning sigma xi adds
+    2 pi i sigma X (`_jacobi`)."""
+    return (np.diag(-np.arange(k) / noise.tau_c)
+            + 2j * np.pi * noise.sigma_delta * _jacobi(k))
+
+
+def _mode_count(noise, duration):
+    """The Hermite modes K for a sequence of this duration: the fewest at
+    which K + MODES_PAD modes move the mode-0 free decay exp(duration G)
+    (`_ou_generator`) by less than MODES_TOL, by doubling from 1 and then
+    bisection; ValueError above MODES_MAX."""
+    def moves(k):
+        big = _expm(duration * _ou_generator(noise, k + MODES_PAD))[0, 0]
+        return abs(_expm(duration * _ou_generator(noise, k))[0, 0] - big)
+
+    lo, hi = 0, 1                   # moves(lo) fails, moves(hi) is open
+    while moves(hi) >= MODES_TOL:
+        if hi >= MODES_MAX:
+            raise ValueError(
+                f"OU noise sigma_delta={noise.sigma_delta:g} Hz, "
+                f"tau_c={noise.tau_c:g} s over {duration:g} s needs more "
+                f"than {MODES_MAX} Hermite modes; shorten the sequence or "
+                "lower sigma_delta")
+        lo, hi = hi, min(2 * hi, MODES_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if moves(mid) < MODES_TOL else (mid, hi)
+    return hi
+
 
 def _pulse_propagator(compiled, lo, hi, g1, decay):
     """The 4x4 propagator P of the pulse steps lo to hi - 1 of compiled
@@ -873,145 +875,115 @@ def _pulse_propagator(compiled, lo, hi, g1, decay):
 
 
 def _two_level_engine(dec, noise=None):
-    """The two-level engine of one sweep: returns run(compiled, rng=None),
-    the Trajectory of a compiled sequence from |g><g|, fixed RK4 under the
+    """The two-level engine of one sweep: returns run(compiled), the
+    Trajectory of a compiled sequence from |g><g|, fixed RK4 under the
     pulses and exact exponentials over the idle gaps, sampled at the edges
-    of compiled.runs: the mean population at each, the max trace deviation
-    over them and the trace defects of the pulse propagators applied, and
-    in `pe_stderr` the standard error of the final sample's mean.
+    of compiled.runs: P_e at each, and the max trace deviation over them
+    and the trace defects of the pulse propagators applied.
 
     Works on the real state (p_g, x, y, p_e), rho_01 = x + i y and
     rho_10 = x - i y, so Hermiticity is exact and the trace is preserved to
     rounding.  Every step under a pulse is `_two_level_step`, the package's
-    one RK4 formula, of np.eye(4), which gives its 4x4 propagator.
+    one RK4 formula.
 
-    noise (OuNoiseModel): the z detuning is detuning0 plus an OU path per
-    realization, drawn while the realizations advance together; None, or
-    sigma_delta = 0, is one noiseless realization at detuning0, and a
-    `pe_stderr` of 0.0.  The stored propagators without noise, or the
-    block buffers with it, serve every run, which carries the state through
-    the idle gaps and pulses of compiled.runs.
+    noise (OuNoiseModel): the z detuning is detuning0 + sigma xi(t), xi a
+    standard OU process, and P_e is its exact ensemble mean.  The state is
+    then a (4, K) array over K normalised Hermite modes of xi (Kubo's
+    stochastic Liouville equation, J. Phys. Soc. Jpn. 26, 1654 (1969), in
+    the hierarchy form of Tanimura and Kubo, J. Phys. Soc. Jpn. 58, 101
+    (1989)): mode 0 is the mean, mode n relaxes at n / tau_c, multiplying
+    by xi is X, the Jacobi matrix, on the modes, and a run starts with
+    |g><g| in mode 0.  K is `_mode_count` of the sequence's duration.
+    Without noise, or with sigma_delta = 0, K = 1 at detuning0.  The trace
+    is 1 in mode 0 and 0 in every other; the deviation is checked on every
+    mode at every run edge.
     - Idle runs [lo, hi] in closed form over
-      elapsed = times[hi] - times[lo], each component alone: p_e is
-      multiplied by exp(-g1 elapsed) and p_g gains what it loses; rho_01 by
-      exp(elapsed (2 pi i detuning0 - decay)), and with noise by
-      exp(2 pi i I), I the integral of the path over the gap.
+      elapsed = times[hi] - times[lo]: p_e is multiplied by
+      exp(-g1 elapsed) and p_g gains what it loses; rho_01 by
+      exp(elapsed (2 pi i detuning0 - decay)), and with noise its modes by
+      `_expm` of elapsed `_ou_generator`, and the populations of mode n by
+      exp(-n elapsed / tau_c).
     - Pulse runs without noise apply one propagator, `_pulse_propagator`
       of the run, stored with its trace defect under (the run's key,
       detuning0): they fix its tables and detuning, and the engine its
       rates, so every later run of that pulse, as in each equal pulse of a
       sweep, applies the stored one, and its defect counts there too.
-    - Pulse runs with noise, MC_BLOCK steps at a time, from row 0 of one
-      (MC_BLOCK + 1, 4, n) state buffer into its rows 1 to m, the trace
-      checked at every step, and row m carried to row 0.  Each step runs at
-      the path's value at its start, held across it: the RK4 step is a
-      polynomial of degree 4 in the detuning w, so `_two_level_step`
-      gives each step's propagator P at 5 Chebyshev nodes w_m spanning
-      that step's realized w range (half-width at least 1 urad of phase
-      per step, so that one realization or constant noise still has
-      distinct nodes).  Every realization advances by
-      s += sum_m l_m(x) (P(w_m) - I) s, with l_m the Lagrange weights of
-      the nodes at x = (w - centre) / half-width, summed in powers of x:
-      sum_j x^j C_j s with C_j = sum_m _LAGRANGE[j, m] (P(w_m) - I).  That
-      is the exact RK4 step up to rounding; interpolating the increments
-      P - I rather than P keeps that rounding relative to the increment.
-
-    Draw order from rng (np.random.default_rng(rng)), which fixes the bytes
-    of a seeded run: first the path's stationary values at t = 0,
-    sigma * standard_normal(n); then, run by run in time order, for each
-    block of m pulse steps one (m, n) block of kicks, row k those of step k
-    (`_ou_block`; a pulse run's kicks are thus those of one (steps, n)
-    draw), and for each idle run one (2, n) block (`_ou_gap`).  No array of
-    n realizations by n steps is built.
+    - Pulse runs with noise step by step, the noise held at its value at
+      the step's start, so the ensemble mean of the scheme is exact: the
+      RK4 step is a polynomial of degree 4 in xi, P = I + sum_j D_j xi^j,
+      read off `_two_level_step` at the 5 Chebyshev nodes xi_m = _NODES as
+      the increments P(xi_m) - I, whose Lagrange coefficients keep the
+      rounding relative to the increment; a step is
+      c <- (c + sum_j D_j c X^j) Lambda, Lambda = diag(exp(-n dt / tau_c)).
+      The D_j are made one SCAN_BLOCK chunk of steps at a time, for each
+      run, and never stored.
     """
     if noise is not None and noise.sigma_delta == 0.0:
         noise = None
     g1 = TWO_PI * dec.gamma1
     decay = 0.5 * g1 + TWO_PI * dec.gamma_phi
-    n_batch = 1 if noise is None else noise.n_realizations
-    state = np.empty((1 if noise is None else MC_BLOCK + 1, 4, n_batch))
-    s = state[0]                # the state carried from run to run
-    if noise is None:
-        props = {}
-    else:
-        powers = np.ones((5, MC_BLOCK, n_batch))    # x^j per step, realization
-        terms = np.empty((5, 4, n_batch))           # x^j s_l of one step
-        flat = terms.reshape(20, n_batch)
-        # The OU path at each step boundary of a block; row 0 carries its
-        # value from one block or gap to the next.
-        path = np.empty((MC_BLOCK + 1, n_batch))
+    props = {}
 
-    def run(compiled, rng=None):
+    def run(compiled):
+        k = 1 if noise is None else _mode_count(
+            noise, compiled.times[-1] - compiled.times[0])
+        trace = np.eye(1, k)[0]     # of each mode: 1 in mode 0, else 0
+        c = np.zeros((4, k))
+        c[0] = trace                # |g><g| in mode 0
+        if noise is not None:
+            gen = _ou_generator(noise, k)
+            rate = np.arange(k) / noise.tau_c
+            # X^0 to X^4 side by side: c @ xpow holds c X^j at columns jk
+            jacobi = _jacobi(k)
+            xpow = [np.eye(k)]
+            for _ in range(4):
+                xpow.append(xpow[-1] @ jacobi)
+            xpow = np.concatenate(xpow, axis=1)
         pe = [0.0]
         trace_dev = 0.0         # np.maximum keeps a NaN; Python's max drops it
-        s[...] = np.eye(4, 1)   # |g><g|
-        if noise is not None:
-            rng = np.random.default_rng(rng)
-            path[0] = noise.sigma_delta * rng.standard_normal(n_batch)
         for lo, hi, key in compiled.runs:
             if key is None:
-                p0 = s[3].copy()
+                p0 = c[3].copy()
                 elapsed = compiled.times[hi] - compiled.times[lo]
                 relax = np.exp(-g1 * elapsed)
-                coh = (s[1] + 1j * s[2]) * np.exp(
+                coh = (c[1] + 1j * c[2]) * np.exp(
                     elapsed * (1j * TWO_PI * compiled.detuning0 - decay))
                 if noise is not None:
-                    path[0], integral = _ou_gap(path[0], elapsed, noise, rng)
-                    coh *= np.exp(1j * TWO_PI * integral)
-                s[1], s[2] = coh.real, coh.imag
-                s[3] = p0 * relax
-                s[0] += p0 - s[3]
-                # mean(p0) relax, not mean(s[3]): the bytes of seeded runs
-                pe.append(p0.mean() * relax)
+                    coh = coh @ _expm(elapsed * gen)
+                c[1], c[2] = coh.real, coh.imag
+                c[3] = p0 * relax
+                c[0] += p0 - c[3]
+                if noise is not None:
+                    c[[0, 3]] *= np.exp(-rate * elapsed)
             elif noise is None:
                 at = (key, compiled.detuning0)
                 if at not in props:
                     props[at] = _pulse_propagator(compiled, lo, hi, g1, decay)
                 prop, defect = props[at]
-                s[:, 0] = prop @ s[:, 0]
+                c[:, 0] = prop @ c[:, 0]
                 trace_dev = np.maximum(trace_dev, defect)
-                pe.append(s[3].mean())
             else:
-                for blo in range(lo, hi, MC_BLOCK):
-                    bhi = min(blo + MC_BLOCK, hi)
-                    m = bhi - blo
-                    blk = slice(blo, bhi)
-                    _ou_block(path[:m + 1], compiled.dts[blk], noise, rng)
-                    w = np.pi * (compiled.detuning0 + path[:m])      # (m, n)
-                    path[0] = path[m]
-                    w_lo, w_hi = w.min(axis=1), w.max(axis=1)
-                    centre = 0.5 * (w_lo + w_hi)
-                    half = np.maximum(0.5 * (w_hi - w_lo),
-                                      1e-6 / compiled.dts[blk])
-                    # incr[i, l, k, q] = (P(w_q) - I)[i, l] at step k, node q
+                for blo in range(lo, hi, SCAN_BLOCK):
+                    blk = slice(blo, min(blo + SCAN_BLOCK, hi))
+                    dts = compiled.dts[blk]
+                    # incr[i, l, k, q] = (P(xi_q) - I)[i, l] at step k
                     incr = _two_level_step(
                         np.eye(4)[..., None, None], compiled.u1[blk, None],
                         compiled.u2[blk, None], compiled.u4[blk, None],
-                        centre[:, None] + half[:, None] * _NODES,
-                        compiled.dts[blk, None], g1, decay)
+                        np.pi * (compiled.detuning0
+                                 + noise.sigma_delta * _NODES),
+                        dts[:, None], g1, decay)
                     incr[range(4), range(4)] -= 1.0
-                    coef = np.einsum("jq,ilkq->kijl", _LAGRANGE,
-                                     incr).reshape(m, 4, 20)
-                    x = powers[1, :m]
-                    np.subtract(w, centre[:, None], out=x)
-                    x /= half[:, None]
-                    for j in range(2, 5):
-                        np.multiply(powers[j - 1, :m], x, out=powers[j, :m])
-                    for k in range(m):
-                        np.multiply(powers[:, k, None], state[k], out=terms)
-                        np.matmul(coef[k], flat, out=state[k + 1])
-                        state[k + 1] += state[k]
-                    # abs() of a temporary reuses it (temporary elision)
-                    trace_dev = np.maximum(trace_dev, abs(
-                        state[1:m + 1, 0] + state[1:m + 1, 3] - 1.0).max())
-                    state[0] = state[m]
-                pe.append(s[3].mean())
-            trace_dev = np.maximum(trace_dev, abs(s[0] + s[3] - 1.0).max())
-        pe_stderr = (float(s[3].std(ddof=1) / np.sqrt(n_batch))
-                     if n_batch > 1 else 0.0)
+                    coef = np.einsum("jq,ilkq->kilj", _LAGRANGE,
+                                     incr).reshape(len(dts), 4, 20)
+                    lam = np.exp(-np.multiply.outer(dts, rate))
+                    for step, scale in zip(coef, lam):
+                        c = (c + step @ (c @ xpow).reshape(20, k)) * scale
+            pe.append(c[3, 0])
+            trace_dev = np.maximum(trace_dev, abs(c[0] + c[3] - trace).max())
         edges = [0] + [hi for _, hi, _ in compiled.runs]
         return Trajectory(times=compiled.times[edges], qubit_pe=np.array(pe),
-                          pe_stderr=pe_stderr, diagnostics=EvolveDiagnostics(
+                          diagnostics=EvolveDiagnostics(
                               max_trace_deviation=float(trace_dev)))
 
     return run
@@ -1030,26 +1002,19 @@ def simulate_sequence(sequence, dec):
     return _two_level_engine(dec)(compile_sequence(sequence))
 
 
-def simulate_sweep(sequences, dec, noise=None, rngs=None):
+def simulate_sweep(sequences, dec, noise=None):
     """One Trajectory per sequence, in order, from one two-level engine
-    (`_two_level_engine`), so its buffers, and the propagator of each
-    distinct pulse (a run key of `compile_sequence`), serve the whole sweep.
-    Each sequence is compiled when it is simulated.
+    (`_two_level_engine`), so the propagator of each distinct pulse (a run
+    key of `compile_sequence`) serves the whole sweep.  Each sequence is
+    compiled when it is simulated.
 
     Without noise (or with sigma_delta = 0) each Trajectory is
-    `simulate_sequence`'s, bit for bit, with a `pe_stderr` of 0.0.  With an
-    OuNoiseModel the population is the mean over its realizations, and
-    `pe_stderr` the standard error of the final sample's mean, the one the
-    readout chain reads.  Each realization rides its own OU detuning path,
-    drawn from the sequence's entry of rngs (seeds or Generators, one per
-    sequence; None draws fresh entropy): each pulse step sees the path at
-    its start, held across it (the pulse grid resolves tau_c in any regime
-    we simulate), and each idle gap is the noiseless exponential times the
-    phase of the path's exact integral over the gap.  A sequence's result
-    depends only on it, dec, noise and its rng, not on the other points.
+    `simulate_sequence`'s, bit for bit.  With an OuNoiseModel P_e is the
+    exact mean over the OU detuning paths of the scheme: each pulse step
+    sees the path at its start, held across it (the pulse grid resolves
+    tau_c in any regime we simulate), and each idle gap is exact.  A
+    sequence's result depends only on it, dec and noise, not on the other
+    points.
     """
     run = _two_level_engine(dec, noise)
-    if rngs is None:
-        rngs = [None] * len(sequences)
-    return [run(compile_sequence(seq), rng)
-            for seq, rng in zip(sequences, rngs, strict=True)]
+    return [run(compile_sequence(seq)) for seq in sequences]

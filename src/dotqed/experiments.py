@@ -188,10 +188,11 @@ _SECTIONS = {
     "noise.readout": _fields(readout.ReadoutNoiseModel,
                              noise_temperature=_number(minimum=0.0),
                              system_gain=_number(positive=True)),
+    # n_realizations is accepted and checked for the configs that set it,
+    # then dropped: the dephasing is an exact ensemble mean
     "noise.dephasing": {"sigma_delta": (_number(minimum=0.0), _REQUIRED),
                         "tau_c": (_number(positive=True), _REQUIRED),
-                        **_fields(dynamics.OuNoiseModel,
-                                  n_realizations=_integer(minimum=1))},
+                        "n_realizations": (_integer(minimum=1), None)},
 }
 
 
@@ -293,6 +294,7 @@ def validate_config(raw, experiment=None, seed=None, output_dir=None):
 
     noise = {key: _parse_section(sub, f"noise.{key}", _SECTIONS[f"noise.{key}"])
              for key, sub in noise.items()}
+    noise.get("dephasing", {}).pop("n_realizations", None)
     pulse = _parse_section(m.get("pulse", {}), "pulse", _SECTIONS["pulse"])
     het_values = _parse_section(m.get("readout", {}), "readout",
                                 _SECTIONS["readout"])
@@ -601,7 +603,10 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
 # ------------------------------------------------------------ runners
 
 def _point_rngs(seed, n_points):
-    """Two independent streams per sweep point, stable under any scheduling."""
+    """Two independent streams per sweep point, stable under any scheduling.
+    The pulsed runners read the second, for the readout; the first is no
+    longer drawn, but it is still spawned, so that the second keeps its
+    bytes."""
     kids = np.random.SeedSequence(seed).spawn(n_points)
     return [tuple(np.random.default_rng(s) for s in k.spawn(2)) for k in kids]
 
@@ -713,14 +718,14 @@ def _run_pulsed(kind, cfg, out):
 
     seqs = [kind.sequence(x, cfg, pi_amp, shape) for x in values]
     trajs = dynamics.simulate_sweep(seqs, cfg.device.decoherence,
-                                    cfg.dephasing, [r for r, _ in rngs])
+                                    cfg.dephasing)
     rows = []
     for traj, (_, rng_readout) in zip(trajs, rngs):
         traj.validate_populations()
         pe_true = float(traj.qubit_pe[-1])
         p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,
                                             averages=cfg.averages)
-        rows.append((pe_true, traj.pe_stderr, p_est, est_err,
+        rows.append((pe_true, 0.0, p_est, est_err,
                      traj.diagnostics.max_trace_deviation))
     pe_true, true_err, p_est, est_err, trace_dev = map(np.array, zip(*rows))
     table = {"x": values, "pe_true": pe_true, "pe_true_err": true_err,

@@ -127,9 +127,11 @@ def test_pipeline_recovers_t1_t2_and_fringe(flagship_dict, tmp_path):
 
 
 def test_echo_refocuses_quasi_static_noise_only(flagship_dict, tmp_path):
+    # the dephasing is the exact ensemble mean, so both ratios are
+    # deterministic: 2.12 and 0.995 when recorded
     t0 = time.perf_counter()
 
-    def run(kind, tau_max, noise, seed, sub):
+    def run(kind, tau_max, noise, sub):
         params = {"drive_detuning": 0.0} if kind == "ramsey" else {}
         cfg = experiments.validate_config({
             "experiment": kind,
@@ -137,7 +139,6 @@ def test_echo_refocuses_quasi_static_noise_only(flagship_dict, tmp_path):
             "sweep": {"start": 0.0, "stop": tau_max, "points": 21},
             "noise": {"dephasing": noise},
             "params": params,
-            "seed": seed,
             "output_dir": str(tmp_path / sub),
         })
         experiments.run_experiment(cfg)
@@ -148,23 +149,21 @@ def test_echo_refocuses_quasi_static_noise_only(flagship_dict, tmp_path):
     gamma2 = 6.80155e6          # device gamma1/2 + gamma_phi
     # sigma = 2 gamma2 makes the quasi-static Gaussian envelope pull the
     # Ramsey 1/e time down to exactly T2/2
-    slow = {"sigma_delta": 2.0 * gamma2, "tau_c": 100 * 40e-9,
-            "n_realizations": 1000}
-    fast = {"sigma_delta": 193e6, "tau_c": 10e-9 / 100.0,
-            "n_realizations": 1000}
-    ram_slow = run("ramsey", 40e-9, slow, 501, "qs-ramsey")
-    echo_slow = run("echo", 40e-9, slow, 502, "qs-echo")
-    ram_fast = run("ramsey", 10e-9, fast, 503, "white-ramsey")
-    echo_fast = run("echo", 10e-9, fast, 504, "white-echo")
+    slow = {"sigma_delta": 2.0 * gamma2, "tau_c": 100 * 40e-9}
+    fast = {"sigma_delta": 193e6, "tau_c": 10e-9 / 100.0}
+    ram_slow = run("ramsey", 40e-9, slow, "qs-ramsey")
+    echo_slow = run("echo", 40e-9, slow, "qs-echo")
+    ram_fast = run("ramsey", 10e-9, fast, "white-ramsey")
+    echo_fast = run("echo", 10e-9, fast, "white-echo")
     elapsed = time.perf_counter() - t0
 
     slow_ratio = echo_slow["t2_echo_s"] / ram_slow["t2_ramsey_s"]
     fast_ratio = echo_fast["t2_echo_s"] / ram_fast["t2_ramsey_s"]
     ok = (slow_ratio >= 1.8 and abs(fast_ratio - 1.0) <= 0.10
-          and elapsed < 900.0)
+          and elapsed < 60.0)
     _report("echo refocusing", ok,
-            f"T2e/T2r {slow_ratio:.2f} under quasi-static noise (>= 1.8), "
-            f"{fast_ratio:.2f} under white noise (1 +- 10%), {elapsed:.0f} s")
+            f"T2e/T2r {slow_ratio:.4f} under quasi-static noise (>= 1.8), "
+            f"{fast_ratio:.4f} under white noise (1 +- 10%), {elapsed:.1f} s")
 
 
 def test_zero_power_linewidth_extrapolation(flagship_dict, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dotqed import device, dynamics, experiments, fitting, pulses, qops
+from ou_reference import monte_carlo, ou_gap, sample_ou_detuning
 
 GAMMA1 = 3.7625e6
 GAMMA_PHI = 4.9203e6
@@ -530,10 +531,9 @@ def test_spectroscopy_formula_matches_liouvillian():
 
 
 def test_ou_sampler_statistics(rng):
-    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=50e-9,
-                                  n_realizations=4000)
+    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=50e-9)
     times = np.linspace(0.0, 1e-6, 1001)
-    paths = dynamics.sample_ou_detuning(model, times, rng=rng)
+    paths = sample_ou_detuning(model, times, 4000, rng=rng)
     assert paths.shape == (4000, 1001)
     npt.assert_allclose(paths.std(), 5e6, rtol=0.03)
     assert abs(paths.mean()) < 4 * 5e6 / np.sqrt(4000)
@@ -547,18 +547,15 @@ def test_ou_sampler_exact_update_is_grid_independent():
     # the exact transition density keeps the stationary variance whatever
     # the step size; a naive Euler kick would inflate it on coarse grids
     model = dynamics.OuNoiseModel(sigma_delta=2e6, tau_c=10e-9)
-    coarse = dynamics.sample_ou_detuning(
-        replace(model, n_realizations=20000), np.linspace(0.0, 4e-7, 11),
-        rng=1)
-    fine = dynamics.sample_ou_detuning(
-        replace(model, n_realizations=2000), np.linspace(0.0, 4e-7, 4001),
-        rng=2)
+    coarse = sample_ou_detuning(model, np.linspace(0.0, 4e-7, 11), 20000,
+                                rng=1)
+    fine = sample_ou_detuning(model, np.linspace(0.0, 4e-7, 4001), 2000,
+                              rng=2)
     npt.assert_allclose(coarse[:, -1].std(), 2e6, rtol=0.03)
     npt.assert_allclose(fine[:, -1].std(), 2e6, rtol=0.05)
     # seeded reproducibility
-    again = dynamics.sample_ou_detuning(
-        replace(model, n_realizations=20000), np.linspace(0.0, 4e-7, 11),
-        rng=1)
+    again = sample_ou_detuning(model, np.linspace(0.0, 4e-7, 11), 20000,
+                               rng=1)
     npt.assert_array_equal(coarse, again)
 
 
@@ -567,18 +564,16 @@ def test_monte_carlo_zero_sigma_reduces_to_deterministic():
     seq = pulses.build_ramsey_sequence(20e-9, 0.0, sigma=0.25e-9,
                                        pi_amplitude=a_pi)
     det = dynamics.simulate_sequence(seq, DEC)
-    noise = dynamics.OuNoiseModel(sigma_delta=0.0, tau_c=1e-6,
-                                  n_realizations=17)
-    mc = dynamics.simulate_sweep([seq], DEC, noise, [3])[0]
+    noise = dynamics.OuNoiseModel(sigma_delta=0.0, tau_c=1e-6)
+    mc = dynamics.simulate_sweep([seq], DEC, noise)[0]
     npt.assert_array_equal(det.qubit_pe, mc.qubit_pe)
-    assert np.all(mc.pe_stderr == 0.0)
 
 
-def _evolve(compiled, dec, noise=None, rng=None):
-    """(mean P_e, the final sample's sem, max trace deviation) of compiled
-    tables, run alone in a fresh two-level engine."""
-    traj = dynamics._two_level_engine(dec, noise)(compiled, rng)
-    return traj.qubit_pe, traj.pe_stderr, traj.diagnostics.max_trace_deviation
+def _evolve(compiled, dec, noise=None):
+    """(P_e, max trace deviation) of compiled tables, run alone in a fresh
+    two-level engine."""
+    traj = dynamics._two_level_engine(dec, noise)(compiled)
+    return traj.qubit_pe, traj.diagnostics.max_trace_deviation
 
 
 def _runs(compiled):
@@ -603,12 +598,11 @@ def _cut(compiled, k):
                    u2=compiled.u2[:k], u4=compiled.u4[:k], runs=runs)
 
 
-def _assert_cuts_match(compiled, ref_pe, cuts, noise=None, seed=None,
-                       atol=1e-12):
+def _assert_cuts_match(compiled, ref_pe, cuts, atol=1e-12):
     """The final P_e of compiled tables cut at each step k of cuts, each
     run in a fresh engine, is the stepwise reference's P_e after step k."""
     for k in sorted(cuts):
-        pe, _, trace_dev = _evolve(_cut(compiled, k), DEC, noise, seed)
+        pe, trace_dev = _evolve(_cut(compiled, k), DEC)
         npt.assert_allclose(pe[-1], ref_pe[k], rtol=0.0, atol=atol,
                             err_msg=f"cut at step {k}")
         assert trace_dev < 1e-12, k
@@ -623,33 +617,17 @@ def _assert_pulses_touch(compiled):
     assert compiled.dts.min() >= own.min()
 
 
-def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
-    """Mean P_e, the final sample's sem and the trace deviation, one step
-    at a time: an RK4 step under a pulse, the exact decay and rotation over
-    an idle step (or an RK4 step, with rk4_idle).
-
-    With noise, the OU paths are drawn from seed in the order documented by
-    `_two_level_engine`: the stationary start, then per run a (2, n) gap
-    draw or one (steps, n) block of kicks.  A pulse step runs at the path's
-    value at its start; an idle step at detuning0, with the coherence
-    turned by exp(2 pi i I) at the gap's end, I the path's integral over
-    the gap.
-    """
+def _stepwise_reference(compiled, dec, rk4_idle=False):
+    """P_e and the trace deviation, one step at a time: an RK4 step under a
+    pulse, the exact decay and rotation over an idle step (or an RK4 step,
+    with rk4_idle)."""
     g1 = 2.0 * np.pi * dec.gamma1
     decay = 0.5 * g1 + 2.0 * np.pi * dec.gamma_phi
-    n = 1 if noise is None else noise.n_realizations
-    s = np.zeros((4, n))        # (p_g, Re rho_01, Im rho_01, p_e)
-    s[0] = 1.0
-    x = np.zeros(n)
-    if noise is not None:
-        rng = np.random.default_rng(seed)
-        x = noise.sigma_delta * rng.standard_normal(n)
+    s = np.eye(4, 1)            # (p_g, Re rho_01, Im rho_01, p_e)
+    w = np.pi * compiled.detuning0
     pe = [0.0]
     for lo, hi, idle in _runs(compiled):
-        if noise is not None and not idle:
-            kicks = rng.standard_normal((hi - lo, n))
         for k in range(lo, hi):
-            w = np.pi * (compiled.detuning0 + (0.0 if idle else x))
             dt = compiled.dts[k]
             if idle and not rk4_idle:
                 lost = s[3] * -np.expm1(-g1 * dt)
@@ -659,18 +637,8 @@ def _stepwise_reference(compiled, dec, noise=None, seed=None, rk4_idle=False):
                 s = dynamics._two_level_step(
                     s, compiled.u1[k], compiled.u2[k], compiled.u4[k], w, dt,
                     g1, decay)
-            if noise is not None and not idle:
-                e = np.exp(-compiled.dts[k] / noise.tau_c)
-                x = x * e + noise.sigma_delta * np.sqrt(
-                    max(0.0, 1.0 - e ** 2)) * kicks[k - lo]
-            pe.append(s[3].mean())
-        if noise is not None and idle:
-            x, integral = dynamics._ou_gap(
-                x, compiled.times[hi] - compiled.times[lo], noise, rng)
-            coh = (s[1] + 1j * s[2]) * np.exp(2j * np.pi * integral)
-            s[1], s[2] = coh.real, coh.imag
-    sem = s[3].std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    return np.array(pe), sem, float(np.abs(s[0] + s[3] - 1.0).max())
+            pe.append(s[3, 0])
+    return np.array(pe), float(abs(s[0, 0] + s[3, 0] - 1.0))
 
 
 def _complex_two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
@@ -698,7 +666,7 @@ def _complex_two_level_step(a, b, d, u1, u2, u4, w, dt, g1, decay):
 @pytest.mark.parametrize("nodes", [None, 5], ids=["scan", "monte-carlo"])
 def test_two_level_step_is_the_complex_form(nodes):
     # propagators at the engine's two shapes: (4, 4, m) for a pulse chunk,
-    # (4, 4, m, 5) for a Monte-Carlo block at 5 detunings per step
+    # (4, 4, m, 5) for a noisy chunk at the 5 detunings of its nodes
     m = 257
     rng = np.random.default_rng(27)
 
@@ -775,11 +743,10 @@ def test_propagator_scan_matches_stepwise_reference(case):
         # no pulse run at all: the whole grid is one idle gap
         assert not (compiled.u1.any() or compiled.u2.any()
                     or compiled.u4.any())
-    ref, _, _ = _stepwise_reference(compiled, DEC)
+    ref, _ = _stepwise_reference(compiled, DEC)
     assert ref.shape == (n_steps + 1,)
     if seq is None:
-        pe, sem, trace_dev = _evolve(compiled, DEC)
-        assert np.all(sem == 0.0)
+        pe, trace_dev = _evolve(compiled, DEC)
     else:
         traj = dynamics.simulate_sequence(seq, DEC)
         pe, trace_dev = traj.qubit_pe, traj.diagnostics.max_trace_deviation
@@ -853,13 +820,12 @@ def test_exact_idle_gaps_match_rk4_on_a_fine_grid(case):
     _assert_cuts_match(fine, rk4, idle, atol=1e-13)
     # a gap is one exponential, so its inner steps change nothing
     assert _edges(fine) == list(keep[_edges(compiled)])
-    for noise in (None, dynamics.OuNoiseModel(n_realizations=50, **_OU_SLOW)):
-        coarse, refined = (dynamics._two_level_engine(DEC, noise)(c, 5)
+    for noise in (None, dynamics.OuNoiseModel(**_OU_SLOW)):
+        coarse, refined = (dynamics._two_level_engine(DEC, noise)(c)
                            for c in (compiled, fine))
         for name in ("times", "qubit_pe"):
             assert (getattr(coarse, name).tobytes()
                     == getattr(refined, name).tobytes()), (noise, name)
-        assert coarse.pe_stderr == refined.pe_stderr, noise
         assert (coarse.diagnostics.max_trace_deviation
                 == refined.diagnostics.max_trace_deviation), noise
 
@@ -915,11 +881,13 @@ def _sweep_sequences(case, delays):
 _OU_SLOW = dict(sigma_delta=2.0 * 6.80155e6, tau_c=4e-6)
 _OU_WHITE = dict(sigma_delta=193e6, tau_c=1e-10)
 
+# the ids "ou-n1" and "ou-n2" are stable test names for the quasi-static
+# and the white noise
 _SWEEP_NOISE = {
     "noiseless": None,
-    "sigma-0": dict(sigma_delta=0.0, tau_c=1e-6, n_realizations=5),
-    "ou-n1": dict(_OU_SLOW, n_realizations=1),
-    "ou-n2": dict(_OU_WHITE, n_realizations=2),
+    "sigma-0": dict(sigma_delta=0.0, tau_c=1e-6),
+    "ou-n1": _OU_SLOW,
+    "ou-n2": _OU_WHITE,
 }
 
 
@@ -936,30 +904,26 @@ def test_sweep_is_per_sequence_simulation_bit_for_bit(case, noise,
     noisy = model is not None and model.sigma_delta > 0
     delays = np.linspace(0.0, 20e-9, 6)
     # zero delay first: its pulses run back to back; with noise the longest
-    # first, so later points reuse the engine's buffers for shorter blocks
+    # first, so later points run with fewer modes than the engine saw first
     seqs = _sweep_sequences(case, delays[::-1] if noisy else delays)
-    seeds = list(range(10, 10 + len(seqs)))
     calls = _count_steps(monkeypatch)
-    sweep = dynamics.simulate_sweep(seqs, DEC, model, seeds)
+    sweep = dynamics.simulate_sweep(seqs, DEC, model)
     shared = sum(n for n, _ in calls)
     calls.clear()
     if noisy:
-        # each point alone, in a fresh engine, with its own seed
-        alone = [dynamics.simulate_sweep([seq], DEC, model, [seed])[0]
-                 for seq, seed in zip(seqs, seeds)]
-        # every point draws its own paths, so no step is shared
+        # each point alone, in a fresh engine
+        alone = [dynamics.simulate_sweep([seq], DEC, model)[0]
+                 for seq in seqs]
+        # every point makes its own step coefficients, so no step is shared
         assert shared == sum(n for n, _ in calls)
     else:
         alone = [dynamics.simulate_sequence(seq, DEC) for seq in seqs]
         # some pulses are shared, so some points read a stored propagator
         assert shared < sum(n for n, _ in calls)
-        assert all(traj.pe_stderr == 0.0 for traj in sweep + alone)
     assert len(sweep) == len(seqs)
     for got, want in zip(sweep, alone):
         assert got.times.tobytes() == want.times.tobytes()
         assert got.qubit_pe.tobytes() == want.qubit_pe.tobytes()
-        assert (np.float64(got.pe_stderr).tobytes()
-                == np.float64(want.pe_stderr).tobytes())
         assert (np.float64(got.diagnostics.max_trace_deviation).tobytes()
                 == np.float64(want.diagnostics.max_trace_deviation).tobytes())
 
@@ -1003,57 +967,153 @@ def test_sweep_scans_the_first_pulse_once(monkeypatch):
 
 
 def _mc_case(case):
-    """(compiled tables, noise model) of one Monte-Carlo case; its seed is
-    its number of realizations."""
+    """(compiled tables, noise model, seed) of one Monte-Carlo case, on a
+    20 ps pulse grid: the exact mean and the reference sample the same
+    scheme on any grid, and the coarse one keeps 20,000 realizations
+    cheap.  ou-n1 and ou-n2 are one case at two seeds."""
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     shape = dict(sigma=0.25e-9, pi_amplitude=a_pi)
     echo = pulses.build_echo_sequence(10e-9, **shape)
-    # a 4 MHz offset with the noise frozen far below the nodes' 1 urad floor
+    # a 4 MHz offset with the noise all but frozen
     constant = dict(sigma_delta=1e-3, tau_c=1.0)
-    seq, noise, n = {
+    seq, noise, seed = {
         "ou-n1": (echo, _OU_SLOW, 1),
         "ou-n2": (echo, _OU_SLOW, 2),
         "ou-n500": (pulses.build_ramsey_sequence(5e-9, 0.0, **shape),
                     _OU_SLOW, 500),
         "constant": (echo, constant, 3),
-        "white": (echo, _OU_WHITE, 200),
+        "white": (echo, _OU_WHITE, 4),
         "drag": (pulses.build_echo_sequence(10e-9, drag_beta=0.1e-9, **shape),
-                 _OU_SLOW, 200),
+                 _OU_SLOW, 5),
         "ramsey-100MHz": (pulses.build_ramsey_sequence(5e-9, 100e6, **shape),
-                          _OU_SLOW, 200),
+                          _OU_SLOW, 6),
         "zero-delay": (pulses.build_ramsey_sequence(0.0, 0.0, **shape),
-                       _OU_WHITE, 200),
+                       _OU_WHITE, 7),
     }[case]
-    compiled = dynamics.compile_sequence(seq)
+    compiled = _coarse(seq)
     if case == "constant":
         compiled = replace(compiled, detuning0=4e6)
-    return compiled, dynamics.OuNoiseModel(n_realizations=n, **noise)
+    return compiled, dynamics.OuNoiseModel(**noise), seed
+
+
+def _coarse(seq, dt=2e-11):
+    """The compiled tables of seq on a pulse grid of dt."""
+    dt_pulse = dynamics.DEFAULT_DT_PULSE
+    dynamics.DEFAULT_DT_PULSE = dt
+    try:
+        return dynamics.compile_sequence(seq)
+    finally:
+        dynamics.DEFAULT_DT_PULSE = dt_pulse
+
+
+def _assert_monte_carlo_agrees(compiled, noise, seed, n=20_000):
+    """The exact mean P_e at every run edge within 4 standard errors of
+    `monte_carlo` over n realizations (plus 1e-12 of rounding, for noise
+    that moves no realization)."""
+    traj = dynamics._two_level_engine(DEC, noise)(compiled)
+    assert traj.diagnostics.max_trace_deviation < 1e-12
+    mean, sem = monte_carlo(compiled, DEC, noise, n, seed)
+    npt.assert_array_less(abs(traj.qubit_pe - mean), 4.0 * sem + 1e-12)
 
 
 @pytest.mark.parametrize("case", ["ou-n1", "ou-n2", "ou-n500", "constant",
                                   "white", "drag", "ramsey-100MHz",
                                   "zero-delay"])
 def test_monte_carlo_matches_stepwise_reference(case):
-    compiled, noise = _mc_case(case)
-    seed = noise.n_realizations
+    compiled, noise, seed = _mc_case(case)
     if case == "zero-delay":
         _assert_pulses_touch(compiled)
-    pe, sem, trace_dev = _evolve(compiled, DEC, noise, seed)
-    ref_pe, ref_sem, ref_trace = _stepwise_reference(compiled, DEC, noise,
-                                                     seed)
-    npt.assert_allclose(pe, ref_pe[_edges(compiled)], rtol=0.0, atol=1e-12)
-    npt.assert_allclose(sem, ref_sem, rtol=0.0, atol=1e-12)
-    assert trace_dev < 1e-12 and ref_trace < 1e-12
-    # inside the pulses: on both sides of the first block edge, and
-    # halfway through each pulse
-    block = dynamics.MC_BLOCK
-    _assert_cuts_match(compiled, ref_pe, {block - 1, block, block + 1} | {
-        (lo + hi) // 2 for lo, hi, key in compiled.runs if key is not None},
-        noise, seed)
-    # the same seed gives the same bytes
-    again = _evolve(compiled, DEC, noise, seed)
-    assert pe.tobytes() == again[0].tobytes()
-    assert np.float64(sem).tobytes() == np.float64(again[1]).tobytes()
+    _assert_monte_carlo_agrees(compiled, noise, seed)
+
+
+# sigma = 2 gamma2 over tau_c = 4 us and 20 ns, and the white 193 MHz
+# over 0.1 ns
+_REGIMES = {"quasi-static": _OU_SLOW,
+            "intermediate": dict(_OU_SLOW, tau_c=20e-9),
+            "white": _OU_WHITE}
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+def test_exact_mean_matches_monte_carlo_on_sweeps(regime):
+    noise = dynamics.OuNoiseModel(**_REGIMES[regime])
+    delays = [0.0, 10e-9, 20e-9]
+    for i, case in enumerate(("ramsey-0Hz", "echo")):
+        for j, seq in enumerate(_sweep_sequences(case, delays)):
+            _assert_monte_carlo_agrees(_coarse(seq), noise, 10 * i + j)
+
+
+def test_exact_mean_is_the_static_average_for_frozen_noise():
+    # tau_c of 1e9 s freezes each path over the sequence, so the mean is a
+    # Gaussian average over static detunings: Gauss-Hermite quadrature of
+    # noiseless runs.  2 pi sigma T = 2.7 over the 25 ns Ramsey point
+    noise = dynamics.OuNoiseModel(sigma_delta=17e6, tau_c=1e9)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights /= weights.sum()
+    for seq in _sweep_sequences("ramsey-100MHz", [25e-9]) + \
+            _sweep_sequences("echo", [25e-9]):
+        compiled = dynamics.compile_sequence(seq)
+        exact = dynamics._two_level_engine(DEC, noise)(compiled).qubit_pe
+        static = sum(w * _evolve(replace(
+            compiled, detuning0=compiled.detuning0 + x * 17e6), DEC)[0]
+                     for x, w in zip(nodes, weights))
+        npt.assert_allclose(exact, static, rtol=0.0, atol=1e-12)
+
+
+# sigma = 13.6 and 27.2 MHz over tau_c = 4 us, 20 ns and 0.1 ns
+_MODE_GRID = [dict(sigma_delta=sigma, tau_c=tau)
+              for sigma in (13.6e6, 27.2e6) for tau in (4e-6, 20e-9, 1e-10)]
+
+
+@pytest.mark.parametrize("spec", _MODE_GRID,
+                         ids=lambda spec: f"{spec['sigma_delta'] / 1e6:g}MHz-"
+                                          f"{spec['tau_c']:g}s")
+def test_more_modes_move_the_final_pe_below_the_budget(spec, monkeypatch):
+    noise = dynamics.OuNoiseModel(**spec)
+    seqs = (_sweep_sequences("ramsey-0Hz", [40e-9])
+            + _sweep_sequences("echo", [40e-9]))
+    count = dynamics._mode_count
+    budget = [dynamics.simulate_sweep(seqs, DEC, noise)]
+    monkeypatch.setattr(dynamics, "_mode_count",
+                        lambda *args: count(*args) + dynamics.MODES_PAD)
+    budget.append(dynamics.simulate_sweep(seqs, DEC, noise))
+    for got, more in zip(*budget):
+        assert abs(got.qubit_pe[-1] - more.qubit_pe[-1]) <= 1e-13
+        assert got.diagnostics.max_trace_deviation < 1e-12
+
+
+def test_a_one_hertz_noise_is_the_noiseless_run():
+    noise = dynamics.OuNoiseModel(sigma_delta=1.0, tau_c=4e-6)
+    for case in ("ramsey-100MHz", "echo", "t1"):
+        seqs = _sweep_sequences(case, [5e-9, 40e-9])
+        for seq, got in zip(seqs, dynamics.simulate_sweep(seqs, DEC, noise)):
+            want = dynamics.simulate_sequence(seq, DEC)
+            npt.assert_allclose(got.qubit_pe, want.qubit_pe, rtol=0.0,
+                                atol=1e-12)
+
+
+def test_noise_that_needs_too_many_modes_raises():
+    # 2 pi sigma T = 50 over a 40 ns Ramsey point
+    noise = dynamics.OuNoiseModel(sigma_delta=200e6, tau_c=4e-6)
+    seq = _sweep_sequences("ramsey-0Hz", [40e-9])
+    with pytest.raises(ValueError, match="Hermite modes"):
+        dynamics.simulate_sweep(seq, DEC, noise)
+
+
+def test_the_trace_is_checked_on_every_mode(monkeypatch):
+    # a trace defect linear in the noise lands in mode 1 only: mode 0's
+    # trace stays 1, so a check on the mean alone would miss it
+    step = dynamics._two_level_step
+
+    def leaky(s, u1, u2, u4, w, dt, g1, decay):
+        out = step(s, u1, u2, u4, w, dt, g1, decay)
+        out[3, 0] += 1e-9 * w / (np.pi * _OU_SLOW["sigma_delta"])   # 1e-9 xi
+        return out
+
+    monkeypatch.setattr(dynamics, "_two_level_step", leaky)
+    seq = _sweep_sequences("ramsey-0Hz", [5e-9])
+    traj = dynamics.simulate_sweep(seq, DEC, dynamics.OuNoiseModel(
+        **_OU_SLOW))[0]
+    assert traj.diagnostics.max_trace_deviation > 1e-7
 
 
 def _gap_moments(u, model, x0=0.0, var0=0.0):
@@ -1092,19 +1152,18 @@ def _assert_moments(x_end, integral, expected, n_se=5.0):
 def test_ou_gap_draw_has_the_closed_form_moments(u, rng):
     model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=20e-9)
     x0 = np.full(200_000, 0.8 * model.sigma_delta)
-    x_end, integral = dynamics._ou_gap(x0, u * model.tau_c, model, rng)
+    x_end, integral = ou_gap(x0, u * model.tau_c, model, rng)
     _assert_moments(x_end, integral, _gap_moments(u, model, x0=x0[0]))
 
 
 def test_ou_gap_draw_matches_riemann_sums_of_sampled_paths(rng):
     # stationary starts: the fine-grid reference draws its own
-    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=20e-9,
-                                  n_realizations=10_000)
+    model = dynamics.OuNoiseModel(sigma_delta=5e6, tau_c=20e-9)
     times = np.linspace(0.0, model.tau_c, 201)
-    paths = dynamics.sample_ou_detuning(model, times, rng=rng)
+    paths = sample_ou_detuning(model, times, 10_000, rng=rng)
     riemann = np.diff(times)[0] * (paths[:, :-1] + paths[:, 1:]).sum(1) / 2
-    x0 = model.sigma_delta * rng.standard_normal(4 * model.n_realizations)
-    x_end, integral = dynamics._ou_gap(x0, model.tau_c, model, rng)
+    x0 = model.sigma_delta * rng.standard_normal(40_000)
+    x_end, integral = ou_gap(x0, model.tau_c, model, rng)
     moments = _gap_moments(1.0, model, var0=model.sigma_delta ** 2)
     _assert_moments(x_end, integral, moments)
     _assert_moments(paths[:, -1], riemann, moments)
@@ -1115,7 +1174,7 @@ def test_ou_gap_draw_matches_riemann_sums_of_sampled_paths(rng):
 
 
 def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
-    noise = dynamics.OuNoiseModel(n_realizations=500, **_OU_SLOW)
+    noise = dynamics.OuNoiseModel(**_OU_SLOW)
     peak = {}
     # an idle gap is one step, so the pulses set the length: wider pulses
     # give 3002, 6002 and 12002 steps
@@ -1125,13 +1184,12 @@ def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
             pi_amplitude=pulses.calibrate_pi_amplitude(sigma))
         tracemalloc.start()
         try:
-            dynamics.simulate_sweep([seq], DEC, noise, [1])
+            dynamics.simulate_sweep([seq], DEC, noise)
             peak[sigma] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-    # no buffer of realizations by steps: the paths are drawn per block.
-    # An engine that kept every realization's p_e at every step measured
-    # 29.7 MiB at 6002 steps, and 35.0 MiB more at 12002 than at 3002
+    # the step coefficients are made a chunk at a time: a stack of every
+    # step's, kept per pulse, grew the peak by 14 MiB from 3002 to 12002
     assert peak[0.5e-9] < 12.0, peak
     assert peak[1e-9] - peak[0.25e-9] < 3.0, peak
 
@@ -1189,13 +1247,12 @@ def test_a_sweep_scans_each_distinct_pulse_once(monkeypatch):
     assert len(props) == 1 and len(calls) == 20
 
 
-@pytest.mark.parametrize("n_realizations", [None, 20])
-def test_a_trajectory_is_sampled_at_the_run_edges(n_realizations):
+@pytest.mark.parametrize("sigma_mhz", [None, 20])
+def test_a_trajectory_is_sampled_at_the_run_edges(sigma_mhz):
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     seq = pulses.build_echo_sequence(10e-9, sigma=0.25e-9, pi_amplitude=a_pi)
-    noise = n_realizations and dynamics.OuNoiseModel(
-        n_realizations=n_realizations, **_OU_SLOW)
-    traj = dynamics.simulate_sweep([seq], DEC, noise, [4])[0]
+    noise = sigma_mhz and dynamics.OuNoiseModel(sigma_mhz * 1e6, 4e-6)
+    traj = dynamics.simulate_sweep([seq], DEC, noise)[0]
     # t = 0, each pulse's start and end, and the readout's start: the
     # first pulse starts at 0 and the readout at the last one's end
     edges = np.unique([0.0, seq.readout_window.start]
@@ -1207,15 +1264,14 @@ def test_a_trajectory_is_sampled_at_the_run_edges(n_realizations):
     traj.validate_populations()
 
 
-@pytest.mark.parametrize("n_realizations", [None, 3])
-def test_a_diverging_pulse_is_reported_unhealthy(n_realizations):
+@pytest.mark.parametrize("sigma_mhz", [None, 3])
+def test_a_diverging_pulse_is_reported_unhealthy(sigma_mhz):
     # 1e13 Hz is 31 rad per 1 ps step, far past where RK4 is stable
     seq = pulses.build_rabi_sequence(1e13, 0.25e-9)
-    noise = n_realizations and dynamics.OuNoiseModel(
-        n_realizations=n_realizations, **_OU_SLOW)
+    noise = sigma_mhz and dynamics.OuNoiseModel(sigma_mhz * 1e6, 4e-6)
     # the overflow warnings are expected
     with pytest.warns(RuntimeWarning):
-        traj = dynamics.simulate_sweep([seq], DEC, noise, [2])[0]
+        traj = dynamics.simulate_sweep([seq], DEC, noise)[0]
     assert not np.isfinite(traj.qubit_pe[-1])
     assert not np.isfinite(traj.diagnostics.max_trace_deviation)
     with pytest.raises(ValueError, match="populations leave"):
@@ -1253,8 +1309,7 @@ def test_a_replaced_detuning_is_not_served_stale_scans():
 
 def test_ou_sampler_matches_loop_reference():
     n = 69
-    model = dynamics.OuNoiseModel(sigma_delta=193e6, tau_c=1e-10,
-                                  n_realizations=n)
+    model = dynamics.OuNoiseModel(sigma_delta=193e6, tau_c=1e-10)
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     times = dynamics.compile_sequence(pulses.build_echo_sequence(
         2e-9, sigma=0.25e-9, pi_amplitude=a_pi)).times
@@ -1266,8 +1321,7 @@ def test_ou_sampler_matches_loop_reference():
     noise = rng.standard_normal((len(times) - 1, n))   # row k: step k
     for k in range(len(times) - 1):
         ref[:, k + 1] = ref[:, k] * decay[k] + kick[k] * noise[k]
-    npt.assert_array_equal(dynamics.sample_ou_detuning(model, times, rng=9),
-                           ref)
+    npt.assert_array_equal(sample_ou_detuning(model, times, n, rng=9), ref)
 
 
 def _final_pe_detuned(seq, detuning):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import tracemalloc
@@ -920,6 +921,53 @@ def test_a_diverging_rabi_sweep_fails_before_writing_its_table(tmp_path,
     assert code == 1
     assert "error: populations leave [0, 1]" in capsys.readouterr().err
     assert not (out / "rabi.csv").exists()
+
+
+def _mc_config(out, n_realizations=None, sigma_delta=13.6e6):
+    dephasing = {"sigma_delta": sigma_delta, "tau_c": 4e-6}
+    if n_realizations is not None:
+        dephasing["n_realizations"] = n_realizations
+    return {"experiment": "ramsey", "device": _device_dict(),
+            "sweep": {"start": 0.0, "stop": 20e-9, "points": 5},
+            "params": {"drive_detuning": 0.0},
+            "noise": {"dephasing": dephasing}, "output_dir": str(out)}
+
+
+def test_n_realizations_is_accepted_and_inert(tmp_path):
+    hashes = []
+    for n in (20, 1000):
+        cfg = experiments.validate_config(_mc_config(tmp_path / str(n), n))
+        assert cfg.effective["noise"]["dephasing"] == {"sigma_delta": 13.6e6,
+                                                       "tau_c": 4e-6}
+        hashes.append(experiments.run_experiment(cfg).run_hash)
+    assert hashes[0] == hashes[1]
+    with pytest.raises(experiments.ConfigError,
+                       match="noise.dephasing.n_realizations"):
+        experiments.validate_config(_mc_config(tmp_path / "0", 0))
+
+
+def test_benchmark_dephasing_configs_still_validate(tmp_path):
+    # perfbench's mc-dephasing configs set n_realizations
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.build("mc-dephasing", 7, tmp_path)
+    assert [op.name for op in ops] == ["ramsey", "echo"]
+    assert all(op.config["noise"]["dephasing"]["n_realizations"]
+               and op.cfg.dephasing is not None for op in ops)
+
+
+def test_noise_that_needs_too_many_modes_fails_before_writing(tmp_path,
+                                                              capsys):
+    cfg_path = tmp_path / "ramsey.json"
+    out = tmp_path / "run"
+    cfg_path.write_text(json.dumps(_mc_config(out, sigma_delta=400e6)))
+    code = cli.main(["simulate", "ramsey", "--config", str(cfg_path)])
+    assert code == 1
+    assert "Hermite modes" in capsys.readouterr().err
+    assert not (out / "ramsey.csv").exists()
 
 
 def test_check_fails_a_flagged_fit(tmp_path, capsys, monkeypatch):

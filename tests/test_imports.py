@@ -7,10 +7,12 @@ from pathlib import Path
 # pulls in the rest) took about 0.6 s of a 1.5-1.8 s `import dotqed.cli`,
 # and scipy.optimize, which loads scipy.special and scipy.constants, about
 # 0.09 s of a 0.28 s one; scipy.sparse.linalg, once loaded for SuperLU,
-# about 0.09 s and 10 MiB of RSS
+# about 0.09 s and 10 MiB of RSS; scipy.linalg, because the exponentials of
+# the dephasing modes are numpy-only (`dynamics._expm`)
 UNUSED_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.stats",
                 "scipy.interpolate", "scipy.ndimage", "scipy.optimize",
-                "scipy.special", "scipy.constants", "scipy.sparse.linalg")
+                "scipy.special", "scipy.constants", "scipy.sparse.linalg",
+                "scipy.linalg")
 
 
 def test_cli_import_leaves_unused_scipy_unloaded():
