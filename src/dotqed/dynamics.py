@@ -38,8 +38,6 @@ SCAN_BLOCK = 1024
 # beats sparse RK4 at every d^2 measured, to 576, but R and R^c while it is
 # squared take 24 d^4 bytes, 1.5 MiB at 256 and 7.6 MiB at 576.
 DENSE_MAX_DIM2 = 256
-# Steps per bookkeeping block of `evolve`: bounds its (block + 1, d^2) buffer.
-EVOLVE_BLOCK = 64
 
 
 class TruncationWarning(UserWarning):
@@ -198,20 +196,20 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     grid's uniform dt = (t_end - t_start) / n.  G and the step are
     constant, so the step is the linear map r -> R r with R the RK4
     stability polynomial of dt G (Hairer, Norsett and Wanner, Solving ODEs
-    I, IV.2).  The states at every c-th step, c = max(1, n // 128), and
-    the last are kept, and after the run rebuilt as matrices for one
-    batched eigvalsh, the minimum eigenvalue.  The expectations are real
-    products with the observables' coefficients on the coordinates, real
-    and imaginary parts as separate columns.  For d^2 <= DENSE_MAX_DIM2 R
-    is dense, and they come by baby and giant steps (`_baby_giant_samples`).
-    Above that each step is `_rk4_step` with the sparse G (`_state_blocks`).
-    Per step of a 5000-step run, R included, on a 2-vCPU Xeon, in us
-    (medians over 2-4 runs; one 2-thread dense run took 28 at d^2 = 144):
+    I, IV.2).  The expectations are real products with the observables'
+    coefficients on the coordinates, real and imaginary parts as separate
+    columns, read by baby and giant steps (`_baby_giant_samples`) with R
+    dense or as sparse RK4 steps by size (`_step_maps`).  The giant steps,
+    every c-th state, c = max(1, n // 128), and the last are kept, and
+    after the run rebuilt as matrices for one batched eigvalsh, the minimum
+    eigenvalue.  Per step of a 5000-step run, R included, on a 2-vCPU Xeon,
+    in us (medians over 2-4 runs; one 2-thread dense run took 28 at
+    d^2 = 144; sparse RK4 with the size rule at 0):
 
         d^2                  144    256      324      400      576
         dense, 2 threads     0.8    1.7-2.1  2.8-3.0  4.0-4.7  9.6-11.5
         dense, 1 thread      0.8    2.1      3.6-4.0  5.9      16-18
-        sparse RK4           24-37  27-32    29-35    32-39    38-49
+        sparse RK4           24     27-29    29-31    30-35    37-40
 
     """
     rho0 = np.asarray(rho0, dtype=complex)
@@ -253,17 +251,8 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
     r0[re] = herm.real
     r0[im[sign > 0]] = herm.imag[sign > 0]
     c = max(1, n_steps // 128)      # spacing of the states kept for eigvalsh
-    if len(r0) <= DENSE_MAX_DIM2:
-        vals, kept = _baby_giant_samples(gen, dt, r0, n_steps, c, obs)
-    else:
-        vals = np.empty((len(times), 2 * n_ops))
-        checked = np.union1d(np.arange(0, n_steps + 1, c), n_steps)
-        kept = np.empty((len(checked), dim * dim))    # states at those steps
-        for k0, rows in _state_blocks(gen, dt, r0, n_steps):
-            k1 = k0 + len(rows)
-            np.matmul(rows, obs, out=vals[k0:k1])
-            a, b = np.searchsorted(checked, [k0, k1])
-            kept[a:b] = rows[checked[a:b] - k0]
+    vals, kept = _baby_giant_samples(*_step_maps(gen, dt, c), r0, n_steps,
+                                     c, obs)
     vals = vals[:, :n_ops] + 1j * vals[:, n_ops:]
     rho = (kept[:, re] + 1j * (sign * kept[:, im])).reshape(-1, dim, dim)
 
@@ -288,57 +277,57 @@ def evolve(rho0, h_hz, channels, grid, space=None, e_ops=None):
                       expectations=extra, diagnostics=diag)
 
 
-def _baby_giant_samples(gen, dt, r0, n_steps, c, obs):
-    """`evolve`'s dense branch: the rows obs^T r_k of its n_steps RK4 steps
-    r_(k+1) = R r_k from r0 (R `_rk4_step` of the sparse identity, made
-    dense), and the kept r_k, k a multiple of c or n_steps, by baby and
-    giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 60, 1973): R^c
-    by square and multiply; the giant steps X_a = R^(ac) r0, the kept
-    states; with R^c dropped, each baby step W_b = obs^T R^b, b < c, read on
-    every X_a by one matrix product, vals[ac + b] = W_b X_a; and the last
-    n_steps mod c steps one R at a time.  No other state is formed.
-    """
-    step = _rk4_step(sparse.eye_array(len(r0), format="csr"), dt,
-                     lambda stage, x: gen @ x).toarray()
-    n_giant, tail = divmod(n_steps, c)
-    kept = np.empty((n_giant + 1 + (tail > 0), len(r0)))
-    kept[0] = r0
+def _linear_rk4(gen, dt):
+    """x -> one RK4 step of dx/dt = gen x, x a state or a stack of them."""
+    return lambda x: _rk4_step(x, dt, lambda stage, y: gen @ y)
+
+
+def _step_maps(gen, dt, c):
+    """`evolve`'s size rule: (advance, giant, back), how R, R^c and R^T act
+    on an array, R one RK4 step of dr/dt = gen r.  For d^2 <= DENSE_MAX_DIM2
+    R is `_rk4_step` of the sparse identity, made dense, and R^c comes by
+    square and multiply; above that they are RK4 steps of gen and gen^T."""
+    advance = _linear_rk4(gen, dt)
+    if gen.shape[0] > DENSE_MAX_DIM2:
+        def giant(x):
+            for _ in range(c):
+                x = advance(x)
+            return x
+        return advance, giant, _linear_rk4(gen.T, dt)
+    step = advance(sparse.eye_array(gen.shape[0], format="csr")).toarray()
     power = step
     for bit in bin(c)[3:]:
         power = power @ power
         if bit == "1":
             power = power @ step
+    return step.__matmul__, power.__matmul__, step.T.__matmul__
+
+
+def _baby_giant_samples(advance, giant, back, r0, n_steps, c, obs):
+    """`evolve`'s samples: the rows obs^T r_k of its n_steps steps
+    r_(k+1) = R r_k from r0, and the kept r_k, k a multiple of c or
+    n_steps, by baby and giant steps (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 60, 1973).  advance, giant and back apply R, R^c and R^T.
+    The giant steps X_a = R^(ac) r0 are the kept states; each baby step
+    W_b = obs^T R^b, b < c, is read on every X_a by one matrix product,
+    vals[ac + b] = W_b X_a; and the last n_steps mod c steps are advanced
+    one R at a time.  No other state is formed.
+    """
+    n_giant, tail = divmod(n_steps, c)
+    kept = np.empty((n_giant + 1 + (tail > 0), len(r0)))
+    kept[0] = r0
     for a in range(n_giant):
-        np.matmul(power, kept[a], out=kept[a + 1])
-    del power
+        kept[a + 1] = giant(kept[a])
     vals = np.empty((n_giant + 1, c, obs.shape[1]))
     baby = obs                              # W_b^T = (R^b)^T obs
     for b in range(c):
-        baby = step.T @ baby if b else baby
+        baby = back(baby) if b else baby
         np.matmul(kept[:n_giant + 1], baby, out=vals[:, b])
     x = kept[n_giant]
     for _ in range(tail):
-        x = step @ x
+        x = advance(x)
     kept[-1] = x
     return vals.reshape(-1, obs.shape[1])[:n_steps + 1], kept
-
-
-def _state_blocks(gen, dt, r0, n_steps):
-    """The states of `evolve`'s n_steps RK4 steps of dr/dt = gen r from r0,
-    a block at a time, for d^2 > DENSE_MAX_DIM2: yields (k0, rows), rows[i]
-    the state after step k0 + i, from k0 = 0 (r0 itself) up to n_steps.
-    rows is a view of one (EVOLVE_BLOCK + 1, d^2) buffer, valid until the
-    next block.  Each state is one `_rk4_step` of the sparse gen.
-    """
-    buf = np.empty((EVOLVE_BLOCK + 1, len(r0)))
-    buf[0] = r0
-    for lo in range(0, n_steps, EVOLVE_BLOCK):
-        m = min(EVOLVE_BLOCK, n_steps - lo)
-        for j in range(m):
-            buf[j + 1] = _rk4_step(buf[j], dt, lambda stage, x: gen @ x)
-        first = 0 if lo == 0 else 1     # row 0 was the previous block's last
-        yield lo + first, buf[first:m + 1]
-        buf[0] = buf[m]
 
 
 def _hermitian_coordinates(d):

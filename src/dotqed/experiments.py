@@ -603,12 +603,12 @@ def measure_stark_shift(dev, drive_amplitude, probe_frequency=None,
 # ------------------------------------------------------------ runners
 
 def _point_rngs(seed, n_points):
-    """Two independent streams per sweep point, stable under any scheduling.
-    The pulsed runners read the second, for the readout; the first is no
-    longer drawn, but it is still spawned, so that the second keeps its
-    bytes."""
-    kids = np.random.SeedSequence(seed).spawn(n_points)
-    return [tuple(np.random.default_rng(s) for s in k.spawn(2)) for k in kids]
+    """One readout stream per sweep point, stable under any scheduling.
+    Point i reads the seed's spawn key (i, 1), the bytes of
+    SeedSequence(seed).spawn(n_points)[i].spawn(2)[1]."""
+    return [np.random.default_rng(np.random.SeedSequence(seed,
+                                                         spawn_key=(i, 1)))
+            for i in range(n_points)]
 
 
 def _write_csv(path, header, columns):
@@ -720,7 +720,7 @@ def _run_pulsed(kind, cfg, out):
     trajs = dynamics.simulate_sweep(seqs, cfg.device.decoherence,
                                     cfg.dephasing)
     rows = []
-    for traj, (_, rng_readout) in zip(trajs, rngs):
+    for traj, rng_readout in zip(trajs, rngs):
         traj.validate_populations()
         pe_true = float(traj.qubit_pe[-1])
         p_est, est_err = measure_population(pipe, pe_true, rng=rng_readout,

@@ -113,14 +113,27 @@ class PulseSequence:
         return sorted({e.carrier_frequency for e in self.entries})
 
 
+def _back_to_back(pulses, wait, sigma, truncation_k, drag_beta,
+                  readout_duration):
+    """Pulses of width sigma placed back to back from t = 0, then the
+    readout a wait after the last one ends.  pulses holds (gap, amplitude,
+    carrier frequency, carrier phase) per pulse, gap the idle time before
+    it; its t0 is (previous end + gap) + k sigma."""
+    k = truncation_k
+    entries, end = [], 0.0
+    for gap, amplitude, frequency, phase in pulses:
+        p = GaussianPulse(amplitude, end + gap + k * sigma, sigma, k, drag_beta)
+        entries.append(SequenceEntry(p, frequency, phase))
+        end = p.end
+    return PulseSequence(tuple(entries),
+                         ReadoutWindow(end + wait, readout_duration))
+
+
 def build_rabi_sequence(amplitude, sigma, *, truncation_k=DEFAULT_TRUNCATION_K,
                         drag_beta=0.0, readout_duration=DEFAULT_READOUT_DURATION):
     """Single drive pulse of the given peak amplitude, then readout."""
-    k = truncation_k
-    p = GaussianPulse(amplitude, k * sigma, sigma, k, drag_beta)
-    return PulseSequence(
-        entries=(SequenceEntry(p),),
-        readout_window=ReadoutWindow(p.end, readout_duration))
+    return _back_to_back([(0.0, amplitude, 0.0, 0.0)], 0.0, sigma,
+                         truncation_k, drag_beta, readout_duration)
 
 
 def build_ramsey_sequence(delta_tau, drive_detuning, *, sigma, pi_amplitude,
@@ -133,15 +146,11 @@ def build_ramsey_sequence(delta_tau, drive_detuning, *, sigma, pi_amplitude,
     """
     if delta_tau < 0:
         raise ValueError("delta_tau must be >= 0")
-    k = truncation_k
-    amp = 0.5 * pi_amplitude
-    p1 = GaussianPulse(amp, k * sigma, sigma, k, drag_beta)
-    p2 = GaussianPulse(amp, p1.end + delta_tau + k * sigma, sigma, k,
-                       drag_beta)
-    return PulseSequence(
-        entries=(SequenceEntry(p1, drive_detuning),
-                 SequenceEntry(p2, drive_detuning)),
-        readout_window=ReadoutWindow(p2.end, readout_duration))
+    half_pi = 0.5 * pi_amplitude
+    return _back_to_back([(0.0, half_pi, drive_detuning, 0.0),
+                          (delta_tau, half_pi, drive_detuning, 0.0)],
+                         0.0, sigma, truncation_k, drag_beta,
+                         readout_duration)
 
 
 def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude,
@@ -150,11 +159,8 @@ def build_t1_sequence(delta_tau_w, *, sigma, pi_amplitude,
     """pi pulse, then readout delayed by delta_tau_w after the pulse ends."""
     if delta_tau_w < 0:
         raise ValueError("delta_tau_w must be >= 0")
-    k = truncation_k
-    p = GaussianPulse(pi_amplitude, k * sigma, sigma, k, drag_beta)
-    return PulseSequence(
-        entries=(SequenceEntry(p),),
-        readout_window=ReadoutWindow(p.end + delta_tau_w, readout_duration))
+    return _back_to_back([(0.0, pi_amplitude, 0.0, 0.0)], delta_tau_w, sigma,
+                         truncation_k, drag_beta, readout_duration)
 
 
 def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, echo_phase=np.pi / 2,
@@ -167,17 +173,13 @@ def build_echo_sequence(delta_tau, *, sigma, pi_amplitude, echo_phase=np.pi / 2,
     """
     if delta_tau < 0:
         raise ValueError("delta_tau must be >= 0")
-    k = truncation_k
-    amp2 = 0.5 * pi_amplitude
+    half_pi = 0.5 * pi_amplitude
     half = 0.5 * delta_tau
-    p1 = GaussianPulse(amp2, k * sigma, sigma, k, drag_beta)
-    pp = GaussianPulse(pi_amplitude, p1.end + half + k * sigma, sigma, k,
-                       drag_beta)
-    p2 = GaussianPulse(amp2, pp.end + half + k * sigma, sigma, k, drag_beta)
-    return PulseSequence(
-        entries=(SequenceEntry(p1), SequenceEntry(pp, carrier_phase=echo_phase),
-                 SequenceEntry(p2)),
-        readout_window=ReadoutWindow(p2.end, readout_duration))
+    return _back_to_back([(0.0, half_pi, 0.0, 0.0),
+                          (half, pi_amplitude, 0.0, echo_phase),
+                          (half, half_pi, 0.0, 0.0)],
+                         0.0, sigma, truncation_k, drag_beta,
+                         readout_duration)
 
 
 def sequence_envelopes(entries, t):

@@ -136,3 +136,14 @@ def test_failed_run_names_the_side_and_keeps_its_stderr(tmp_path):
     assert "status 1" in message
     assert message.endswith("StatisticsError: mean requires at least one "
                             "data point")
+
+
+def test_source_lines_count_newlines_of_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "dotqed"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")             # no final newline: 0
+    (pkg / "c.py").write_text("\n\n\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("outside\n")
+    assert bench_pairs.source_lines(tmp_path) == 5

@@ -226,19 +226,24 @@ def _lindblad_rk4(rho0, h_hz, channels, times):
     return np.array(states)
 
 
+def _tipped_state(space):
+    """The qubit on the equator, the cavity in vacuum, with a 1e-5 share of
+    the maximally mixed state: rho is full rank, so the minimum eigenvalue
+    is a decaying value, not rounding noise about zero."""
+    c = np.sqrt(0.5)
+    tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
+    d = space.dim
+    return ((1.0 - 1e-5) * qops.ket_to_dm(tip @ np.eye(d)[0])
+            + 1e-5 * np.eye(d) / d)
+
+
 def _assert_evolve_matches_rk4(cutoff, t_end):
     """evolve on the driven JC model against `_lindblad_rk4` at 1e-12 on
     every sample; returns the number of steps."""
     space = qops.HilbertSpace(cutoff)
     h, chans = _driven_jc(space)
     sp = qops.qubit_operator(qops.sigma_plus(), space)
-    c = np.sqrt(0.5)    # qubit to the equator, cavity in vacuum
-    tip = qops.qubit_operator(np.array([[c, -c], [c, c]]), space)
-    # a 1e-5 share of the maximally mixed state makes rho full rank, so the
-    # minimum eigenvalue is a decaying value, not rounding noise about zero
-    d = space.dim
-    rho0 = ((1.0 - 1e-5) * qops.ket_to_dm(tip @ np.eye(d)[0])
-            + 1e-5 * np.eye(d) / d)
+    rho0 = _tipped_state(space)
     grid = dynamics.SimulationGrid(0.0, t_end, 1e-11)
     traj = dynamics.evolve(rho0, h, chans, grid, space=space,
                            e_ops={"sigma_plus": sp})
@@ -261,40 +266,65 @@ def _assert_evolve_matches_rk4(cutoff, t_end):
 
 
 # one Fock cutoff on each side of the dense-propagator size rule, each on a
-# single step and on a step count that is no multiple of the block size
+# single step and on 500 steps, a tail of 2 past the last giant step
 @pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
 @pytest.mark.parametrize("t_end", [1e-11, 5e-9], ids=["1-step", "500-steps"])
 def test_evolve_matches_rk4_over_lindblad_rhs(cutoff, t_end):
     assert ((qops.HilbertSpace(cutoff).dim ** 2 <= dynamics.DENSE_MAX_DIM2)
             == (cutoff == 5))
-    n_steps = _assert_evolve_matches_rk4(cutoff, t_end)
-    assert n_steps == 1 or n_steps % dynamics.EVOLVE_BLOCK
+    _assert_evolve_matches_rk4(cutoff, t_end)
 
 
-# the sparse branch steps EVOLVE_BLOCK states at a time, so a block one step
-# short, exact, one step over, and several whole blocks each end a block
-# differently; the dense branch runs the same step counts
-@pytest.mark.parametrize("cutoff", [5, 12], ids=["dense", "sparse"])
-@pytest.mark.parametrize("n_steps", [
-    dynamics.EVOLVE_BLOCK - 1, dynamics.EVOLVE_BLOCK,
-    dynamics.EVOLVE_BLOCK + 1, 4 * dynamics.EVOLVE_BLOCK],
-    ids=["block-1", "block", "block+1", "4-blocks"])
-def test_evolve_matches_rk4_at_block_edges(cutoff, n_steps):
+# evolve reads every step's observables from the giant steps R^(ac) r0 and
+# the baby steps obs^T R^b, b < c = n // 128: c = 1, c = 2 with no tail and
+# a tail of c - 1 steps past the last giant step, a c of no power of two
+# (5 = 101b squares twice and multiplies once) with each, exactly 128 c
+# steps (c = 7), and the 5000 steps of a Stark point; each on the dense R
+# of Fock cutoff 5 and on the sparse RK4 steps of cutoff 12
+_BABY_GIANT_EDGES = {"c=1": (200, 1, 0), "c=2": (256, 2, 0),
+                     "c=2-tail-1": (257, 2, 1), "c=5": (650, 5, 0),
+                     "c=5-tail-4": (654, 5, 4), "128c": (896, 7, 0),
+                     "stark": (5000, 39, 8)}
+
+
+@pytest.mark.parametrize("cutoff, n_steps, c, tail", [
+    pytest.param(cutoff, *case, id=name + suffix)
+    for cutoff, suffix in [(5, ""), (12, "-sparse")]
+    for name, case in _BABY_GIANT_EDGES.items()])
+def test_evolve_matches_rk4_at_baby_giant_edges(cutoff, n_steps, c, tail):
+    assert (max(1, n_steps // 128), n_steps % c) == (c, tail)
     assert _assert_evolve_matches_rk4(cutoff, n_steps * 1e-11) == n_steps
 
 
-# the dense branch reads every step's observables from the giant steps
-# R^(ac) r0 and the baby steps obs^T R^b, b < c = n // 128: c = 1, c = 2
-# with no tail and a tail of c - 1 steps past the last giant step, a c of
-# no power of two (5 = 101b squares twice and multiplies once) with each,
-# exactly 128 c steps (c = 7), and the 5000 steps of a Stark point
-@pytest.mark.parametrize("n_steps, c, tail", [
-    (200, 1, 0), (256, 2, 0), (257, 2, 1), (650, 5, 0), (654, 5, 4),
-    (896, 7, 0), (5000, 39, 8)],
-    ids=["c=1", "c=2", "c=2-tail-1", "c=5", "c=5-tail-4", "128c", "stark"])
-def test_evolve_matches_rk4_at_baby_giant_edges(n_steps, c, tail):
-    assert (max(1, n_steps // 128), n_steps % c) == (c, tail)
-    assert _assert_evolve_matches_rk4(5, n_steps * 1e-11) == n_steps
+def test_sparse_steps_match_the_dense_propagator(monkeypatch):
+    # Fock cutoff 8, d^2 = 256, sampled through R dense and, with the size
+    # rule at 0, through RK4 steps of the sparse G and G^T: R, made from the
+    # sparse identity, is then never built
+    space = qops.HilbertSpace(8)
+    h, chans = _driven_jc(space)
+    rho0 = _tipped_state(space)
+    grid = dynamics.SimulationGrid(0.0, 654e-11, 1e-11)    # c = 5, tail 4
+    e_ops = {"sigma_plus": qops.qubit_operator(qops.sigma_plus(), space)}
+
+    def run():
+        return dynamics.evolve(rho0, h, chans, grid, space=space,
+                               e_ops=e_ops)
+
+    dense = run()
+
+    def no_dense_step(*args, **kwargs):
+        raise AssertionError("the dense propagator was built")
+
+    monkeypatch.setattr(dynamics, "DENSE_MAX_DIM2", 0)
+    monkeypatch.setattr(dynamics.sparse, "eye_array", no_dense_step)
+    sparse = run()
+    for got, want in [(sparse.qubit_pe, dense.qubit_pe),
+                      (sparse.cavity_alpha, dense.cavity_alpha),
+                      (sparse.expectations["sigma_plus"],
+                       dense.expectations["sigma_plus"])]:
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert abs(sparse.diagnostics.min_eigenvalue
+               - dense.diagnostics.min_eigenvalue) <= 1e-13
 
 
 def test_evolve_peak_memory_at_the_stark_size():
@@ -559,7 +589,7 @@ def test_ou_sampler_exact_update_is_grid_independent():
     npt.assert_array_equal(coarse, again)
 
 
-def test_monte_carlo_zero_sigma_reduces_to_deterministic():
+def test_exact_mean_zero_sigma_reduces_to_deterministic():
     a_pi = pulses.calibrate_pi_amplitude(0.25e-9)
     seq = pulses.build_ramsey_sequence(20e-9, 0.0, sigma=0.25e-9,
                                        pi_amplitude=a_pi)
@@ -1173,7 +1203,7 @@ def test_ou_gap_draw_matches_riemann_sums_of_sampled_paths(rng):
         npt.assert_allclose(ours.var(), ref.var(), rtol=5.0 * se)
 
 
-def test_monte_carlo_peak_memory_does_not_grow_with_the_sequence():
+def test_exact_mean_peak_memory_does_not_grow_with_the_sequence():
     noise = dynamics.OuNoiseModel(**_OU_SLOW)
     peak = {}
     # an idle gap is one step, so the pulses set the length: wider pulses

@@ -309,7 +309,7 @@ _ROUND_TRIP = {
     "ramsey": {"sweep": _DELAYS, "noise": {"readout": {}}, "averages": 2},
     "t1": {"sweep": {"start": 0.0, "stop": 100e-9, "points": 8},
            "readout": {"probe_frequency": 5.065e9}},
-    # zero sigma_delta keeps the section but skips the Monte Carlo path
+    # zero sigma_delta keeps the section, and the engine runs noiseless
     "echo": {"sweep": _DELAYS, "noise": {"dephasing": {
         "sigma_delta": 0.0, "tau_c": 1e-6, "n_realizations": 10}}},
     "readout-trace": {"params": {"population": 0.25}},

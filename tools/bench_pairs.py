@@ -14,6 +14,8 @@ end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 pairs the change wins (ties count for neither) and the relative change of
 the medians.  With a claim, the traced summary gives each side's value of
 every per-layer metric in the traced pair, to show which layer moved.
+Each side also records its line count of src/dotqed/*.py (`src_lines`);
+their difference is the change's net source-line count.
 """
 
 import argparse
@@ -97,6 +99,13 @@ def claim(summary, workload, metric):
     return {"workload": workload, "metric": metric,
             **{k: row[k] for k in ("parent_median", "change_median",
                                    "change_better_pairs", "pairs")}}
+
+
+def source_lines(tree):
+    """Lines of src/dotqed/*.py under the checkout tree, as `wc -l` counts
+    them (newline characters)."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(tree) / "src" / "dotqed").glob("*.py"))
 
 
 # ---------------------------------------------------------------- running
@@ -201,6 +210,7 @@ def main(argv=None):
     try:
         _export(parent_commit, tmp)
         trees = {"parent": tmp, "change": ROOT}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         runs = {"parent": {}, "change": {}}
         for seed in seeds:
             out, _ = pair(seed, args.workload, 0)
@@ -231,10 +241,12 @@ def main(argv=None):
                            if traced else None),
         "parent": {"commit": parent_commit,
                    "src_tree": _git("rev-parse", parent_commit + ":src"),
+                   "src_lines": lines["parent"],
                    "runs": {str(s): r for s, r in runs["parent"].items()}},
         "change": {"commit": _git("rev-parse", "HEAD")
                    if change_src == head_src else None,
                    "src_tree": change_src,
+                   "src_lines": lines["change"],
                    "runs": {str(s): r for s, r in runs["change"].items()}},
         "traced": traced,
     }
